@@ -7,6 +7,7 @@ from .arrangement import (
     Flat,
     GuardExceeded,
     IntersectionLattice,
+    SelfCheckFailed,
     build_arrangement,
     center,
     format_arrangement,

@@ -31,18 +31,28 @@ class GuardExceeded(RuntimeError):
     """A configurable size cap was hit before a computation finished."""
 
 
+class SelfCheckFailed(RuntimeError):
+    """Two independent computations of the same quantity disagreed."""
+
+
+def self_check(ok: bool, message: str) -> None:
+    """An internal cross-check that, unlike assert, survives python -O."""
+    if not ok:
+        raise SelfCheckFailed(message)
+
+
 @dataclass(frozen=True)
 class Arrangement:
     """Hyperplanes labeled 1..m by their position in the normals tuple."""
 
     ambient_dim: int
-    normals: tuple[tuple[Fraction, ...], ...]
+    normals: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.normals)
 
-    def normal(self, label: int) -> tuple[Fraction, ...]:
+    def normal(self, label: int) -> tuple[int, ...]:
         return self.normals[label - 1]
 
     def hyperplane(self, label: int) -> Subspace:
@@ -57,7 +67,7 @@ def _hyperplane(arr: Arrangement, label: int) -> Subspace:
 def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
     """Canonicalize the normals (coprime integers, positive leading entry) and
     reject zero vectors, wrong lengths and duplicate hyperplanes."""
-    canon: list[tuple[Fraction, ...]] = []
+    canon: list[tuple[int, ...]] = []
     seen = set()
     for pos, raw in enumerate(raw_normals, 1):
         v = vector(raw)
@@ -86,12 +96,8 @@ class Flat:
         return self.subspace.dim
 
 
-def _basis_key(S: Subspace):
-    return tuple(tuple(int(x) for x in row) for row in S.basis.entries)
-
-
 def _flat_key(f: Flat):
-    return (f.rank, _basis_key(f.subspace))
+    return (f.rank, f.subspace.basis.entries)
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,7 @@ def restriction(arr: Arrangement, U: Subspace) -> Arrangement:
     if U.dim == 0:
         raise ValueError("cannot restrict to the zero subspace")
     B = U.basis
-    traces: list[tuple[Fraction, ...]] = []
+    traces: list[tuple[int, ...]] = []
     seen = set()
     for i in range(1, arr.size + 1):
         t = B.times_vector(arr.normal(i))
@@ -271,7 +277,7 @@ def parse_arrangement(text: str) -> Arrangement:
 def format_arrangement(arr: Arrangement) -> str:
     lines = [str(arr.ambient_dim)]
     for w in arr.normals:
-        lines.append(" ".join(str(int(x)) for x in w))
+        lines.append(" ".join(str(x) for x in w))
     return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,9 @@ arrangement file) to stdout or --output.  All output is a pure function of
 the inputs: reports are byte identical across runs and worker counts.
 
 Exit codes: 0 success, 1 bad input or a guard hit, 2 a verification run
-found a counterexample.
+found a counterexample, 3 an internal self-check failed.  A verify run whose
+only failures are guard-skipped comparisons fails closed with 1; with a
+real counterexample as well it exits 2.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Sequence
 from .arrangement import (
     Arrangement,
     GuardExceeded,
+    SelfCheckFailed,
     center,
     format_arrangement,
     intersection_lattice,
@@ -178,7 +181,7 @@ def arrangement_digest(arr: Arrangement) -> str:
 
 
 def _basis_rows(S: Subspace) -> list[list[int]]:
-    return [[int(x) for x in row] for row in S.basis.entries]
+    return [list(row) for row in S.basis.entries]
 
 
 def _write(text: str, output_path: str | None) -> None:
@@ -332,6 +335,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     eq = verify_equivalence(arr, cfg.k, subspaces, encodings)
     cls = verify_restriction_classification(arr, cfg.k, subspaces, encodings)
+    witnesses = list(eq.witnesses) + list(cls.witnesses)
 
     for entry, U, enc in zip(manifest, subspaces, encodings):
         entry["basis"] = _basis_rows(U)
@@ -356,10 +360,16 @@ def cmd_verify(cfg: RunConfig) -> int:
             "classification": cls.verdicts,
             "passed": eq.passed and cls.passed,
         },
-        "witnesses": list(eq.witnesses) + list(cls.witnesses),
+        "witnesses": witnesses,
     }
     _emit_json(payload, cfg.output_path)
-    return 0 if (eq.passed and cls.passed) else 2
+    if eq.passed and cls.passed:
+        return 0
+    if any(w["type"] != "guard_skipped" for w in witnesses):
+        return 2
+    print(f"error: {len(witnesses)} restriction lattice comparisons hit a "
+          f"guard; see the guard_skipped witnesses", file=sys.stderr)
+    return 1
 
 
 _HANDLERS = {
@@ -379,3 +389,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, GuardExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except SelfCheckFailed as e:
+        print(f"internal error: self-check failed: {e}", file=sys.stderr)
+        return 3

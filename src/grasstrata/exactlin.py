@@ -1,47 +1,53 @@
 """Exact linear algebra over the rationals.
 
 Every predicate downstream (membership, rank, direct sum) is an exact zero
-test, so all arithmetic uses Fraction and floating point never appears.
-Subspaces are stored canonically: the RREF of any spanning set with each row
-rescaled to coprime integers.  Two equal subspaces therefore compare equal as
-plain tuples, which is what the lattice deduplication relies on.
+test, so floating point never appears.  Inside, the arithmetic is integer:
+matrix entries are stored as int (Fraction only where not integral) and one
+fraction-free elimination serves rank, echelon forms, kernels, solves and
+determinants.  Rationals appear only at the edges: parsed input, projections,
+determinants and scale factors.  Subspaces are stored canonically: the RREF
+of any spanning set with each row rescaled to coprime integers.  Two equal
+subspaces therefore compare equal as plain tuples, which is what the lattice
+deduplication relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Rational = Fraction
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
-def vector(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(_frac(x) for x in entries)
+def vector(entries: Iterable) -> tuple[int | Fraction, ...]:
+    return tuple(_exact(x) for x in entries)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dot product needs equal lengths")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable matrix of Fractions; cols is stored so 0-row matrices keep a width."""
+    """Immutable matrix of exact numbers; cols is stored so 0-row matrices keep
+    a width.  Build it with matrix() to get integral entries stored as int."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
     cols: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries",
-            tuple(tuple(_frac(x) for x in row) for row in self.entries))
         if self.cols < 0:
             raise ValueError("negative column count")
         for row in self.entries:
@@ -62,7 +68,7 @@ class RationalMatrix:
             return RationalMatrix(((),) * self.cols, 0)
         return RationalMatrix(tuple(zip(*self.entries)), self.rows)
 
-    def times_vector(self, v: Sequence) -> tuple[Fraction, ...]:
+    def times_vector(self, v: Sequence) -> tuple[int | Fraction, ...]:
         w = vector(v)
         if len(w) != self.cols:
             raise ValueError("vector length does not match column count")
@@ -72,13 +78,12 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         cols = other.transpose().entries
-        return RationalMatrix(
-            tuple(tuple(dot(r, c) for c in cols) for r in self.entries),
-            other.cols)
+        return matrix([[dot(r, c) for c in cols] for r in self.entries],
+                      other.cols)
 
 
 def matrix(rows: Iterable[Iterable], cols: int | None = None) -> RationalMatrix:
-    rs = tuple(tuple(_frac(x) for x in row) for row in rows)
+    rs = tuple(tuple(_exact(x) for x in row) for row in rows)
     if cols is None:
         if not rs:
             raise ValueError("cols is required for a matrix with no rows")
@@ -88,7 +93,7 @@ def matrix(rows: Iterable[Iterable], cols: int | None = None) -> RationalMatrix:
 
 def identity(n: int) -> RationalMatrix:
     return RationalMatrix(
-        tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
+        tuple(tuple(1 if i == j else 0 for j in range(n))
               for i in range(n)), n)
 
 
@@ -98,35 +103,55 @@ def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(top.entries + bottom.entries, top.cols)
 
 
-def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form of M plus the 0-based pivot columns."""
-    rows = [list(row) for row in M.entries]
+def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of M's rows, each
+    first multiplied by the lcm of its denominators.  Returns the rows, the
+    pivot columns, the common pivot value d and the sign of the row swaps:
+    rows[:len(pivots)] are d times the reduced row echelon form and any rows
+    below are zero.  Every division is exact, since each entry is a minor of
+    the row-permuted input (Sylvester's identity)."""
+    rows = []
+    for row in M.entries:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+        else:
+            den = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (den // x.denominator) for x in row])
     pivots: list[int] = []
-    pr = 0
+    d = sign = 1
     for c in range(M.cols):
-        hit = next((i for i in range(pr, len(rows)) if rows[i][c] != 0), None)
+        pr = len(pivots)
+        hit = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
         if hit is None:
             continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        pv = rows[pr][c]
-        if pv != 1:
-            rows[pr] = [x / pv for x in rows[pr]]
+        if hit != pr:
+            rows[pr], rows[hit] = rows[hit], rows[pr]
+            sign = -sign
+        top = rows[pr]
+        p = top[c]
         for i, row in enumerate(rows):
-            if i != pr and row[c] != 0:
-                f = row[c]
-                rows[i] = [a - f * b for a, b in zip(row, rows[pr])]
+            f = row[c]
+            if i != pr and (f or p != d):  # else the step leaves row as is
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
         pivots.append(c)
-        pr += 1
-        if pr == len(rows):
+        d = p
+        if pr + 1 == len(rows):
             break
-    return RationalMatrix(tuple(tuple(r) for r in rows), M.cols), tuple(pivots)
+    return rows, pivots, d, sign
+
+
+def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
+    """Reduced row echelon form of M plus the 0-based pivot columns."""
+    rows, pivots, d, _ = _eliminate(M)
+    return (matrix([[Fraction(x, d) for x in row] for row in rows], M.cols),
+            tuple(pivots))
 
 
 def rank(M: RationalMatrix) -> int:
-    return len(rref(M)[1])
+    return len(_eliminate(M)[1])
 
 
-def primitive_vector(v: Sequence) -> tuple[tuple[Fraction, ...], Fraction]:
+def primitive_vector(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
     """Rescale a nonzero rational vector to coprime integer entries with a
     positive first nonzero entry.  Returns (scaled, c) where scaled = c * v."""
     w = vector(v)
@@ -134,11 +159,10 @@ def primitive_vector(v: Sequence) -> tuple[tuple[Fraction, ...], Fraction]:
         raise ValueError("cannot rescale the zero vector")
     den = lcm(*(x.denominator for x in w))
     ints = [x.numerator * (den // x.denominator) for x in w]
-    g = gcd(*(abs(y) for y in ints))
-    c = Fraction(den, g)
+    g = gcd(*ints)
     if next(x for x in w if x != 0) < 0:
-        c = -c
-    return tuple(x * c for x in w), c
+        g = -g
+    return tuple(y // g for y in ints), Fraction(den, g)
 
 
 @dataclass(frozen=True)
@@ -162,10 +186,16 @@ class Subspace:
 
 
 def canonical_subspace(M: RationalMatrix) -> Subspace:
-    """Row space of M in canonical form (RREF rows made coprime integers)."""
-    R, pivots = rref(M)
-    rows = tuple(primitive_vector(R.entries[i])[0] for i in range(len(pivots)))
-    return Subspace(M.cols, RationalMatrix(rows, M.cols))
+    """Row space of M in canonical form (RREF rows made coprime integers).
+
+    The eliminated rows are d times the RREF rows, whose pivots are 1, so
+    dividing by the row gcd with the sign of d gives the coprime rows."""
+    rows, pivots, d, _ = _eliminate(M)
+    basis = []
+    for row in rows[:len(pivots)]:
+        g = gcd(*row) if d > 0 else -gcd(*row)
+        basis.append(tuple(x // g for x in row))
+    return Subspace(M.cols, RationalMatrix(tuple(basis), M.cols))
 
 
 def span(vectors: Iterable[Iterable], ambient_dim: int) -> Subspace:
@@ -181,53 +211,31 @@ def full_space(n: int) -> Subspace:
 
 
 def kernel(M: RationalMatrix) -> Subspace:
-    """The solution space {v : Mv = 0}, canonicalized."""
-    R, pivots = rref(M)
+    """The solution space {v : Mv = 0}, canonicalized.  Free column f gives
+    the solution d at f, minus column f of d * RREF at the pivot columns."""
+    R, pivots, d, _ = _eliminate(M)
     taken = set(pivots)
     rows = []
     for f in range(M.cols):
         if f in taken:
             continue
-        v = [Fraction(0)] * M.cols
-        v[f] = Fraction(1)
+        v = [0] * M.cols
+        v[f] = d
         for i, p in enumerate(pivots):
-            v[p] = -R.entries[i][f]
+            v[p] = -R[i][f]
         rows.append(tuple(v))
     return canonical_subspace(RationalMatrix(tuple(rows), M.cols))
-
-
-def _bareiss_int(a: list[list[int]]) -> int:
-    n = len(a)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            hit = next((i for i in range(c + 1, n) if a[i][c] != 0), None)
-            if hit is None:
-                return 0
-            a[c], a[hit] = a[hit], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    return sign * a[-1][-1]
 
 
 def det(M: RationalMatrix) -> Fraction:
     """Determinant via integer-preserving elimination; the 0x0 matrix gives 1."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
-    if M.rows == 0:
-        return Fraction(1)
-    scale = 1
-    grid = []
-    for row in M.entries:
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        grid.append([x.numerator * (den // x.denominator) for x in row])
-    return Fraction(_bareiss_int(grid), scale)
+    _, pivots, d, sign = _eliminate(M)
+    if len(pivots) < M.rows:
+        return Fraction(0)
+    scale = prod(lcm(*(x.denominator for x in row)) for row in M.entries)
+    return Fraction(sign * d, scale)
 
 
 def minor(M: RationalMatrix, row_set: Sequence[int],
@@ -244,8 +252,6 @@ def minor(M: RationalMatrix, row_set: Sequence[int],
             raise ValueError(f"{name} index out of range")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError(f"{name} indices must be strictly increasing")
-    if not row_set:
-        return Fraction(1)
     sub = RationalMatrix(
         tuple(tuple(M.entries[i - 1][j - 1] for j in col_set) for i in row_set),
         len(col_set))
@@ -298,13 +304,13 @@ def is_subspace_of(U: Subspace, V: Subspace) -> bool:
 
 
 def _solve_invertible(G: RationalMatrix,
-                      rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+                      rhs: Sequence) -> tuple[Fraction, ...]:
     aug = RationalMatrix(
         tuple(row + (rhs[i],) for i, row in enumerate(G.entries)), G.cols + 1)
-    R, pivots = rref(aug)
-    if pivots != tuple(range(G.cols)):
+    rows, pivots, d, _ = _eliminate(aug)
+    if pivots != list(range(G.cols)):
         raise ValueError("matrix is singular")
-    return tuple(R.entries[i][-1] for i in range(G.cols))
+    return tuple(Fraction(rows[i][-1], d) for i in range(G.cols))
 
 
 def project(U: Subspace, v: Sequence) -> tuple[Fraction, ...]:

@@ -3,7 +3,7 @@
 For a subspace U the hyperplane normals project to vectors inside U; the
 rank of a label set I is the dimension of the span of its projections.
 That rank function always agrees with dim U - dim(U meet the flat of I),
-which is asserted at construction time.  The full rank table over all
+which is self-checked at construction time.  The full rank table over all
 subsets is materialized (ground sets stay small here), so the matroid
 axioms can be checked outright.
 """
@@ -20,12 +20,14 @@ from .arrangement import (
     IntersectionLattice,
     intersection_lattice,
     restriction,
+    self_check,
 )
 from .exactlin import (
     Subspace,
     intersection_dim,
     kernel,
     matrix,
+    primitive_vector,
     project,
     rank as matrix_rank,
 )
@@ -110,7 +112,7 @@ def _mask_flat(arr: Arrangement, mask: int) -> Subspace:
 def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     """The labeled matroid of U: ranks of spans of projected normals.
 
-    Asserted against the second description of the same rank function,
+    Checked against the second description of the same rank function,
     dim U - dim(U meet the intersection of the chosen hyperplanes);
     exhaustively for small ground sets, on sampled subsets beyond.
     """
@@ -119,16 +121,19 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     m = arr.size
     if m > MAX_GROUND:
         raise ValueError(f"{m} hyperplanes exceed the guard of {MAX_GROUND}")
-    betas = [project(U, a) for a in arr.normals]
+    # ranks ignore row scaling: make each projection coprime integers once
+    betas = []
+    for a in arr.normals:
+        b = project(U, a)
+        betas.append(primitive_vector(b)[0] if any(b) else b)
     table = []
     for mask in range(1 << m):
         rows = [betas[i] for i in range(m) if mask >> i & 1]
         table.append(matrix_rank(matrix(rows, cols=arr.ambient_dim)))
     mat = Matroid(m, tuple(table))
-    for mask in _rank_check_masks(m):
-        want = U.dim - intersection_dim(U, _mask_flat(arr, mask))
-        assert table[mask] == want, \
-            f"rank mismatch on {_mask_labels(mask)}: {table[mask]} vs {want}"
+    bad = [_mask_labels(mask) for mask in _rank_check_masks(m)
+           if table[mask] != U.dim - intersection_dim(U, _mask_flat(arr, mask))]
+    self_check(not bad, f"projection ranks and flat ranks disagree on {bad}")
     return mat
 
 

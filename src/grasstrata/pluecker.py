@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .arrangement import Arrangement, Flat, center, intersection_lattice
+from .arrangement import (
+    Arrangement,
+    Flat,
+    center,
+    intersection_lattice,
+    self_check,
+)
 from .exactlin import (
     RationalMatrix,
     Subspace,
@@ -74,11 +80,6 @@ def minor_vector(M: RationalMatrix) -> tuple[Fraction, ...]:
     return tuple(minor(M, rows, list(I)) for I in idx.subsets)
 
 
-def _canonical_coords(raw: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
-    scaled, c = primitive_vector(raw)
-    return tuple(int(x) for x in scaled), c
-
-
 @dataclass(frozen=True)
 class PlueckerVector:
     """Canonicalized minor vector of a subspace.  coords = scale * raw minors;
@@ -93,7 +94,7 @@ def pluecker_vector(U: Subspace) -> PlueckerVector:
     """Pluecker coordinates of U from its canonical basis.  The zero subspace
     gets the single-entry vector (1): the empty minor convention."""
     raw = minor_vector(U.basis)
-    coords, c = _canonical_coords(raw)
+    coords, c = primitive_vector(raw)
     return PlueckerVector(k_subset_index(U.ambient_dim, U.dim), coords, c)
 
 
@@ -123,7 +124,7 @@ def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:
         comp = [j for j in range(1, n + 1) if j not in inside]
         sign = -1 if (half + sum(I)) % 2 else 1
         raw.append(sign * minor(B, rows, comp))
-    coeffs, c = _canonical_coords(raw)
+    coeffs, c = primitive_vector(raw)
     return AdjointHyperplane(X, idx, coeffs, c)
 
 
@@ -140,8 +141,8 @@ def k_adjoint(arr: Arrangement, k: int) -> tuple[AdjointHyperplane, ...]:
     out = tuple(adjoint_hyperplane(X, k) for X in flats)
     # distinct flats must give distinct hyperplanes (coeffs are canonical,
     # so proportional means equal)
-    assert len({h.coeffs for h in out}) == len(out), \
-        "adjoint construction produced coinciding hyperplanes"
+    self_check(len({h.coeffs for h in out}) == len(out),
+               "adjoint construction produced coinciding hyperplanes")
     return out
 
 
@@ -161,9 +162,9 @@ def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     direct = intersect(U, subspace_sum(orth_complement(U), _center_perp(arr)))
     projected = canonical_subspace(
         matrix([project(U, a) for a in arr.normals], cols=arr.ambient_dim))
-    assert direct == projected, "defect subspace routes disagree"
-    assert direct.dim == U.dim - intersection_dim(U, center(arr)), \
-        "defect dimension off"
+    self_check(direct == projected, "defect subspace routes disagree")
+    self_check(direct.dim == U.dim - intersection_dim(U, center(arr)),
+               "defect dimension off")
     return direct
 
 

@@ -27,6 +27,7 @@ from .arrangement import (
     center,
     intersection_lattice,
     maximal_chains,
+    self_check,
 )
 from .exactlin import Subspace, intersection_dim
 from .matroid import Matroid, matroid_from, restriction_lattice, lattice_isomorphic
@@ -92,7 +93,7 @@ def schubert_label(arr: Arrangement, U: Subspace,
     for ch in chains:
         jumps = tuple(l for l in range(1, len(ch))
                       if dim_at[ch[l]] > dim_at[ch[l - 1]])
-        assert len(jumps) == U.dim - i, "jump count does not match k - i"
+        self_check(len(jumps) == U.dim - i, "jump count does not match k - i")
         sigma.append(jumps)
     return SchubertLabel(i, tuple(sigma))
 
@@ -245,6 +246,7 @@ def verify_restriction_classification(arr: Arrangement, k: int,
                     same = lattice_isomorphic(lattice_of(first),
                                               lattice_of(other))
                 except GuardExceeded as e_guard:
+                    ok = False
                     witnesses.append({
                         "type": "guard_skipped",
                         "class": key,

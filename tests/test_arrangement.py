@@ -168,6 +168,7 @@ def test_restriction_dedups_traces():
     assert res.ambient_dim == 1
     assert res.size == 1
     assert res.normals == (vector((1,)),)
+    assert type(res.normals[0][0]) is int
 
 
 def test_restriction_inside_center_is_empty():
@@ -253,6 +254,7 @@ def test_parse_comments_and_fractions():
     """
     arr = parse_arrangement(text)
     assert arr.normals == (vector((1, -1)), vector((0, 1)))
+    assert all(type(x) is int for w in arr.normals for x in w)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -1,8 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import grasstrata.matroid
+import grasstrata.strata
+from grasstrata.arrangement import GuardExceeded
 from grasstrata.cli import (
     arrangement_digest,
     main,
@@ -168,6 +173,61 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert main(args + ["--jobs", "2", "-o", str(c)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() == c.read_bytes()
+
+
+def test_guard_skips_fail_closed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(grasstrata.matroid, "MAX_LATTICE", 1)
+    out = tmp_path / "report.json"
+    args = ["verify", data("braid3.txt"), "--k", "2", "--samples", "20",
+            "--include-flats", "--seed", "3", "-o", str(out)]
+    assert main(args) == 1
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["passed"] is False
+    assert False in report["verdicts"]["classification"].values()
+    assert report["witnesses"]
+    assert {w["type"] for w in report["witnesses"]} == {"guard_skipped"}
+    assert "guard" in capsys.readouterr().err
+
+    # a real counterexample next to a guard hit still exits 2
+    outcomes = iter([GuardExceeded("cap")])
+    def flaky(L1, L2):
+        e = next(outcomes, None)
+        if e is not None:
+            raise e
+        return False
+    monkeypatch.setattr(grasstrata.strata, "lattice_isomorphic", flaky)
+    assert main(args) == 2
+    types = {w["type"] for w in json.loads(out.read_text())["witnesses"]}
+    assert types == {"guard_skipped", "non_isomorphic_restriction"}
+
+
+def test_self_check_survives_python_O():
+    """A wrong rank must raise SelfCheckFailed even with asserts stripped,
+    and the CLI maps it to exit code 3."""
+    script = f"""
+import sys
+import grasstrata.matroid
+from grasstrata import SelfCheckFailed, load_arrangement, matroid_from, span
+from grasstrata.cli import main
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+grasstrata.matroid.matrix_rank = lambda M: 0
+try:
+    matroid_from(load_arrangement({data("braid3.txt")!r}), span([[1, 0, 0]], 3))
+except SelfCheckFailed:
+    pass
+else:
+    sys.exit("a wrong rank table went unnoticed")
+sys.exit(main(["label", {data("braid3.txt")!r}, "--k", "1",
+               "--subspace", {data("line_e1.txt")!r}]))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "self-check failed" in proc.stderr
 
 
 def test_verify_rejects_bad_k(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -46,6 +47,84 @@ def det_cofactor(rows):
         sub = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(sub)
     return total
+
+
+def rref_reference(rows, cols):
+    """Independent RREF oracle: textbook Gauss-Jordan over Fractions.
+    Returns the reduced rows (zero rows kept at the bottom) and pivots."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        hit = next((i for i in range(pr, len(rows)) if rows[i][c] != 0), None)
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        pv = rows[pr][c]
+        if pv != 1:
+            rows[pr] = [x / pv for x in rows[pr]]
+        for i, row in enumerate(rows):
+            if i != pr and row[c] != 0:
+                f = row[c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+def primitive_reference(row):
+    """Coprime integers with a positive leading entry, proportional to row."""
+    den = 1
+    for x in row:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in row]
+    g = 0
+    for y in ints:
+        g = gcd(g, y)
+    if next(y for y in ints if y) < 0:
+        g = -g
+    return tuple(y // g for y in ints)
+
+
+def canonical_reference(rows, cols):
+    R, pivots = rref_reference(rows, cols)
+    return tuple(primitive_reference(R[i]) for i in range(len(pivots)))
+
+
+def kernel_reference(rows, cols):
+    R, pivots = rref_reference(rows, cols)
+    out = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for i, p in enumerate(pivots):
+                v[p] = -R[i][f]
+            out.append(v)
+    return canonical_reference(out, cols)
+
+
+def awkward_matrix(rng):
+    """Random rows mixing integer and fractional entries, with zero rows,
+    duplicated and dependent rows thrown in; 0 rows or 0 columns allowed."""
+    cols = rng.randint(0, 5)
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(5)
+        if kind == 0 or not rows:
+            rows.append([Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+                         for _ in range(cols)])
+        elif kind == 1:
+            rows.append([Fraction(0)] * cols)
+        elif kind == 2:
+            rows.append(list(rng.choice(rows)))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows, cols
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -324,3 +403,69 @@ def test_vstack_and_contains():
     assert contains_vector(U, (2, 4, 0))
     assert not contains_vector(U, (1, 0, 0))
     assert contains_vector(U, (0, 0, 0))
+
+
+# ------------------------------------- integer kernel vs. Fraction reference
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(53)
+    for _ in range(300):
+        rows, cols = awkward_matrix(rng)
+        M = matrix(rows, cols=cols)
+        R, pivots = rref_reference(rows, cols)
+        got, got_pivots = rref(M)
+        assert got_pivots == tuple(pivots)
+        assert got.entries == tuple(tuple(r) for r in R)
+        assert rank(M) == len(pivots)
+        assert canonical_subspace(M).basis.entries == canonical_reference(rows, cols)
+        assert kernel(M).basis.entries == kernel_reference(rows, cols)
+
+
+def test_intersection_dim_and_project_match_reference():
+    rng = random.Random(59)
+    for _ in range(150):
+        rows_u, n = awkward_matrix(rng)
+        rows_v = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                   for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        U = canonical_subspace(matrix(rows_u, cols=n))
+        V = canonical_subspace(matrix(rows_v, cols=n))
+        both = [list(r) for r in U.basis.entries + V.basis.entries]
+        assert intersection_dim(U, V) == \
+            U.dim + V.dim - len(rref_reference(both, n)[1])
+        # projection: solve the Gram system by the reference, then map back
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        B = [[Fraction(x) for x in row] for row in U.basis.entries]
+        aug = [[sum(a * b for a, b in zip(r, s)) for s in B]
+               + [sum(a * b for a, b in zip(r, v))] for r in B]
+        R, _ = rref_reference(aug, len(B) + 1)
+        y = [R[i][-1] for i in range(len(B))]
+        want = tuple(sum((y[i] * B[i][j] for i in range(len(B))), Fraction(0))
+                     for j in range(n))
+        assert project(U, v) == want
+
+
+def test_det_with_fractional_entries_matches_cofactor():
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randint(0, 4)
+        rows = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+                 for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.3:
+            rows[-1] = [2 * x for x in rows[0]]  # force a singular matrix
+        assert det(matrix(rows, cols=n)) == det_cofactor(rows)
+
+
+def test_storage_is_integer():
+    M = matrix([[Fraction(4, 2), Fraction(1, 3)], [Fraction(-6, 3), 5]])
+    assert [type(x) for x in M.entries[0]] == [int, Fraction]
+    assert type(M.entries[1][0]) is int
+    rng = random.Random(67)
+    for _ in range(60):
+        rows, cols = awkward_matrix(rng)
+        for S in (canonical_subspace(matrix(rows, cols=cols)),
+                  kernel(matrix(rows, cols=cols))):
+            assert all(type(x) is int for row in S.basis.entries for x in row)
+    w, c = primitive_vector((Fraction(1, 2), Fraction(-3, 4)))
+    assert w == (2, -3) and all(type(x) is int for x in w)
+    assert type(c) is Fraction
