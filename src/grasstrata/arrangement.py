@@ -233,6 +233,70 @@ def maximal_chains(lattice: IntersectionLattice,
     return tuple(chains)
 
 
+def chain_count(lattice: IntersectionLattice, cap: int = 10 ** 6) -> int:
+    """The number of maximal chains, counted over covers without listing
+    them.  Raises GuardExceeded when it is above cap, like maximal_chains."""
+    ways = [1] + [0] * (len(lattice.flats) - 1)
+    for a, b in lattice.covers:  # sorted by a, and every cover goes up
+        ways[b] += ways[a]
+    if ways[-1] > cap:
+        raise GuardExceeded(
+            f"more than {cap} maximal chains; raise the cap to proceed")
+    return ways[-1]
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeTables:
+    """Order data of an intersection lattice, by flat index.
+
+    gens[a] is flat a's generator set as a bitmask (bit j is hyperplane
+    j + 1).  up[a][j] is the closure of flat a and hyperplane j + 1: a itself
+    when the hyperplane contains it, else the one cover of a that does.
+    """
+
+    lattice: IntersectionLattice
+    ground_size: int
+    gens: tuple[int, ...]
+    up: tuple[tuple[int, ...], ...]
+
+    def closure(self, mask: int, start: int = 0) -> int:
+        """Index of the smallest flat above flat start whose generators
+        include mask."""
+        a = start
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                a = self.up[a][j]
+        return a
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(a, b, join, meet) for every incomparable pair a < b.  The join is
+        the closure of the union; the meet is the flat of the common
+        hyperplanes, since an intersection of closed sets is closed."""
+        gens = self.gens
+        index = {g: a for a, g in enumerate(gens)}
+        out = []
+        for a, ga in enumerate(gens):
+            for b in range(a + 1, len(gens)):
+                common = ga & gens[b]
+                if common != ga and common != gens[b]:
+                    out.append((a, b, self.closure(gens[b], a), index[common]))
+        return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_tables(arr: Arrangement) -> LatticeTables:
+    """The LatticeTables of the arrangement's intersection lattice."""
+    lat = intersection_lattice(arr)
+    gens = tuple(sum(1 << (i - 1) for i in f.generators) for f in lat.flats)
+    up = [[a] * arr.size for a in range(len(gens))]
+    for a, b in lat.covers:
+        for j in range(arr.size):
+            if (gens[b] & ~gens[a]) >> j & 1:
+                up[a][j] = b
+    return LatticeTables(lat, arr.size, gens, tuple(map(tuple, up)))
+
+
 # ------------------------------------------------------------ text format
 
 

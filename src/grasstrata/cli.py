@@ -26,10 +26,10 @@ from .arrangement import (
     GuardExceeded,
     SelfCheckFailed,
     center,
+    chain_count,
     format_arrangement,
     intersection_lattice,
     load_arrangement,
-    maximal_chains,
     restriction,
 )
 from .exactlin import Subspace, canonical_subspace, matrix
@@ -38,12 +38,17 @@ from .pluecker import k_adjoint
 from .sampling import sample_subspace, structured_subspaces
 from .strata import (
     adjoint_label,
+    chain_jumps,
     label_encodings,
     matroid_label,
     schubert_label,
     verify_equivalence,
     verify_restriction_classification,
 )
+
+# Layout version of the verify report.  Format 2 encodes the matroid and
+# Schubert labels as vectors over the flats of the intersection lattice.
+REPORT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,6 @@ def _build_parser() -> _Parser:
                    help="inject flats and other structured subspaces")
     p.add_argument("--jobs", type=int, default=1,
                    help="label samples on this many worker processes")
-    p.add_argument("--chain-cap", type=int, default=10 ** 6)
     return parser
 
 
@@ -202,7 +206,6 @@ def _emit_json(payload: dict, output_path: str | None) -> None:
 def cmd_lattice(cfg: RunConfig) -> int:
     arr = load_arrangement(cfg.arrangement_path)
     lat = intersection_lattice(arr)
-    chains = maximal_chains(lat, cfg.chain_cap)
     payload = {
         "command": "lattice",
         "arrangement_digest": arrangement_digest(arr),
@@ -216,7 +219,7 @@ def cmd_lattice(cfg: RunConfig) -> int:
             "generators": sorted(f.generators),
             "basis": _basis_rows(f.subspace),
         } for f in lat.flats],
-        "chain_count": len(chains),
+        "chain_count": chain_count(lat, cfg.chain_cap),
     }
     _emit_json(payload, cfg.output_path)
     return 0
@@ -245,7 +248,7 @@ def cmd_adjoint(cfg: RunConfig) -> int:
 def _label_payload(arr: Arrangement, U: Subspace, chain_cap: int) -> dict:
     ml = matroid_label(arr, U)
     al = adjoint_label(arr, U)
-    sl = schubert_label(arr, U, chain_cap)
+    sl = schubert_label(arr, U)
     return {
         "matroid": {
             "encoding": ml.encode(),
@@ -263,7 +266,7 @@ def _label_payload(arr: Arrangement, U: Subspace, chain_cap: int) -> dict:
         "schubert": {
             "encoding": sl.encode(),
             "i": sl.i,
-            "jumps": [list(s) for s in sl.sigma],
+            "jumps": [list(s) for s in chain_jumps(arr, sl, chain_cap)],
         },
     }
 
@@ -298,9 +301,8 @@ def cmd_restrict(cfg: RunConfig) -> int:
     return 0
 
 
-def _encode_worker(args: tuple[Arrangement, Subspace, int]) -> dict[str, str]:
-    arr, U, chain_cap = args
-    return label_encodings(arr, U, chain_cap)
+def _encode_worker(args: tuple[Arrangement, Subspace]) -> dict[str, str]:
+    return label_encodings(*args)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -326,7 +328,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not subspaces:
         raise ValueError("nothing to verify: zero samples and no injections")
 
-    tasks = [(arr, U, cfg.chain_cap) for U in subspaces]
+    tasks = [(arr, U) for U in subspaces]
     if cfg.jobs > 1:
         with Pool(cfg.jobs) as pool:
             encodings = pool.map(_encode_worker, tasks)
@@ -350,8 +352,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             "bound": cfg.bound,
             "seed": cfg.seed,
             "include_flats": cfg.include_flats,
-            "chain_cap": cfg.chain_cap,
         },
+        "format": REPORT_FORMAT,
         "arrangement_digest": arrangement_digest(arr),
         "samples": manifest,
         "partitions": eq.partitions,

@@ -1,34 +1,39 @@
-"""Matroids of projected normals, restriction lattices, lattice isomorphism.
+"""Matroids of traced normals, restriction lattices, lattice isomorphism.
 
-For a subspace U the hyperplane normals project to vectors inside U; the
-rank of a label set I is the dimension of the span of its projections.
-That rank function always agrees with dim U - dim(U meet the flat of I),
-which is self-checked at construction time.  The full rank table over all
-subsets is materialized (ground sets stay small here), so the matroid
-axioms can be checked outright.
+For a subspace U with basis matrix B, hyperplane i leaves the trace B a_i
+in Q^dim U, and the rank of a label set I is the dimension of the span of
+its traces (the same as for the orthogonal projections B^T (B B^T)^-1 B a_i,
+since B^T (B B^T)^-1 is injective).  That rank equals
+dim U - dim(U meet X_I), so it only depends on the flat X_I: a matroid is
+stored as one rank per flat of the intersection lattice, and each one is
+self-checked against the second description.  The matroid axioms are
+checked on the lattice: rank 0 at the bottom, a step of 0 or 1 on every
+cover, and r(F join G) + r(F meet G) <= r(F) + r(G) for every pair of
+flats.  The lattice of flats is geometric, so these imply the axioms for
+r(S) := r(closure of S) on all subsets.  The table over all 2^m subsets is
+only built on request, for small ground sets.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .arrangement import (
     Arrangement,
     GuardExceeded,
     IntersectionLattice,
+    LatticeTables,
     intersection_lattice,
+    lattice_tables,
     restriction,
     self_check,
 )
 from .exactlin import (
     Subspace,
     intersection_dim,
-    kernel,
     matrix,
-    primitive_vector,
-    project,
     rank as matrix_rank,
 )
 
@@ -42,26 +47,28 @@ def _mask_labels(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Matroid:
-    """Rank table indexed by bitmask over ground set {1..m} (bit j is j+1).
+    """Ranks on the flats of an intersection lattice, in its flat order.
 
-    Stratum labels compare matroids as labeled objects: the table itself,
-    with loops and parallel elements kept, is the identity.
+    Stratum labels compare matroids as labeled objects: on one arrangement,
+    two matroids are equal iff their rank vectors are, loops and parallel
+    elements included.
     """
 
-    ground_size: int
-    rank_table: tuple[int, ...]
+    tables: LatticeTables = field(compare=False, repr=False)
+    ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = self.ground_size
-        if m > MAX_GROUND:
-            raise ValueError(f"ground set of size {m} exceeds {MAX_GROUND}")
-        if len(self.rank_table) != 1 << m:
-            raise ValueError("rank table must cover every subset")
-        _check_rank_axioms(m, self.rank_table)
+        if len(self.ranks) != len(self.tables.gens):
+            raise ValueError("need exactly one rank per flat")
+        _check_rank_axioms(self.tables, self.ranks)
+
+    @property
+    def ground_size(self) -> int:
+        return self.tables.ground_size
 
     @property
     def rank(self) -> int:
-        return self.rank_table[-1]
+        return self.ranks[-1]
 
     def subset_rank(self, labels: Iterable[int]) -> int:
         mask = 0
@@ -69,99 +76,63 @@ class Matroid:
             if not 1 <= e <= self.ground_size:
                 raise ValueError(f"element {e} outside the ground set")
             mask |= 1 << (e - 1)
-        return self.rank_table[mask]
+        return self.ranks[self.tables.closure(mask)]
+
+    @property
+    def rank_table(self) -> tuple[int, ...]:
+        """The rank of every subset, indexed by bitmask (bit j is label
+        j + 1), read through the closure map."""
+        if self.ground_size > MAX_GROUND:
+            raise GuardExceeded(f"a rank table over {self.ground_size} "
+                                f"hyperplanes exceeds the guard of {MAX_GROUND}")
+        return tuple(self.ranks[self.tables.closure(mask)]
+                     for mask in range(1 << self.ground_size))
 
 
-def _check_rank_axioms(m: int, table: tuple[int, ...]) -> None:
-    if table[0] != 0:
-        raise ValueError("empty set must have rank 0")
-    for S in range(1 << m):
-        rS = table[S]
-        out = [e for e in range(m) if not S >> e & 1]
-        for e in out:
-            rSe = table[S | 1 << e]
-            if not rS <= rSe <= rS + 1:
-                raise ValueError(
-                    f"unit increase fails at {_mask_labels(S)} with {e + 1}")
-        # local exchange form of submodularity
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                e, f = 1 << out[a], 1 << out[b]
-                if table[S | e] + table[S | f] < table[S | e | f] + rS:
-                    raise ValueError(
-                        f"submodularity fails at {_mask_labels(S)} with "
-                        f"{out[a] + 1}, {out[b] + 1}")
-    if m <= 8:
-        # small enough to check the global form over all subset pairs too
-        for S in range(1 << m):
-            for T in range(1 << m):
-                if table[S | T] + table[S & T] > table[S] + table[T]:
-                    raise ValueError(
-                        f"submodularity fails for {_mask_labels(S)} and "
-                        f"{_mask_labels(T)}")
-
-
-@functools.lru_cache(maxsize=None)
-def _mask_flat(arr: Arrangement, mask: int) -> Subspace:
-    """Intersection of the hyperplanes with labels in mask (R^n for 0)."""
-    rows = [arr.normals[i] for i in range(arr.size) if mask >> i & 1]
-    return kernel(matrix(rows, cols=arr.ambient_dim))
+def _check_rank_axioms(t: LatticeTables, r: tuple[int, ...]) -> None:
+    if r[0] != 0:
+        raise ValueError("the bottom flat must have rank 0")
+    for a, b in t.lattice.covers:
+        if not r[a] <= r[b] <= r[a] + 1:
+            raise ValueError(f"unit increase fails from flat "
+                             f"{_mask_labels(t.gens[a])} to {_mask_labels(t.gens[b])}")
+    for a, b, join, meet in t.pairs:
+        if r[join] + r[meet] > r[a] + r[b]:
+            raise ValueError(f"submodularity fails for flats "
+                             f"{_mask_labels(t.gens[a])} and {_mask_labels(t.gens[b])}")
 
 
 @functools.lru_cache(maxsize=None)
 def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
-    """The labeled matroid of U: ranks of spans of projected normals.
+    """The labeled matroid of U: on every flat F, rank{B a_i : i in F}.
 
-    Checked against the second description of the same rank function,
-    dim U - dim(U meet the intersection of the chosen hyperplanes);
-    exhaustively for small ground sets, on sampled subsets beyond.
+    Checked on every flat against the second description of the same rank
+    function, dim U - dim(U meet X_F).
     """
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    m = arr.size
-    if m > MAX_GROUND:
-        raise ValueError(f"{m} hyperplanes exceed the guard of {MAX_GROUND}")
-    # ranks ignore row scaling: make each projection coprime integers once
-    betas = []
-    for a in arr.normals:
-        b = project(U, a)
-        betas.append(primitive_vector(b)[0] if any(b) else b)
-    table = []
-    for mask in range(1 << m):
-        rows = [betas[i] for i in range(m) if mask >> i & 1]
-        table.append(matrix_rank(matrix(rows, cols=arr.ambient_dim)))
-    mat = Matroid(m, tuple(table))
-    bad = [_mask_labels(mask) for mask in _rank_check_masks(m)
-           if table[mask] != U.dim - intersection_dim(U, _mask_flat(arr, mask))]
-    self_check(not bad, f"projection ranks and flat ranks disagree on {bad}")
-    return mat
-
-
-def _rank_check_masks(m: int) -> Iterable[int]:
-    if m <= 10:
-        return range(1 << m)
-    masks = {0, (1 << m) - 1}
-    masks.update(1 << i for i in range(m))
-    state = 0x9E3779B97F4A7C15
-    for _ in range(256):
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        masks.add(state % (1 << m))
-    return sorted(masks)
+    t = lattice_tables(arr)
+    traces = [U.basis.times_vector(a) for a in arr.normals]
+    ranks = tuple(
+        matrix_rank(matrix([traces[i - 1] for i in f.generators], cols=U.dim))
+        for f in t.lattice.flats)
+    bad = [sorted(f.generators) for f, r in zip(t.lattice.flats, ranks)
+           if r != U.dim - intersection_dim(U, f.subspace)]
+    self_check(not bad, f"trace ranks and flat ranks disagree on {bad}")
+    return Matroid(t, ranks)
 
 
 def bases(mat: Matroid) -> frozenset[frozenset[int]]:
     """All maximal independent sets; for rank 0 this is {empty set}."""
     r = mat.rank
-    out = []
-    for mask in range(1 << mat.ground_size):
-        if mask.bit_count() == r and mat.rank_table[mask] == r:
-            out.append(frozenset(_mask_labels(mask)))
-    return frozenset(out)
+    table = mat.rank_table
+    return frozenset(frozenset(_mask_labels(mask)) for mask in range(len(table))
+                     if mask.bit_count() == r and table[mask] == r)
 
 
 def loops(mat: Matroid) -> frozenset[int]:
     return frozenset(e for e in range(1, mat.ground_size + 1)
-                     if mat.rank_table[1 << (e - 1)] == 0)
+                     if mat.subset_rank([e]) == 0)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,16 @@
 
 Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
 
-  * matroid label: the labeled matroid of projected normals;
+  * matroid label: the labeled matroid of the traces of the normals on U,
+    one trace rank per flat of the intersection lattice;
   * adjoint label: i = dim(U meet center) together with the set of rank
     (k - i) flats whose adjoint hyperplane contains the Pluecker vector of
     the defect subspace of U;
-  * Schubert label: i together with, for every maximal chain of the
-    lattice, the positions where dim(U meet chain flat) jumps.
+  * Schubert label: i together with dim(U meet X) for every flat X, which
+    fixes where dim(U meet chain flat) jumps along every maximal chain
+    (chain_jumps), since every flat lies on one.  Neither per-flat label
+    reads the other: trace ranks on one side, intersection dimensions on
+    the other.
 
 All three are supposed to cut the Grassmannian into the same pieces, and
 subspaces in one piece are supposed to have isomorphic restriction
@@ -40,7 +44,7 @@ class MatroidLabel:
 
     def encode(self) -> str:
         return (f"m{self.matroid.ground_size}:"
-                + ",".join(str(r) for r in self.matroid.rank_table))
+                + ",".join(str(r) for r in self.matroid.ranks))
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,13 @@ class AdjointLabel:
 
 @dataclass(frozen=True)
 class SchubertLabel:
-    """i plus one jump set per maximal chain, in the lattice's chain order."""
+    """i plus dim(U meet X) for every flat X, in the lattice's flat order."""
 
     i: int
-    sigma: tuple[tuple[int, ...], ...]
+    dims: tuple[int, ...]
 
     def encode(self) -> str:
-        body = "|".join(",".join(str(x) for x in s) for s in self.sigma)
-        return f"i{self.i}:{body}"
+        return f"i{self.i}:" + ",".join(str(d) for d in self.dims)
 
 
 def matroid_label(arr: Arrangement, U: Subspace) -> MatroidLabel:
@@ -82,28 +85,33 @@ def adjoint_label(arr: Arrangement, U: Subspace) -> AdjointLabel:
     return AdjointLabel(i, zero)
 
 
-def schubert_label(arr: Arrangement, U: Subspace,
-                   chain_cap: int = 10 ** 6) -> SchubertLabel:
+def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
     lat = intersection_lattice(arr)
-    chains = maximal_chains(lat, chain_cap)
-    i = intersection_dim(U, lat.top().subspace)
-    # chains revisit the same flats constantly; compute each dim once
-    dim_at = {f: intersection_dim(U, f.subspace) for f in lat.flats}
-    sigma = []
-    for ch in chains:
-        jumps = tuple(l for l in range(1, len(ch))
-                      if dim_at[ch[l]] > dim_at[ch[l - 1]])
-        self_check(len(jumps) == U.dim - i, "jump count does not match k - i")
-        sigma.append(jumps)
-    return SchubertLabel(i, tuple(sigma))
+    dims = tuple(intersection_dim(U, f.subspace) for f in lat.flats)
+    # dims drop from dim U at the bottom by 0 or 1 per cover, so every chain
+    # has exactly dim U - i jumps
+    self_check(dims[0] == U.dim and all(dims[b] <= dims[a] <= dims[b] + 1
+                                        for a, b in lat.covers),
+               "overlap dimensions do not step down by 0 or 1 from dim U")
+    return SchubertLabel(dims[-1], dims)
 
 
-def label_encodings(arr: Arrangement, U: Subspace,
-                    chain_cap: int = 10 ** 6) -> dict[str, str]:
+def chain_jumps(arr: Arrangement, label: SchubertLabel,
+                chain_cap: int = 10 ** 6) -> tuple[tuple[int, ...], ...]:
+    """For every maximal chain (center, ..., R^n), in maximal_chains order,
+    the positions where dim(U meet chain flat) jumps, read off label.dims."""
+    lat = intersection_lattice(arr)
+    dim_at = dict(zip(lat.flats, label.dims))
+    return tuple(tuple(l for l in range(1, len(ch))
+                       if dim_at[ch[l]] > dim_at[ch[l - 1]])
+                 for ch in maximal_chains(lat, chain_cap))
+
+
+def label_encodings(arr: Arrangement, U: Subspace) -> dict[str, str]:
     return {
         "matroid": matroid_label(arr, U).encode(),
         "adjoint": adjoint_label(arr, U).encode(),
-        "schubert": schubert_label(arr, U, chain_cap).encode(),
+        "schubert": schubert_label(arr, U).encode(),
     }
 
 

@@ -1,0 +1,68 @@
+"""Brute-force references for the labels the package computes on flats.
+
+The matroid reference takes the rank of the orthogonal projections of the
+normals on every one of the 2^m subsets and checks the matroid axioms on
+that whole table.  The Schubert reference walks every maximal chain and
+takes the overlap dimension of each flat on it.  Tests compare the
+package's per-flat labels against both.
+"""
+
+from grasstrata.arrangement import intersection_lattice, maximal_chains
+from grasstrata.exactlin import intersection_dim, matrix, project, rank
+
+
+def mask_labels(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def projection_rank_table(arr, U):
+    """rank of {project(U, a_i) : i in S} for every subset S, by bitmask
+    (bit j is hyperplane j + 1)."""
+    m = arr.size
+    betas = [project(U, a) for a in arr.normals]
+    return tuple(
+        rank(matrix([betas[i] for i in range(m) if mask >> i & 1],
+                    cols=arr.ambient_dim))
+        for mask in range(1 << m))
+
+
+def check_rank_axioms(m, table):
+    """Raise ValueError unless table is a matroid rank function on {1..m}:
+    rank 0 on the empty set, unit increase, and submodularity, locally
+    everywhere and for every pair of subsets when m <= 8."""
+    if len(table) != 1 << m:
+        raise ValueError("rank table must cover every subset")
+    if table[0] != 0:
+        raise ValueError("empty set must have rank 0")
+    for S in range(1 << m):
+        rS = table[S]
+        out = [e for e in range(m) if not S >> e & 1]
+        for e in out:
+            if not rS <= table[S | 1 << e] <= rS + 1:
+                raise ValueError(
+                    f"unit increase fails at {mask_labels(S)} with {e + 1}")
+        for a in range(len(out)):
+            for b in range(a + 1, len(out)):
+                e, f = 1 << out[a], 1 << out[b]
+                if table[S | e] + table[S | f] < table[S | e | f] + rS:
+                    raise ValueError(
+                        f"submodularity fails at {mask_labels(S)} with "
+                        f"{out[a] + 1}, {out[b] + 1}")
+    if m <= 8:
+        for S in range(1 << m):
+            for T in range(1 << m):
+                if table[S | T] + table[S & T] > table[S] + table[T]:
+                    raise ValueError(
+                        f"submodularity fails for {mask_labels(S)} and "
+                        f"{mask_labels(T)}")
+
+
+def walked_jumps(arr, U):
+    """Per maximal chain (center, ..., R^n), in maximal_chains order, the
+    positions where dim(U meet chain flat) goes up."""
+    out = []
+    for ch in maximal_chains(intersection_lattice(arr)):
+        dims = [intersection_dim(U, f.subspace) for f in ch]
+        out.append(tuple(l for l in range(1, len(ch))
+                         if dims[l] > dims[l - 1]))
+    return tuple(out)

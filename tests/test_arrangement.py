@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,15 +9,19 @@ from grasstrata.arrangement import (
     GuardExceeded,
     build_arrangement,
     center,
+    chain_count,
     format_arrangement,
     intersection_lattice,
     is_essential,
+    lattice_tables,
+    load_arrangement,
     maximal_chains,
     parse_arrangement,
     restriction,
 )
 from grasstrata.exactlin import (
     full_space,
+    intersect,
     is_subspace_of,
     kernel,
     matrix,
@@ -26,8 +31,21 @@ from grasstrata.exactlin import (
 )
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
 def braid3():
     return build_arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
+
+
+def braid(n):
+    return build_arrangement(n, [[(j == a) - (j == b) for j in range(n)]
+                                 for a, b in itertools.combinations(range(n), 2)])
+
+
+def data_arrangements():
+    return [load_arrangement(p) for p in sorted(DATA.glob("*.txt"))
+            if p.name != "line_e1.txt"]  # that one is a subspace file
 
 
 def boolean(n):
@@ -230,6 +248,38 @@ def test_chain_cap_guard():
     lat = intersection_lattice(boolean(3))
     with pytest.raises(GuardExceeded):
         maximal_chains(lat, cap=5)
+    with pytest.raises(GuardExceeded):
+        chain_count(lat, cap=5)
+    assert chain_count(lat, cap=6) == 6
+
+
+def test_chain_count_matches_enumeration():
+    for arr in data_arrangements() + [braid(5), braid(6)]:
+        lat = intersection_lattice(arr)
+        assert chain_count(lat) == len(maximal_chains(lat))
+    assert chain_count(intersection_lattice(braid(6))) == 2700
+
+
+def test_lattice_tables_against_subspaces():
+    # closures, joins and meets agree with intersecting the subspaces
+    for arr in data_arrangements() + [braid(4), nonessential3(),
+                                      build_arrangement(2, [])]:
+        t = lattice_tables(arr)
+        flats = t.lattice.flats
+        for mask in range(1 << arr.size):
+            rows = [arr.normals[i] for i in range(arr.size) if mask >> i & 1]
+            X = kernel(matrix(rows, cols=arr.ambient_dim))
+            assert flats[t.closure(mask)].subspace == X
+        comparable = 0
+        for a, b in itertools.combinations(range(len(flats)), 2):
+            comparable += (t.lattice.leq(a, b) or t.lattice.leq(b, a))
+        assert len(t.pairs) + comparable == len(flats) * (len(flats) - 1) // 2
+        for a, b, join, meet in t.pairs:
+            assert not t.lattice.leq(a, b) and not t.lattice.leq(b, a)
+            assert flats[join].subspace == intersect(flats[a].subspace,
+                                                     flats[b].subspace)
+            assert (flats[meet].generators
+                    == flats[a].generators & flats[b].generators)
 
 
 def test_chain_order_deterministic():

@@ -87,6 +87,18 @@ def test_lattice_command(capsys):
     assert out["essential"] is False
 
 
+def test_chain_cap_flags(capsys):
+    # lattice and label take a chain cap; verify lists no chains, so has none
+    assert main(["lattice", data("boolean3.txt"), "--chain-cap", "5"]) == 1
+    assert "maximal chains" in capsys.readouterr().err
+    assert main(["label", data("braid3.txt"), "--k", "1", "--subspace",
+                 data("line_e1.txt"), "--chain-cap", "2"]) == 1
+    assert "maximal chains" in capsys.readouterr().err
+    assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "1",
+                 "--chain-cap", "5"]) == 1
+    assert "--chain-cap" in capsys.readouterr().err
+
+
 def test_lattice_command_empty(tmp_path, capsys):
     p = tmp_path / "empty.txt"
     p.write_text("3\n")
@@ -162,6 +174,20 @@ def test_verify_command_braid3(tmp_path):
     assert report["partitions"]["adjoint"] == report["partitions"]["matroid"]
     sources = {s["source"] for s in report["samples"]}
     assert sources == {"random", "structured"}
+    assert report["format"] == 2
+    assert "chain_cap" not in report["config"]
+
+
+def test_verify_beyond_sixteen_hyperplanes(tmp_path):
+    # 17 planes in general position, more than matroid.MAX_GROUND
+    arr = tmp_path / "generic17.txt"
+    arr.write_text("3\n" + "".join(f"1 {t} {t * t}\n" for t in range(1, 18)))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(arr), "--k", "2", "--samples", "3",
+                 "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["passed"] is True
+    assert len(report["samples"]) == 3
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from brute_force import check_rank_axioms
 from grasstrata.arrangement import (
     GuardExceeded,
     build_arrangement,
     center,
     intersection_lattice,
+    lattice_tables,
 )
 from grasstrata.exactlin import (
     canonical_subspace,
@@ -99,17 +101,34 @@ def test_matroid_boolean_full_space():
 
 
 def test_matroid_guard_and_errors():
+    # bad subset tables on one and on two hyperplanes, read on the flats:
+    # the lattice check refuses each one, as the subset check does
+    one = lattice_tables(build_arrangement(1, [(1,)]))
+    two = lattice_tables(boolean(2))
     with pytest.raises(ValueError):
-        Matroid(1, (0, 1, 0))  # wrong table length
-    with pytest.raises(ValueError):
-        Matroid(1, (1, 1))  # empty set rank nonzero
-    with pytest.raises(ValueError):
-        Matroid(1, (0, 2))  # unit increase
-    with pytest.raises(ValueError):
-        Matroid(2, (0, 0, 0, 1))  # submodularity
+        Matroid(one, (0, 1, 0))  # more ranks than flats
+    for tables, table in ((one, (1, 1)),  # empty set rank nonzero
+                          (one, (0, 2)),  # unit increase
+                          (two, (0, 0, 0, 1))):  # submodularity
+        with pytest.raises(ValueError):
+            check_rank_axioms(tables.ground_size, table)
+        with pytest.raises(ValueError):
+            Matroid(tables, tuple(table[g] for g in tables.gens))
     with pytest.raises(ValueError):
         mat = matroid_from(boolean(2), full_space(2))
         mat.subset_rank([5])
+
+
+def test_rank_table_guard_only():
+    # 17 planes in general position: the per-flat matroid needs no guard,
+    # only its table over all 2^17 subsets is refused
+    arr = build_arrangement(3, [(1, t, t * t) for t in range(1, 18)])
+    mat = matroid_from(arr, span([[1, 0, 0], [0, 1, 0]], 3))
+    assert mat.rank == 2
+    assert loops(mat) == frozenset()
+    assert mat.subset_rank([1, 2, 3]) == 2
+    with pytest.raises(GuardExceeded):
+        mat.rank_table
 
 
 def test_rank_table_has_both_descriptions():

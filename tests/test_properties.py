@@ -1,0 +1,113 @@
+"""Property tests of the per-flat matroid and Schubert labels against the
+brute-force references in brute_force.py, on small random arrangements.
+
+Random draws meet loops, parallel traces, non-essential centers, k = 0 and
+k = n now and then; each of these is also pinned by an explicit example.
+"""
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from brute_force import check_rank_axioms, projection_rank_table, walked_jumps
+from grasstrata.arrangement import build_arrangement, lattice_tables
+from grasstrata.exactlin import (
+    canonical_subspace,
+    full_space,
+    matrix,
+    primitive_vector,
+    span,
+    zero_subspace,
+)
+from grasstrata.matroid import Matroid, matroid_from
+from grasstrata.strata import chain_jumps, schubert_label
+
+SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def cases(draw):
+    """(arrangement, subspace): up to 6 hyperplanes in Q^n, n <= 4, and a
+    k-subspace for any 0 <= k <= n, sometimes inside a hyperplane."""
+    n = draw(st.integers(1, 4))
+    normals = {}
+    for row in draw(st.lists(st.lists(SMALL, min_size=n, max_size=n),
+                             max_size=6)):
+        if any(row):
+            normals.setdefault(primitive_vector(row)[0], row)
+    arr = build_arrangement(n, list(normals.values()))
+    k = draw(st.integers(0, n))
+    span_rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if arr.size and k < n and draw(st.booleans()):
+        # inside a hyperplane, so that hyperplane is a loop
+        label = draw(st.integers(1, arr.size))
+        span_rows = arr.hyperplane(label).basis.entries
+    coeffs = draw(st.lists(st.lists(SMALL, min_size=len(span_rows),
+                                    max_size=len(span_rows)),
+                           min_size=k, max_size=k))
+    rows = [[sum(c * r[j] for c, r in zip(cs, span_rows)) for j in range(n)]
+            for cs in coeffs]
+    U = canonical_subspace(matrix(rows, cols=n))
+    assume(U.dim == k)
+    return arr, U
+
+
+def _braid3():
+    return build_arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
+
+
+EXAMPLES = (
+    # e1 lies in x2 = x3 (a loop); the traces of the other two are parallel
+    (_braid3(), span([[1, 0, 0]], 3)),
+    # two parallel traces on a plane, x1 = 0 and x1 + x2 = 0
+    (build_arrangement(3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)]),
+     span([[1, 0, 0], [0, 0, 1]], 3)),
+    # non-essential: the center is the x3 axis, and U contains it
+    (build_arrangement(3, [(1, 0, 0), (0, 1, 0)]),
+     span([[1, 1, 0], [0, 0, 1]], 3)),
+    (_braid3(), zero_subspace(3)),  # k = 0
+    (build_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+     full_space(3)),  # k = n
+    (build_arrangement(2, []), span([[1, 2]], 2)),  # no hyperplanes
+)
+
+
+def property_test(fn):
+    for case in EXAMPLES:
+        fn = example(case=case)(fn)
+    return settings(max_examples=150, deadline=None)(given(case=cases())(fn))
+
+
+@property_test
+def test_rank_table_equals_projection_ranks(case):
+    arr, U = case
+    assert matroid_from(arr, U).rank_table == projection_rank_table(arr, U)
+
+
+@property_test
+def test_chain_jumps_equal_chain_walk(case):
+    arr, U = case
+    assert chain_jumps(arr, schubert_label(arr, U)) == walked_jumps(arr, U)
+
+
+@property_test
+def test_lattice_check_agrees_with_subset_check(case):
+    # the true ranks, and every change of one flat's rank by 1: the lattice
+    # check refuses exactly the ones whose subset table is no matroid
+    arr, U = case
+    t = lattice_tables(arr)
+    ranks = matroid_from(arr, U).ranks
+    closures = [t.closure(mask) for mask in range(1 << t.ground_size)]
+    trials = [ranks] + [ranks[:a] + (ranks[a] + d,) + ranks[a + 1:]
+                        for a in range(len(ranks)) for d in (-1, 1)]
+    for r in trials:
+        try:
+            check_rank_axioms(t.ground_size, tuple(r[c] for c in closures))
+            subset_ok = True
+        except ValueError:
+            subset_ok = False
+        try:
+            Matroid(t, r)
+            lattice_ok = True
+        except ValueError:
+            lattice_ok = False
+        assert lattice_ok == subset_ok, r
+    assert Matroid(t, ranks).ranks == ranks

@@ -19,6 +19,7 @@ from grasstrata.matroid import bases, loops, restriction_lattice, lattice_isomor
 from grasstrata.pluecker import defect_subspace
 from grasstrata.strata import (
     adjoint_label,
+    chain_jumps,
     first_disagreement,
     label_encodings,
     matroid_label,
@@ -54,9 +55,10 @@ def random_subspace(rng, n, k):
 def sigma_by_chain(arr, label):
     """Map each chain's first proper flat generators to its jump set."""
     chains = maximal_chains(intersection_lattice(arr))
-    assert len(chains) == len(label.sigma)
+    sigma = chain_jumps(arr, label)
+    assert len(chains) == len(sigma)
     return {ch[1].generators if len(ch) > 1 else frozenset(): s
-            for ch, s in zip(chains, label.sigma)}
+            for ch, s in zip(chains, sigma)}
 
 
 # ----------------------------------------------------------------- labels
@@ -91,7 +93,7 @@ def test_braid3_center_labels():
     assert al.zero_set == ()
     sl = schubert_label(arr, T)
     assert sl.i == 1
-    assert all(s == () for s in sl.sigma)
+    assert all(s == () for s in chain_jumps(arr, sl))
 
 
 def test_boolean_generic_line_label():
@@ -106,7 +108,7 @@ def test_empty_arrangement_labels():
     al = adjoint_label(arr, U)
     assert al.i == 1  # the center is everything
     sl = schubert_label(arr, U)
-    assert sl.sigma == ((),)
+    assert chain_jumps(arr, sl) == ((),)
     assert matroid_label(arr, U).matroid.rank == 0
 
 
@@ -154,7 +156,8 @@ def test_schubert_tail_recovers_transverse_flats():
             V = defect_subspace(arr, U)
             depth = r - (k - sl.i)
             tail = tuple(range(depth + 1, r + 1))
-            from_chains = {ch[depth] for ch, s in zip(chains, sl.sigma)
+            from_chains = {ch[depth] for ch, s in zip(chains,
+                                                      chain_jumps(arr, sl))
                            if s == tail}
             transverse = {X for X in lat.by_rank(k - sl.i)
                           if is_direct_sum_full(V, X.subspace)}
