@@ -3,23 +3,24 @@
 An arrangement is a finite set of hyperplanes through the origin of Q^n,
 each stored as a canonicalized integer normal.  The lattice of all
 intersections is graded by rank (codimension) with the whole space at the
-bottom and the common intersection, the center, at the top.
+bottom and the common intersection, the center, at the top.  It is built
+once per arrangement, rank by rank: the covers of a flat X are the
+hyperplanes of the restriction to X, so grouping the traces of the
+hyperplanes on X gives X's covers, their generator sets and the one-step
+closure table together.  IntersectionLattice holds all of its order data.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactlin import (
-    RationalMatrix,
     Subspace,
     canonical_subspace,
-    dot,
     full_space,
-    intersect,
     kernel,
     matrix,
     primitive_vector,
@@ -56,12 +57,7 @@ class Arrangement:
         return self.normals[label - 1]
 
     def hyperplane(self, label: int) -> Subspace:
-        return _hyperplane(self, label)
-
-
-@functools.lru_cache(maxsize=None)
-def _hyperplane(arr: Arrangement, label: int) -> Subspace:
-    return kernel(matrix([arr.normal(label)], cols=arr.ambient_dim))
+        return kernel(matrix([self.normal(label)], cols=self.ambient_dim))
 
 
 def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
@@ -106,16 +102,26 @@ class IntersectionLattice:
 
     flats are sorted by (rank, canonical basis), covers holds index pairs
     (a, b) where flat b covers flat a, i.e. rank(b) = rank(a) + 1 and b is
-    contained in a as a set.
+    contained in a as a set.  gens[a] is flat a's generator set as a bitmask
+    (bit j is hyperplane j + 1).  up[a][j] is the closure of flat a and
+    hyperplane j + 1: a itself when the hyperplane contains it, else the one
+    cover of a that lies in it.
     """
 
     ambient_dim: int
     flats: tuple[Flat, ...]
     covers: tuple[tuple[int, int], ...]
+    gens: tuple[int, ...] = field(compare=False, repr=False)
+    up: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
         return self.flats[-1].rank
+
+    @property
+    def ground_size(self) -> int:
+        """The number of hyperplanes."""
+        return len(self.up[0])
 
     def by_rank(self, r: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.rank == r)
@@ -128,44 +134,74 @@ class IntersectionLattice:
 
     def leq(self, a: int, b: int) -> bool:
         """Reverse-inclusion order on flat indices: a <= b iff b is inside a."""
-        return self.flats[a].generators <= self.flats[b].generators
+        return self.gens[a] & ~self.gens[b] == 0
 
+    def closure(self, mask: int, start: int = 0) -> int:
+        """Index of the smallest flat above flat start whose generators
+        include mask."""
+        a = start
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                a = self.up[a][j]
+        return a
 
-def _closure_generators(arr: Arrangement, S: Subspace) -> frozenset[int]:
-    gens = []
-    for i in range(1, arr.size + 1):
-        alpha = arr.normal(i)
-        if all(dot(row, alpha) == 0 for row in S.basis.entries):
-            gens.append(i)
-    return frozenset(gens)
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(a, b, join, meet) for every incomparable pair a < b.  The join is
+        the closure of the union; the meet is the flat of the common
+        hyperplanes, since an intersection of closed sets is closed."""
+        gens = self.gens
+        index = {g: a for a, g in enumerate(gens)}
+        out = []
+        for a, ga in enumerate(gens):
+            for b in range(a + 1, len(gens)):
+                common = ga & gens[b]
+                if common != ga and common != gens[b]:
+                    out.append((a, b, self.closure(gens[b], a), index[common]))
+        return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
-    """Breadth-first closure: intersect known flats with every hyperplane,
-    deduplicating by canonical subspace equality."""
-    n = arr.ambient_dim
-    whole = full_space(n)
-    seen = {whole}
-    frontier = [whole]
+    """Rank by rank from R^n, with flats keyed by generator bitmask.
+
+    A flat X with basis B meets each hyperplane j outside gens(X) in the
+    hyperplane of X cut out by the trace B a_j.  Hyperplanes with parallel
+    traces cut the same cover Y, so gens(Y) is gens(X) plus the group of j
+    whose primitive traces are equal, and only a new Y needs a basis.
+    """
+    n, m = arr.ambient_dim, arr.size
+    basis = {0: full_space(n)}
+    up: dict[int, list[int]] = {}
+    frontier = [0]
     while frontier:
         nxt = []
-        for X in frontier:
-            for i in range(1, arr.size + 1):
-                Y = intersect(X, arr.hyperplane(i))
-                if Y not in seen:
-                    seen.add(Y)
-                    nxt.append(Y)
+        for g in frontier:
+            B = basis[g].basis
+            groups: dict[tuple[int, ...], int] = {}
+            for j in range(m):
+                if not g >> j & 1:
+                    t, _ = primitive_vector(B.times_vector(arr.normals[j]))
+                    groups[t] = groups.get(t, 0) | 1 << j
+            row = up[g] = [g] * m
+            for t, group in groups.items():
+                h = g | group
+                if h not in basis:
+                    K = kernel(matrix([t], cols=B.rows)).basis
+                    basis[h] = canonical_subspace(K.times(B))
+                    nxt.append(h)
+                for j in range(m):
+                    if group >> j & 1:
+                        row[j] = h
         frontier = nxt
-    flats = sorted(
-        (Flat(S, n - S.dim, _closure_generators(arr, S)) for S in seen),
+    flats = sorted((Flat(S, n - S.dim, frozenset(
+        j + 1 for j in range(m) if g >> j & 1)) for g, S in basis.items()),
         key=_flat_key)
-    covers = []
-    for a, fa in enumerate(flats):
-        for b, fb in enumerate(flats):
-            if fb.rank == fa.rank + 1 and fa.generators <= fb.generators:
-                covers.append((a, b))
-    return IntersectionLattice(n, tuple(flats), tuple(covers))
+    gens = tuple(sum(1 << (j - 1) for j in f.generators) for f in flats)
+    index = {g: a for a, g in enumerate(gens)}
+    ups = tuple(tuple(index[h] for h in up[g]) for g in gens)
+    covers = sorted({(a, b) for a, row in enumerate(ups) for b in row if b != a})
+    return IntersectionLattice(n, tuple(flats), tuple(covers), gens, ups)
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,58 +279,6 @@ def chain_count(lattice: IntersectionLattice, cap: int = 10 ** 6) -> int:
         raise GuardExceeded(
             f"more than {cap} maximal chains; raise the cap to proceed")
     return ways[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeTables:
-    """Order data of an intersection lattice, by flat index.
-
-    gens[a] is flat a's generator set as a bitmask (bit j is hyperplane
-    j + 1).  up[a][j] is the closure of flat a and hyperplane j + 1: a itself
-    when the hyperplane contains it, else the one cover of a that does.
-    """
-
-    lattice: IntersectionLattice
-    ground_size: int
-    gens: tuple[int, ...]
-    up: tuple[tuple[int, ...], ...]
-
-    def closure(self, mask: int, start: int = 0) -> int:
-        """Index of the smallest flat above flat start whose generators
-        include mask."""
-        a = start
-        for j in range(mask.bit_length()):
-            if mask >> j & 1:
-                a = self.up[a][j]
-        return a
-
-    @functools.cached_property
-    def pairs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(a, b, join, meet) for every incomparable pair a < b.  The join is
-        the closure of the union; the meet is the flat of the common
-        hyperplanes, since an intersection of closed sets is closed."""
-        gens = self.gens
-        index = {g: a for a, g in enumerate(gens)}
-        out = []
-        for a, ga in enumerate(gens):
-            for b in range(a + 1, len(gens)):
-                common = ga & gens[b]
-                if common != ga and common != gens[b]:
-                    out.append((a, b, self.closure(gens[b], a), index[common]))
-        return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def lattice_tables(arr: Arrangement) -> LatticeTables:
-    """The LatticeTables of the arrangement's intersection lattice."""
-    lat = intersection_lattice(arr)
-    gens = tuple(sum(1 << (i - 1) for i in f.generators) for f in lat.flats)
-    up = [[a] * arr.size for a in range(len(gens))]
-    for a, b in lat.covers:
-        for j in range(arr.size):
-            if (gens[b] & ~gens[a]) >> j & 1:
-                up[a][j] = b
-    return LatticeTables(lat, arr.size, gens, tuple(map(tuple, up)))
 
 
 # ------------------------------------------------------------ text format

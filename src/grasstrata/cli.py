@@ -119,6 +119,8 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
+    if getattr(ns, "chain_cap", 1) < 1:
+        raise ValueError("--chain-cap must be at least 1")
     return RunConfig(
         command=ns.command,
         arrangement_path=ns.arrangement,

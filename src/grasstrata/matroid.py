@@ -5,13 +5,13 @@ in Q^dim U, and the rank of a label set I is the dimension of the span of
 its traces (the same as for the orthogonal projections B^T (B B^T)^-1 B a_i,
 since B^T (B B^T)^-1 is injective).  That rank equals
 dim U - dim(U meet X_I), so it only depends on the flat X_I: a matroid is
-stored as one rank per flat of the intersection lattice, and each one is
-self-checked against the second description.  The matroid axioms are
+stored with the intersection lattice as one rank per flat, and each rank
+is self-checked against the second description.  The matroid axioms are
 checked on the lattice: rank 0 at the bottom, a step of 0 or 1 on every
 cover, and r(F join G) + r(F meet G) <= r(F) + r(G) for every pair of
 flats.  The lattice of flats is geometric, so these imply the axioms for
-r(S) := r(closure of S) on all subsets.  The table over all 2^m subsets is
-only built on request, for small ground sets.
+r(S) := r(closure of S) on all subsets, read through the lattice's
+closure table.  The table over all 2^m subsets is only built on request.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from . import arrangement
 from .arrangement import (
     Arrangement,
     GuardExceeded,
     IntersectionLattice,
-    LatticeTables,
     intersection_lattice,
-    lattice_tables,
     restriction,
     self_check,
 )
@@ -54,17 +53,17 @@ class Matroid:
     elements included.
     """
 
-    tables: LatticeTables = field(compare=False, repr=False)
+    lattice: IntersectionLattice = field(compare=False, repr=False)
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.ranks) != len(self.tables.gens):
+        if len(self.ranks) != len(self.lattice.flats):
             raise ValueError("need exactly one rank per flat")
-        _check_rank_axioms(self.tables, self.ranks)
+        _check_rank_axioms(self.lattice, self.ranks)
 
     @property
     def ground_size(self) -> int:
-        return self.tables.ground_size
+        return self.lattice.ground_size
 
     @property
     def rank(self) -> int:
@@ -76,7 +75,7 @@ class Matroid:
             if not 1 <= e <= self.ground_size:
                 raise ValueError(f"element {e} outside the ground set")
             mask |= 1 << (e - 1)
-        return self.ranks[self.tables.closure(mask)]
+        return self.ranks[self.lattice.closure(mask)]
 
     @property
     def rank_table(self) -> tuple[int, ...]:
@@ -85,21 +84,21 @@ class Matroid:
         if self.ground_size > MAX_GROUND:
             raise GuardExceeded(f"a rank table over {self.ground_size} "
                                 f"hyperplanes exceeds the guard of {MAX_GROUND}")
-        return tuple(self.ranks[self.tables.closure(mask)]
+        return tuple(self.ranks[self.lattice.closure(mask)]
                      for mask in range(1 << self.ground_size))
 
 
-def _check_rank_axioms(t: LatticeTables, r: tuple[int, ...]) -> None:
+def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
     if r[0] != 0:
         raise ValueError("the bottom flat must have rank 0")
-    for a, b in t.lattice.covers:
+    for a, b in lat.covers:
         if not r[a] <= r[b] <= r[a] + 1:
             raise ValueError(f"unit increase fails from flat "
-                             f"{_mask_labels(t.gens[a])} to {_mask_labels(t.gens[b])}")
-    for a, b, join, meet in t.pairs:
+                             f"{_mask_labels(lat.gens[a])} to {_mask_labels(lat.gens[b])}")
+    for a, b, join, meet in lat.pairs:
         if r[join] + r[meet] > r[a] + r[b]:
             raise ValueError(f"submodularity fails for flats "
-                             f"{_mask_labels(t.gens[a])} and {_mask_labels(t.gens[b])}")
+                             f"{_mask_labels(lat.gens[a])} and {_mask_labels(lat.gens[b])}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,15 +110,17 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     """
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    t = lattice_tables(arr)
+    # through the module, so a traced run books this lattice as the
+    # arrangement's own and restriction_lattice's calls as restrictions
+    lat = arrangement.intersection_lattice(arr)
     traces = [U.basis.times_vector(a) for a in arr.normals]
     ranks = tuple(
         matrix_rank(matrix([traces[i - 1] for i in f.generators], cols=U.dim))
-        for f in t.lattice.flats)
-    bad = [sorted(f.generators) for f, r in zip(t.lattice.flats, ranks)
+        for f in lat.flats)
+    bad = [sorted(f.generators) for f, r in zip(lat.flats, ranks)
            if r != U.dim - intersection_dim(U, f.subspace)]
     self_check(not bad, f"trace ranks and flat ranks disagree on {bad}")
-    return Matroid(t, ranks)
+    return Matroid(lat, ranks)
 
 
 def bases(mat: Matroid) -> frozenset[frozenset[int]]:
@@ -153,16 +154,9 @@ class RankedLattice:
 
 def ranked_lattice(lat: IntersectionLattice) -> RankedLattice:
     """Forget the geometry of an intersection lattice, keep order and rank."""
-    size = len(lat.flats)
-    ranks = tuple(f.rank for f in lat.flats)
-    leq = []
-    for i in range(size):
-        bits = 0
-        for j in range(size):
-            if lat.leq(i, j):
-                bits |= 1 << j
-        leq.append(bits)
-    return RankedLattice(ranks, tuple(leq))
+    leq = tuple(sum(1 << j for j, h in enumerate(lat.gens) if g & ~h == 0)
+                for g in lat.gens)
+    return RankedLattice(tuple(f.rank for f in lat.flats), leq)
 
 
 def restriction_lattice(arr: Arrangement, U: Subspace) -> RankedLattice:

@@ -168,9 +168,9 @@ def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     return direct
 
 
-def eval_adjoint(h: AdjointHyperplane, p: PlueckerVector) -> Fraction:
+def eval_adjoint(h: AdjointHyperplane, p: PlueckerVector) -> int:
     """Pair an adjoint hyperplane with a Pluecker vector; zero iff the
     vector lies on the hyperplane."""
     if (h.index.n, h.index.k) != (p.index.n, p.index.k):
         raise ValueError("mismatched Pluecker coordinate spaces")
-    return Fraction(sum(a * x for a, x in zip(h.coeffs, p.coords)))
+    return sum(a * x for a, x in zip(h.coeffs, p.coords))

@@ -1,14 +1,54 @@
-"""Brute-force references for the labels the package computes on flats.
+"""Brute-force references for the lattice and the labels the package
+computes on flats.
 
-The matroid reference takes the rank of the orthogonal projections of the
-normals on every one of the 2^m subsets and checks the matroid axioms on
-that whole table.  The Schubert reference walks every maximal chain and
-takes the overlap dimension of each flat on it.  Tests compare the
-package's per-flat labels against both.
+The lattice reference intersects every flat with every hyperplane until
+nothing new appears, reads generators off dot products and finds covers by
+comparing every pair of flats.  The matroid reference takes the rank of
+the orthogonal projections of the normals on every one of the 2^m subsets
+and checks the matroid axioms on that whole table.  The Schubert reference
+walks every maximal chain and takes the overlap dimension of each flat on
+it.  Tests compare the package's lattice and per-flat labels against them.
 """
 
-from grasstrata.arrangement import intersection_lattice, maximal_chains
-from grasstrata.exactlin import intersection_dim, matrix, project, rank
+from grasstrata.arrangement import Flat, intersection_lattice, maximal_chains
+from grasstrata.exactlin import (
+    dot,
+    full_space,
+    intersect,
+    intersection_dim,
+    matrix,
+    project,
+    rank,
+)
+
+
+def reference_lattice(arr):
+    """(flats, covers) of the intersection lattice: flats sorted by rank and
+    canonical basis, covers the index pairs (a, b) with b one rank above a
+    and inside it."""
+    n = arr.ambient_dim
+    whole = full_space(n)
+    seen = {whole}
+    frontier = [whole]
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for i in range(1, arr.size + 1):
+                Y = intersect(X, arr.hyperplane(i))
+                if Y not in seen:
+                    seen.add(Y)
+                    nxt.append(Y)
+        frontier = nxt
+    flats = sorted(
+        (Flat(S, n - S.dim, frozenset(
+            i for i in range(1, arr.size + 1)
+            if all(dot(row, arr.normal(i)) == 0 for row in S.basis.entries)))
+         for S in seen),
+        key=lambda f: (f.rank, f.subspace.basis.entries))
+    covers = tuple(
+        (a, b) for a, fa in enumerate(flats) for b, fb in enumerate(flats)
+        if fb.rank == fa.rank + 1 and fa.generators <= fb.generators)
+    return tuple(flats), covers
 
 
 def mask_labels(mask):

@@ -13,7 +13,6 @@ from grasstrata.arrangement import (
     format_arrangement,
     intersection_lattice,
     is_essential,
-    lattice_tables,
     load_arrangement,
     maximal_chains,
     parse_arrangement,
@@ -260,22 +259,22 @@ def test_chain_count_matches_enumeration():
     assert chain_count(intersection_lattice(braid(6))) == 2700
 
 
-def test_lattice_tables_against_subspaces():
+def test_intersection_lattice_against_subspaces():
     # closures, joins and meets agree with intersecting the subspaces
     for arr in data_arrangements() + [braid(4), nonessential3(),
                                       build_arrangement(2, [])]:
-        t = lattice_tables(arr)
-        flats = t.lattice.flats
+        t = intersection_lattice(arr)
+        flats = t.flats
         for mask in range(1 << arr.size):
             rows = [arr.normals[i] for i in range(arr.size) if mask >> i & 1]
             X = kernel(matrix(rows, cols=arr.ambient_dim))
             assert flats[t.closure(mask)].subspace == X
         comparable = 0
         for a, b in itertools.combinations(range(len(flats)), 2):
-            comparable += (t.lattice.leq(a, b) or t.lattice.leq(b, a))
+            comparable += (t.leq(a, b) or t.leq(b, a))
         assert len(t.pairs) + comparable == len(flats) * (len(flats) - 1) // 2
         for a, b, join, meet in t.pairs:
-            assert not t.lattice.leq(a, b) and not t.lattice.leq(b, a)
+            assert not t.leq(a, b) and not t.leq(b, a)
             assert flats[join].subspace == intersect(flats[a].subspace,
                                                      flats[b].subspace)
             assert (flats[meet].generators

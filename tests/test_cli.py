@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -97,6 +99,50 @@ def test_chain_cap_flags(capsys):
     assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "1",
                  "--chain-cap", "5"]) == 1
     assert "--chain-cap" in capsys.readouterr().err
+
+
+def test_chain_cap_must_be_positive(capsys):
+    for argv in (["lattice", data("braid3.txt"), "--chain-cap", "0"],
+                 ["label", data("braid3.txt"), "--k", "1", "--subspace",
+                  data("line_e1.txt"), "--chain-cap", "-3"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--chain-cap must be at least 1" in err
+        assert "maximal chains" not in err
+
+
+# sha256 of `grasstrata lattice` output, which fixes the flat order that the
+# format-2 report encodings follow
+LATTICE_DIGESTS = {
+    "boolean3.txt": "2702f1028c7bc7120c493e0795302ff0e4c19868543546eba9b79cf44280b1e5",
+    "boolean4.txt": "331a3492a3e7258e01aabeb1c7ddf1d8374fcdc604cb837ace4bf773fcb15264",
+    "braid3.txt": "544e6a5d47b91dd9fd32b575aaee2a9f53350cf9eddad77f83d1ea11028d8806",
+    "generic5_4.txt": "a8f745d35651592e8fd78d5412e298e21c73e3b6955a81a07b96824dc31748bb",
+    "nonessential3.txt": "6b64ed80f20b4902e6b44574888b22513759d115f1fad6bb2bae0d0b6d01d3d0",
+    "braid5": "cfc269076a368be23e4dc5bc406d0148ad0d4c3ce37ad7f15829b86444c74abd",
+    "braid6": "576909c58b608ac103e76cbc672c5e6d07ba43eb2133a7924c39b801239fc5d7",
+    "boolean6": "34c4531a10335cf5e55aa107458bdefa9c3fc080b7d68dfdb3510dd43691f165",
+}
+
+
+def test_lattice_output_digests(tmp_path, capsys):
+    def write(name, n, rows):
+        p = tmp_path / name
+        p.write_text(f"{n}\n" + "".join(" ".join(map(str, r)) + "\n"
+                                        for r in rows))
+        return str(p)
+
+    paths = {name: data(name) for name in LATTICE_DIGESTS if name.endswith(".txt")}
+    for n in (5, 6):
+        paths[f"braid{n}"] = write(
+            f"braid{n}", n, [[(j == a) - (j == b) for j in range(n)]
+                             for a, b in itertools.combinations(range(n), 2)])
+    paths["boolean6"] = write(
+        "boolean6", 6, [[int(i == j) for j in range(6)] for i in range(6)])
+    for name, path in paths.items():
+        assert main(["lattice", path]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[name], name
 
 
 def test_lattice_command_empty(tmp_path, capsys):

@@ -9,7 +9,6 @@ from grasstrata.arrangement import (
     build_arrangement,
     center,
     intersection_lattice,
-    lattice_tables,
 )
 from grasstrata.exactlin import (
     canonical_subspace,
@@ -103,8 +102,8 @@ def test_matroid_boolean_full_space():
 def test_matroid_guard_and_errors():
     # bad subset tables on one and on two hyperplanes, read on the flats:
     # the lattice check refuses each one, as the subset check does
-    one = lattice_tables(build_arrangement(1, [(1,)]))
-    two = lattice_tables(boolean(2))
+    one = intersection_lattice(build_arrangement(1, [(1,)]))
+    two = intersection_lattice(boolean(2))
     with pytest.raises(ValueError):
         Matroid(one, (0, 1, 0))  # more ranks than flats
     for tables, table in ((one, (1, 1)),  # empty set rank nonzero

@@ -1,5 +1,6 @@
-"""Property tests of the per-flat matroid and Schubert labels against the
-brute-force references in brute_force.py, on small random arrangements.
+"""Property tests of the intersection lattice and the per-flat matroid and
+Schubert labels against the brute-force references in brute_force.py, on
+small random arrangements and their restrictions.
 
 Random draws meet loops, parallel traces, non-essential centers, k = 0 and
 k = n now and then; each of these is also pinned by an explicit example.
@@ -7,11 +8,21 @@ k = n now and then; each of these is also pinned by an explicit example.
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from brute_force import check_rank_axioms, projection_rank_table, walked_jumps
-from grasstrata.arrangement import build_arrangement, lattice_tables
+from brute_force import (
+    check_rank_axioms,
+    projection_rank_table,
+    reference_lattice,
+    walked_jumps,
+)
+from grasstrata.arrangement import (
+    build_arrangement,
+    intersection_lattice,
+    restriction,
+)
 from grasstrata.exactlin import (
     canonical_subspace,
     full_space,
+    kernel,
     matrix,
     primitive_vector,
     span,
@@ -77,6 +88,25 @@ def property_test(fn):
 
 
 @property_test
+def test_lattice_equals_reference(case):
+    # flat order, subspaces, generators, covers and the closure of every
+    # label set, on the arrangement and on its restriction to U
+    arr, U = case
+    for a in [arr] + ([restriction(arr, U)] if U.dim >= 1 else []):
+        lat = intersection_lattice(a)
+        flats, covers = reference_lattice(a)
+        assert lat.flats == flats
+        assert lat.covers == covers
+        assert lat.gens == tuple(sum(1 << (i - 1) for i in f.generators)
+                                 for f in flats)
+        index = {f.subspace: i for i, f in enumerate(flats)}
+        for mask in range(1 << a.size):
+            rows = [a.normals[i] for i in range(a.size) if mask >> i & 1]
+            X = kernel(matrix(rows, cols=a.ambient_dim))
+            assert lat.closure(mask) == index[X]
+
+
+@property_test
 def test_rank_table_equals_projection_ranks(case):
     arr, U = case
     assert matroid_from(arr, U).rank_table == projection_rank_table(arr, U)
@@ -93,7 +123,7 @@ def test_lattice_check_agrees_with_subset_check(case):
     # the true ranks, and every change of one flat's rank by 1: the lattice
     # check refuses exactly the ones whose subset table is no matroid
     arr, U = case
-    t = lattice_tables(arr)
+    t = intersection_lattice(arr)
     ranks = matroid_from(arr, U).ranks
     closures = [t.closure(mask) for mask in range(1 << t.ground_size)]
     trials = [ranks] + [ranks[:a] + (ranks[a] + d,) + ranks[a + 1:]
