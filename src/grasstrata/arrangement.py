@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactlin import (
     Subspace,
@@ -27,9 +27,11 @@ from .exactlin import (
     vector,
 )
 
+MAX_CHAINS = 10 ** 6
+
 
 class GuardExceeded(RuntimeError):
-    """A configurable size cap was hit before a computation finished."""
+    """A size guard was hit before a computation finished."""
 
 
 class SelfCheckFailed(RuntimeError):
@@ -239,11 +241,10 @@ def restriction(arr: Arrangement, U: Subspace) -> Arrangement:
 
 
 @functools.lru_cache(maxsize=None)
-def maximal_chains(lattice: IntersectionLattice,
-                   cap: int = 10 ** 6) -> tuple[tuple[Flat, ...], ...]:
+def maximal_chains(lattice: IntersectionLattice) -> tuple[tuple[Flat, ...], ...]:
     """Every maximal chain (center, ..., R^n), dimension increasing one step
     at a time, in lexicographic order of the flats visited.  Raises
-    GuardExceeded when more than cap chains exist."""
+    GuardExceeded when more than MAX_CHAINS chains exist."""
     preds: dict[int, list[int]] = {i: [] for i in range(len(lattice.flats))}
     for a, b in lattice.covers:
         preds[b].append(a)
@@ -255,9 +256,8 @@ def maximal_chains(lattice: IntersectionLattice,
 
     def walk(idx: int) -> None:
         if lattice.flats[idx].rank == 0:
-            if len(chains) >= cap:
-                raise GuardExceeded(
-                    f"more than {cap} maximal chains; raise the cap to proceed")
+            if len(chains) >= MAX_CHAINS:
+                raise GuardExceeded(f"more than {MAX_CHAINS} maximal chains")
             chains.append(tuple(lattice.flats[i] for i in path))
             return
         for nxt in preds[idx]:
@@ -269,53 +269,62 @@ def maximal_chains(lattice: IntersectionLattice,
     return tuple(chains)
 
 
-def chain_count(lattice: IntersectionLattice, cap: int = 10 ** 6) -> int:
+def chain_count(lattice: IntersectionLattice) -> int:
     """The number of maximal chains, counted over covers without listing
-    them.  Raises GuardExceeded when it is above cap, like maximal_chains."""
+    them."""
     ways = [1] + [0] * (len(lattice.flats) - 1)
     for a, b in lattice.covers:  # sorted by a, and every cover goes up
         ways[b] += ways[a]
-    if ways[-1] > cap:
-        raise GuardExceeded(
-            f"more than {cap} maximal chains; raise the cap to proceed")
     return ways[-1]
 
 
 # ------------------------------------------------------------ text format
 
 
-def parse_arrangement(text: str) -> Arrangement:
-    """Parse the plain text format: first the ambient dimension on its own
-    line, then one normal per line as whitespace-separated rationals.
-    Anything after a '#' is a comment."""
-    n: int | None = None
+def read_rows(text: str, header: Callable[[list[str], str], tuple[int, ...]],
+              missing: str) -> tuple[tuple[int, ...], list[list[Fraction]]]:
+    """The plain text format of arrangement and subspace files: a header
+    line, then one row of whitespace-separated rationals per line; anything
+    after a '#' is a comment.  header(fields, "line N") checks the header
+    and returns its integers, the first being the row width; a text with
+    no header line raises ValueError(missing)."""
+    head: tuple[int, ...] | None = None
     rows: list[list[Fraction]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 1:
-                raise ValueError(
-                    f"line {lineno}: expected the ambient dimension alone")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: bad dimension {parts[0]!r}") from None
-            if n < 0:
-                raise ValueError(f"line {lineno}: negative dimension")
+        if head is None:
+            head = header(parts, f"line {lineno}")
             continue
-        if len(parts) != n:
+        if len(parts) != head[0]:
             raise ValueError(
-                f"line {lineno}: expected {n} entries, got {len(parts)}")
+                f"line {lineno}: expected {head[0]} entries, got {len(parts)}")
         try:
             rows.append([Fraction(p) for p in parts])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad rational entry") from None
-    if n is None:
-        raise ValueError("missing dimension line")
+    if head is None:
+        raise ValueError(missing)
+    return head, rows
+
+
+def _dimension_header(parts: list[str], where: str) -> tuple[int]:
+    if len(parts) != 1:
+        raise ValueError(f"{where}: expected the ambient dimension alone")
+    try:
+        n = int(parts[0])
+    except ValueError:
+        raise ValueError(f"{where}: bad dimension {parts[0]!r}") from None
+    if n < 0:
+        raise ValueError(f"{where}: negative dimension")
+    return (n,)
+
+
+def parse_arrangement(text: str) -> Arrangement:
+    """Parse the plain text format: first the ambient dimension on its own
+    line, then one normal per line (see read_rows)."""
+    (n,), rows = read_rows(text, _dimension_header, "missing dimension line")
     try:
         return build_arrangement(n, rows)
     except ValueError as e:

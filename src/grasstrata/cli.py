@@ -3,6 +3,9 @@
 Commands read an arrangement file and write JSON (or, for restrict, another
 arrangement file) to stdout or --output.  All output is a pure function of
 the inputs: reports are byte identical across runs and worker counts.
+Handlers read the parsed argparse namespace, so every option and its
+default lives in _build_parser alone.  Guards are module constants, not
+options.
 
 Exit codes: 0 success, 1 bad input or a guard hit, 2 a verification run
 found a counterexample, 3 an internal self-check failed.  A verify run whose
@@ -16,8 +19,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from multiprocessing import Pool
 from typing import Sequence
 
@@ -30,6 +31,7 @@ from .arrangement import (
     format_arrangement,
     intersection_lattice,
     load_arrangement,
+    read_rows,
     restriction,
 )
 from .exactlin import Subspace, canonical_subspace, matrix
@@ -49,21 +51,6 @@ from .strata import (
 # Layout version of the verify report.  Format 2 encodes the matroid and
 # Schubert labels as vectors over the flats of the intersection lattice.
 REPORT_FORMAT = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    arrangement_path: str
-    k: int | None = None
-    samples: int = 100
-    bound: int = 5
-    seed: int = 0
-    include_flats: bool = False
-    jobs: int = 1
-    chain_cap: int = 10 ** 6
-    subspace_path: str | None = None
-    output_path: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +74,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("lattice", help="flats by rank and the chain count")
     common(p)
-    p.add_argument("--chain-cap", type=int, default=10 ** 6)
 
     p = sub.add_parser("adjoint", help="coefficient table of the k-adjoint")
     common(p)
@@ -97,7 +83,6 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--subspace", required=True, help="subspace file")
-    p.add_argument("--chain-cap", type=int, default=10 ** 6)
 
     p = sub.add_parser("restrict", help="restriction to a subspace, as an "
                                         "arrangement file")
@@ -118,57 +103,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    if getattr(ns, "chain_cap", 1) < 1:
-        raise ValueError("--chain-cap must be at least 1")
-    return RunConfig(
-        command=ns.command,
-        arrangement_path=ns.arrangement,
-        k=getattr(ns, "k", None),
-        samples=getattr(ns, "samples", 100),
-        bound=getattr(ns, "bound", 5),
-        seed=getattr(ns, "seed", 0),
-        include_flats=getattr(ns, "include_flats", False),
-        jobs=getattr(ns, "jobs", 1),
-        chain_cap=getattr(ns, "chain_cap", 10 ** 6),
-        subspace_path=getattr(ns, "subspace", None),
-        output_path=ns.output,
-    )
-
-
 # ------------------------------------------------------------------- io
+
+
+def _subspace_header(parts: list[str], where: str) -> tuple[int, int]:
+    if len(parts) != 2:
+        raise ValueError(f"{where}: expected 'n k'")
+    try:
+        n, k = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"{where}: bad header") from None
+    if not 0 <= k <= n:
+        raise ValueError(f"{where}: need 0 <= k <= n")
+    return n, k
 
 
 def parse_subspace(text: str) -> Subspace:
     """Subspace file: first line 'n k', then k rows of n rationals; same
     comment rules as arrangement files.  Rows must be independent."""
-    header: tuple[int, int] | None = None
-    rows: list[list[Fraction]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'n k'")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad header") from None
-            if not 0 <= header[1] <= header[0]:
-                raise ValueError(f"line {lineno}: need 0 <= k <= n")
-            continue
-        if len(parts) != header[0]:
-            raise ValueError(
-                f"line {lineno}: expected {header[0]} entries, got {len(parts)}")
-        try:
-            rows.append([Fraction(p) for p in parts])
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"line {lineno}: bad rational entry") from None
-    if header is None:
-        raise ValueError("missing 'n k' header line")
-    n, k = header
+    (n, k), rows = read_rows(text, _subspace_header,
+                             "missing 'n k' header line")
     if len(rows) != k:
         raise ValueError(f"expected {k} rows, got {len(rows)}")
     U = canonical_subspace(matrix(rows, cols=n))
@@ -205,8 +159,8 @@ def _emit_json(payload: dict, output_path: str | None) -> None:
 # ------------------------------------------------------------- commands
 
 
-def cmd_lattice(cfg: RunConfig) -> int:
-    arr = load_arrangement(cfg.arrangement_path)
+def cmd_lattice(args: argparse.Namespace) -> int:
+    arr = load_arrangement(args.arrangement)
     lat = intersection_lattice(arr)
     payload = {
         "command": "lattice",
@@ -221,33 +175,33 @@ def cmd_lattice(cfg: RunConfig) -> int:
             "generators": sorted(f.generators),
             "basis": _basis_rows(f.subspace),
         } for f in lat.flats],
-        "chain_count": chain_count(lat, cfg.chain_cap),
+        "chain_count": chain_count(lat),
     }
-    _emit_json(payload, cfg.output_path)
+    _emit_json(payload, args.output)
     return 0
 
 
-def cmd_adjoint(cfg: RunConfig) -> int:
-    arr = load_arrangement(cfg.arrangement_path)
-    if cfg.k is None or not 0 <= cfg.k <= arr.ambient_dim:
+def cmd_adjoint(args: argparse.Namespace) -> int:
+    arr = load_arrangement(args.arrangement)
+    if not 0 <= args.k <= arr.ambient_dim:
         raise ValueError(f"--k must be between 0 and {arr.ambient_dim}")
-    hs = k_adjoint(arr, cfg.k)
+    hs = k_adjoint(arr, args.k)
     payload = {
         "command": "adjoint",
         "arrangement_digest": arrangement_digest(arr),
         "n": arr.ambient_dim,
-        "k": cfg.k,
+        "k": args.k,
         "subsets": [list(s) for s in (hs[0].index.subsets if hs else [])],
         "hyperplanes": [{
             "generators": sorted(h.source.generators),
             "coeffs": list(h.coeffs),
         } for h in hs],
     }
-    _emit_json(payload, cfg.output_path)
+    _emit_json(payload, args.output)
     return 0
 
 
-def _label_payload(arr: Arrangement, U: Subspace, chain_cap: int) -> dict:
+def _label_payload(arr: Arrangement, U: Subspace) -> dict:
     ml = matroid_label(arr, U)
     al = adjoint_label(arr, U)
     sl = schubert_label(arr, U)
@@ -268,38 +222,38 @@ def _label_payload(arr: Arrangement, U: Subspace, chain_cap: int) -> dict:
         "schubert": {
             "encoding": sl.encode(),
             "i": sl.i,
-            "jumps": [list(s) for s in chain_jumps(arr, sl, chain_cap)],
+            "jumps": [list(s) for s in chain_jumps(arr, sl)],
         },
     }
 
 
-def cmd_label(cfg: RunConfig) -> int:
-    arr = load_arrangement(cfg.arrangement_path)
-    U = load_subspace(cfg.subspace_path)
+def cmd_label(args: argparse.Namespace) -> int:
+    arr = load_arrangement(args.arrangement)
+    U = load_subspace(args.subspace)
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError(
             f"subspace lives in dimension {U.ambient_dim}, "
             f"arrangement in {arr.ambient_dim}")
-    if cfg.k is not None and U.dim != cfg.k:
-        raise ValueError(f"subspace has dimension {U.dim}, --k said {cfg.k}")
+    if U.dim != args.k:
+        raise ValueError(f"subspace has dimension {U.dim}, --k said {args.k}")
     payload = {
         "command": "label",
         "arrangement_digest": arrangement_digest(arr),
         "k": U.dim,
         "subspace_basis": _basis_rows(U),
-        "labels": _label_payload(arr, U, cfg.chain_cap),
+        "labels": _label_payload(arr, U),
     }
-    _emit_json(payload, cfg.output_path)
+    _emit_json(payload, args.output)
     return 0
 
 
-def cmd_restrict(cfg: RunConfig) -> int:
-    arr = load_arrangement(cfg.arrangement_path)
-    U = load_subspace(cfg.subspace_path)
+def cmd_restrict(args: argparse.Namespace) -> int:
+    arr = load_arrangement(args.arrangement)
+    U = load_subspace(args.subspace)
     res = restriction(arr, U)
     text = (f"# restriction of {arrangement_digest(arr)[:12]} "
             f"to a {U.dim}-subspace\n" + format_arrangement(res))
-    _write(text, cfg.output_path)
+    _write(text, args.output)
     return 0
 
 
@@ -307,38 +261,38 @@ def _encode_worker(args: tuple[Arrangement, Subspace]) -> dict[str, str]:
     return label_encodings(*args)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    arr = load_arrangement(cfg.arrangement_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    arr = load_arrangement(args.arrangement)
     n = arr.ambient_dim
-    if cfg.k is None or not 0 <= cfg.k <= n:
+    if not 0 <= args.k <= n:
         raise ValueError(f"--k must be between 0 and {n}")
-    if cfg.samples < 0:
+    if args.samples < 0:
         raise ValueError("--samples must be nonnegative")
-    if cfg.jobs < 1:
+    if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
 
     subspaces: list[Subspace] = []
     manifest: list[dict] = []
-    for i in range(cfg.samples):
-        U = sample_subspace(n, cfg.k, cfg.bound, cfg.seed, i)
+    for i in range(args.samples):
+        U = sample_subspace(n, args.k, args.bound, args.seed, i)
         subspaces.append(U)
         manifest.append({"index": i, "source": "random"})
-    if cfg.include_flats:
-        for U in structured_subspaces(arr, cfg.k, cfg.seed):
+    if args.include_flats:
+        for U in structured_subspaces(arr, args.k, args.seed):
             manifest.append({"index": len(subspaces), "source": "structured"})
             subspaces.append(U)
     if not subspaces:
         raise ValueError("nothing to verify: zero samples and no injections")
 
     tasks = [(arr, U) for U in subspaces]
-    if cfg.jobs > 1:
-        with Pool(cfg.jobs) as pool:
+    if args.jobs > 1:
+        with Pool(args.jobs) as pool:
             encodings = pool.map(_encode_worker, tasks)
     else:
         encodings = [_encode_worker(t) for t in tasks]
 
-    eq = verify_equivalence(arr, cfg.k, subspaces, encodings)
-    cls = verify_restriction_classification(arr, cfg.k, subspaces, encodings)
+    eq = verify_equivalence(arr, args.k, subspaces, encodings)
+    cls = verify_restriction_classification(arr, args.k, subspaces, encodings)
     witnesses = list(eq.witnesses) + list(cls.witnesses)
 
     for entry, U, enc in zip(manifest, subspaces, encodings):
@@ -348,12 +302,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = {
         "command": "verify",
         "config": {
-            "arrangement": cfg.arrangement_path,
-            "k": cfg.k,
-            "samples": cfg.samples,
-            "bound": cfg.bound,
-            "seed": cfg.seed,
-            "include_flats": cfg.include_flats,
+            "arrangement": args.arrangement,
+            "k": args.k,
+            "samples": args.samples,
+            "bound": args.bound,
+            "seed": args.seed,
+            "include_flats": args.include_flats,
         },
         "format": REPORT_FORMAT,
         "arrangement_digest": arrangement_digest(arr),
@@ -366,7 +320,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         },
         "witnesses": witnesses,
     }
-    _emit_json(payload, cfg.output_path)
+    _emit_json(payload, args.output)
     if eq.passed and cls.passed:
         return 0
     if any(w["type"] != "guard_skipped" for w in witnesses):
@@ -388,8 +342,8 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        cfg = _config_from(parser.parse_args(argv))
-        return _HANDLERS[cfg.command](cfg)
+        args = parser.parse_args(argv)
+        return _HANDLERS[args.command](args)
     except (ValueError, OSError, GuardExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

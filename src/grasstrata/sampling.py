@@ -26,6 +26,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 MAX_SAMPLE_ATTEMPTS = 10 ** 4
+FLAT_PAIRS = 40  # seeded flat-pair sums tried by structured_subspaces
 
 
 def _mix(z: int) -> int:
@@ -67,10 +68,10 @@ def sample_subspace(n: int, k: int, bound: int, seed: int,
         f"bound={bound} is too degenerate")
 
 
-def structured_subspaces(arr: Arrangement, k: int, seed: int = 0,
-                         pair_cap: int = 40) -> list[Subspace]:
+def structured_subspaces(arr: Arrangement, k: int,
+                         seed: int = 0) -> list[Subspace]:
     """Deterministic non-generic k-subspaces tied to the arrangement:
-    every flat of dimension k, the leading k rows of bigger flats, capped
+    every flat of dimension k, the leading k rows of bigger flats, FLAT_PAIRS
     seeded sums of flat pairs, and flats with one basis vector nudged."""
     n = arr.ambient_dim
     lat = intersection_lattice(arr)
@@ -94,7 +95,7 @@ def structured_subspaces(arr: Arrangement, k: int, seed: int = 0,
         g = stream(seed, 0xF1A7)
         pool = [f for f in lat.flats if f.dim >= 1]
         if pool:
-            for _ in range(pair_cap):
+            for _ in range(FLAT_PAIRS):
                 a = pool[next(g) % len(pool)]
                 b = pool[next(g) % len(pool)]
                 W = subspace_sum(a.subspace, b.subspace)

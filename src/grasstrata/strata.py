@@ -63,10 +63,14 @@ class AdjointLabel:
 
 @dataclass(frozen=True)
 class SchubertLabel:
-    """i plus dim(U meet X) for every flat X, in the lattice's flat order."""
+    """dim(U meet X) for every flat X, in the lattice's flat order; i is the
+    last one, at the center."""
 
-    i: int
     dims: tuple[int, ...]
+
+    @property
+    def i(self) -> int:
+        return self.dims[-1]
 
     def encode(self) -> str:
         return f"i{self.i}:" + ",".join(str(d) for d in self.dims)
@@ -93,18 +97,18 @@ def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
     self_check(dims[0] == U.dim and all(dims[b] <= dims[a] <= dims[b] + 1
                                         for a, b in lat.covers),
                "overlap dimensions do not step down by 0 or 1 from dim U")
-    return SchubertLabel(dims[-1], dims)
+    return SchubertLabel(dims)
 
 
-def chain_jumps(arr: Arrangement, label: SchubertLabel,
-                chain_cap: int = 10 ** 6) -> tuple[tuple[int, ...], ...]:
+def chain_jumps(arr: Arrangement,
+                label: SchubertLabel) -> tuple[tuple[int, ...], ...]:
     """For every maximal chain (center, ..., R^n), in maximal_chains order,
     the positions where dim(U meet chain flat) jumps, read off label.dims."""
     lat = intersection_lattice(arr)
     dim_at = dict(zip(lat.flats, label.dims))
     return tuple(tuple(l for l in range(1, len(ch))
                        if dim_at[ch[l]] > dim_at[ch[l - 1]])
-                 for ch in maximal_chains(lat, chain_cap))
+                 for ch in maximal_chains(lat))
 
 
 def label_encodings(arr: Arrangement, U: Subspace) -> dict[str, str]:
@@ -123,22 +127,11 @@ class VerificationReport:
     """Outcome of one verifier run; everything inside is JSON friendly."""
 
     passed: bool
-    kind: str
     sample_count: int
     encodings: tuple[dict, ...]
     partitions: dict
     verdicts: dict
     witnesses: tuple[dict, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "kind": self.kind,
-            "sample_count": self.sample_count,
-            "partitions": self.partitions,
-            "verdicts": self.verdicts,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def _partition_blocks(encs: Sequence[str]) -> list[list[int]]:
@@ -203,7 +196,6 @@ def verify_equivalence(arr: Arrangement, k: int,
     passed = all(verdicts.values())
     return VerificationReport(
         passed=passed,
-        kind="equivalence",
         sample_count=len(subspaces),
         encodings=tuple(encodings),
         partitions=parts,
@@ -280,7 +272,6 @@ def verify_restriction_classification(arr: Arrangement, k: int,
     passed = all(verdicts.values())
     return VerificationReport(
         passed=passed,
-        kind="classification",
         sample_count=len(subspaces),
         encodings=tuple(encodings),
         partitions=parts,

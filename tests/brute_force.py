@@ -7,8 +7,12 @@ comparing every pair of flats.  The matroid reference takes the rank of
 the orthogonal projections of the normals on every one of the 2^m subsets
 and checks the matroid axioms on that whole table.  The Schubert reference
 walks every maximal chain and takes the overlap dimension of each flat on
-it.  Tests compare the package's lattice and per-flat labels against them.
+it.  The isomorphism reference tries every rank-preserving bijection of
+two ranked lattices.  Tests compare the package's lattice, per-flat labels
+and isomorphism search against them.
 """
+
+import itertools
 
 from grasstrata.arrangement import Flat, intersection_lattice, maximal_chains
 from grasstrata.exactlin import (
@@ -106,3 +110,20 @@ def walked_jumps(arr, U):
         out.append(tuple(l for l in range(1, len(ch))
                          if dims[l] > dims[l - 1]))
     return tuple(out)
+
+
+def brute_isomorphic(L1, L2):
+    """Whether some rank-preserving bijection between two RankedLattices
+    preserves the order both ways, trying every one."""
+    levels = sorted(set(L1.ranks) | set(L2.ranks))
+    src = [[i for i, r in enumerate(L1.ranks) if r == lv] for lv in levels]
+    dst = [[j for j, r in enumerate(L2.ranks) if r == lv] for lv in levels]
+    if [len(b) for b in src] != [len(b) for b in dst]:
+        return False
+    for images in itertools.product(*map(itertools.permutations, dst)):
+        f = {}
+        for block, image in zip(src, images):
+            f.update(zip(block, image))
+        if all(L1.is_leq(i, j) == L2.is_leq(f[i], f[j]) for i in f for j in f):
+            return True
+    return False

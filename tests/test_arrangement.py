@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import grasstrata.arrangement
 from grasstrata.arrangement import (
     Arrangement,
     GuardExceeded,
@@ -243,13 +244,16 @@ def test_chain_gradedness():
                 assert f.dim == n - r + j
 
 
-def test_chain_cap_guard():
+def test_chain_cap_guard(monkeypatch):
+    # listing chains stops at MAX_CHAINS; counting them has no guard
     lat = intersection_lattice(boolean(3))
-    with pytest.raises(GuardExceeded):
-        maximal_chains(lat, cap=5)
-    with pytest.raises(GuardExceeded):
-        chain_count(lat, cap=5)
-    assert chain_count(lat, cap=6) == 6
+    monkeypatch.setattr(grasstrata.arrangement, "MAX_CHAINS", 5)
+    maximal_chains.cache_clear()
+    with pytest.raises(GuardExceeded, match="more than 5 maximal chains"):
+        maximal_chains(lat)
+    assert chain_count(lat) == 6
+    monkeypatch.setattr(grasstrata.arrangement, "MAX_CHAINS", 6)
+    assert len(maximal_chains(lat)) == 6
 
 
 def test_chain_count_matches_enumeration():

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
+import grasstrata.arrangement
 import grasstrata.matroid
 import grasstrata.strata
-from grasstrata.arrangement import GuardExceeded
+from grasstrata.arrangement import GuardExceeded, maximal_chains
 from grasstrata.cli import (
     arrangement_digest,
     main,
@@ -90,25 +91,40 @@ def test_lattice_command(capsys):
 
 
 def test_chain_cap_flags(capsys):
-    # lattice and label take a chain cap; verify lists no chains, so has none
-    assert main(["lattice", data("boolean3.txt"), "--chain-cap", "5"]) == 1
-    assert "maximal chains" in capsys.readouterr().err
-    assert main(["label", data("braid3.txt"), "--k", "1", "--subspace",
-                 data("line_e1.txt"), "--chain-cap", "2"]) == 1
-    assert "maximal chains" in capsys.readouterr().err
-    assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "1",
-                 "--chain-cap", "5"]) == 1
-    assert "--chain-cap" in capsys.readouterr().err
-
-
-def test_chain_cap_must_be_positive(capsys):
-    for argv in (["lattice", data("braid3.txt"), "--chain-cap", "0"],
+    # the chain guard is a module constant, not an option of any subcommand
+    for argv in (["lattice", data("boolean3.txt")],
+                 ["adjoint", data("braid3.txt"), "--k", "1"],
                  ["label", data("braid3.txt"), "--k", "1", "--subspace",
-                  data("line_e1.txt"), "--chain-cap", "-3"]):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "--chain-cap must be at least 1" in err
-        assert "maximal chains" not in err
+                  data("line_e1.txt")],
+                 ["restrict", data("braid3.txt"), "--subspace",
+                  data("line_e1.txt")],
+                 ["verify", data("braid3.txt"), "--k", "1", "--samples", "1"]):
+        assert main(argv + ["--chain-cap", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --chain-cap 5" in captured.err
+        assert captured.out == ""
+
+
+def test_label_refuses_too_many_chains(monkeypatch, capsys):
+    # label lists the chains behind its jumps; lattice only counts them
+    monkeypatch.setattr(grasstrata.arrangement, "MAX_CHAINS", 2)
+    maximal_chains.cache_clear()
+    assert main(["label", data("braid3.txt"), "--k", "1", "--subspace",
+                 data("line_e1.txt")]) == 1
+    assert "more than 2 maximal chains" in capsys.readouterr().err
+    assert main(["lattice", data("braid3.txt")]) == 0
+    assert json.loads(capsys.readouterr().out)["chain_count"] == 3
+
+
+def test_lattice_counts_beyond_max_chains(tmp_path, capsys):
+    # 10! maximal chains in 1024 flats: counted over covers, never listed
+    p = tmp_path / "boolean10.txt"
+    p.write_text("10\n" + "".join(" ".join(str(int(i == j)) for j in range(10))
+                                  + "\n" for i in range(10)))
+    assert main(["lattice", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["flats"]) == 1024
+    assert out["chain_count"] == 3628800 > grasstrata.arrangement.MAX_CHAINS
 
 
 # sha256 of `grasstrata lattice` output, which fixes the flat order that the

@@ -1,6 +1,7 @@
-"""Property tests of the intersection lattice and the per-flat matroid and
-Schubert labels against the brute-force references in brute_force.py, on
-small random arrangements and their restrictions.
+"""Property tests of the intersection lattice, the per-flat matroid and
+Schubert labels and the lattice isomorphism search against the brute-force
+references in brute_force.py, on small random arrangements and their
+restrictions.
 
 Random draws meet loops, parallel traces, non-essential centers, k = 0 and
 k = n now and then; each of these is also pinned by an explicit example.
@@ -9,6 +10,7 @@ k = n now and then; each of these is also pinned by an explicit example.
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brute_force import (
+    brute_isomorphic,
     check_rank_axioms,
     projection_rank_table,
     reference_lattice,
@@ -28,24 +30,34 @@ from grasstrata.exactlin import (
     span,
     zero_subspace,
 )
-from grasstrata.matroid import Matroid, matroid_from
+from grasstrata.matroid import (
+    Matroid,
+    RankedLattice,
+    lattice_isomorphic,
+    matroid_from,
+    restriction_lattice,
+)
 from grasstrata.strata import chain_jumps, schubert_label
 
 SMALL = st.integers(-2, 2)
 
 
 @st.composite
-def cases(draw):
-    """(arrangement, subspace): up to 6 hyperplanes in Q^n, n <= 4, and a
-    k-subspace for any 0 <= k <= n, sometimes inside a hyperplane."""
+def arrangements(draw):
+    """Up to 6 hyperplanes in Q^n, n <= 4."""
     n = draw(st.integers(1, 4))
     normals = {}
     for row in draw(st.lists(st.lists(SMALL, min_size=n, max_size=n),
                              max_size=6)):
         if any(row):
             normals.setdefault(primitive_vector(row)[0], row)
-    arr = build_arrangement(n, list(normals.values()))
-    k = draw(st.integers(0, n))
+    return build_arrangement(n, list(normals.values()))
+
+
+@st.composite
+def subspaces(draw, arr, k):
+    """A k-subspace of Q^n, sometimes inside a hyperplane of arr."""
+    n = arr.ambient_dim
     span_rows = [[int(i == j) for j in range(n)] for i in range(n)]
     if arr.size and k < n and draw(st.booleans()):
         # inside a hyperplane, so that hyperplane is a loop
@@ -58,7 +70,23 @@ def cases(draw):
             for cs in coeffs]
     U = canonical_subspace(matrix(rows, cols=n))
     assume(U.dim == k)
-    return arr, U
+    return U
+
+
+@st.composite
+def cases(draw):
+    """(arrangement, subspace): a k-subspace for any 0 <= k <= n."""
+    arr = draw(arrangements())
+    k = draw(st.integers(0, arr.ambient_dim))
+    return arr, draw(subspaces(arr, k))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(arrangement, U1, U2): two k-subspaces of one arrangement, k >= 1."""
+    arr = draw(arrangements())
+    k = draw(st.integers(1, arr.ambient_dim))
+    return arr, draw(subspaces(arr, k)), draw(subspaces(arr, k))
 
 
 def _braid3():
@@ -141,3 +169,43 @@ def test_lattice_check_agrees_with_subset_check(case):
             lattice_ok = False
         assert lattice_ok == subset_ok, r
     assert Matroid(t, ranks).ranks == ranks
+
+
+@example(pair=(_braid3(), span([[1, 0, 0], [0, 1, 0]], 3),
+               span([[1, 2, 0], [0, 0, 1]], 3)))  # isomorphic
+@example(pair=(_braid3(), span([[1, 0, 0], [0, 1, 1]], 3),
+               span([[1, 0, 0], [0, 1, 0]], 3)))  # 1 line against 3
+@settings(max_examples=150, deadline=None)
+@given(pair=subspace_pairs())
+def test_lattice_isomorphic_agrees_with_brute_force(pair):
+    arr, U1, U2 = pair
+    L1, L2 = restriction_lattice(arr, U1), restriction_lattice(arr, U2)
+    assume(max(L1.size, L2.size) <= 8)
+    assert lattice_isomorphic(L1, L2) == brute_isomorphic(L1, L2)
+
+
+def _atoms_and_coatoms(edges):
+    """Ranked poset: bottom 0, atoms 1-4, coatoms 5-8, top 9, and atom a
+    below coatom c for every (a, c) in edges."""
+    rel = set(edges) | {(i, i) for i in range(10)}
+    rel |= {(0, j) for j in range(10)} | {(i, 9) for i in range(10)}
+    leq = tuple(sum(1 << j for j in range(10) if (i, j) in rel)
+                for i in range(10))
+    return RankedLattice((0, 1, 1, 1, 1, 2, 2, 2, 2, 3), leq)
+
+
+def test_lattice_isomorphic_on_equal_profiles():
+    # restriction lattices of at most 8 elements that are not isomorphic
+    # already differ in size or rank counts; an 8-cycle of atoms and coatoms
+    # and two 4-cycles do not, nor does any element's profile, so only the
+    # search tells them apart
+    cycle = _atoms_and_coatoms([(1, 5), (2, 5), (2, 6), (3, 6),
+                                (3, 7), (4, 7), (4, 8), (1, 8)])
+    two_cycles = _atoms_and_coatoms([(1, 5), (2, 5), (1, 6), (2, 6),
+                                     (3, 7), (4, 7), (3, 8), (4, 8)])
+    relabeled = _atoms_and_coatoms([(2, 7), (3, 7), (3, 5), (4, 5),
+                                    (4, 8), (1, 8), (1, 6), (2, 6)])
+    assert not brute_isomorphic(cycle, two_cycles)
+    assert not lattice_isomorphic(cycle, two_cycles)
+    assert brute_isomorphic(cycle, relabeled)
+    assert lattice_isomorphic(cycle, relabeled)
