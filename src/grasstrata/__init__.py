@@ -64,6 +64,7 @@ from .strata import (
     VerificationReport,
     adjoint_label,
     label_encodings,
+    labels,
     matroid_label,
     schubert_label,
     verify_equivalence,

@@ -147,21 +147,6 @@ class IntersectionLattice:
                 a = self.up[a][j]
         return a
 
-    @functools.cached_property
-    def pairs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(a, b, join, meet) for every incomparable pair a < b.  The join is
-        the closure of the union; the meet is the flat of the common
-        hyperplanes, since an intersection of closed sets is closed."""
-        gens = self.gens
-        index = {g: a for a, g in enumerate(gens)}
-        out = []
-        for a, ga in enumerate(gens):
-            for b in range(a + 1, len(gens)):
-                common = ga & gens[b]
-                if common != ga and common != gens[b]:
-                    out.append((a, b, self.closure(gens[b], a), index[common]))
-        return tuple(out)
-
 
 @functools.lru_cache(maxsize=None)
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:

@@ -39,11 +39,9 @@ from .matroid import bases, loops
 from .pluecker import k_adjoint
 from .sampling import sample_subspace, structured_subspaces
 from .strata import (
-    adjoint_label,
     chain_jumps,
     label_encodings,
-    matroid_label,
-    schubert_label,
+    labels,
     verify_equivalence,
     verify_restriction_classification,
 )
@@ -202,9 +200,7 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
 
 
 def _label_payload(arr: Arrangement, U: Subspace) -> dict:
-    ml = matroid_label(arr, U)
-    al = adjoint_label(arr, U)
-    sl = schubert_label(arr, U)
+    ml, al, sl = labels(arr, U)
     return {
         "matroid": {
             "encoding": ml.encode(),

@@ -5,13 +5,13 @@ in Q^dim U, and the rank of a label set I is the dimension of the span of
 its traces (the same as for the orthogonal projections B^T (B B^T)^-1 B a_i,
 since B^T (B B^T)^-1 is injective).  That rank equals
 dim U - dim(U meet X_I), so it only depends on the flat X_I: a matroid is
-stored with the intersection lattice as one rank per flat, and each rank
-is self-checked against the second description.  The matroid axioms are
-checked on the lattice: rank 0 at the bottom, a step of 0 or 1 on every
-cover, and r(F join G) + r(F meet G) <= r(F) + r(G) for every pair of
-flats.  The lattice of flats is geometric, so these imply the axioms for
-r(S) := r(closure of S) on all subsets, read through the lattice's
-closure table.  The table over all 2^m subsets is only built on request.
+stored with the intersection lattice as one rank per flat, checked against
+the second description at the top flat (strata.labels checks every flat).
+The axioms are checked on the lattice: rank 0 at the bottom, a step of 0
+or 1 on every cover, and r(G join G') + r(F) <= r(G) + r(G') for every two
+covers G, G' of a flat F.  The lattice of flats is geometric, so these local
+axioms imply the axioms for r(S) := r(closure of S) on all subsets, read
+through the closure table.  The 2^m subset table is only built on request.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .arrangement import (
     Arrangement,
     GuardExceeded,
     IntersectionLattice,
+    SelfCheckFailed,
     intersection_lattice,
     restriction,
     self_check,
@@ -91,22 +92,27 @@ class Matroid:
 def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
     if r[0] != 0:
         raise ValueError("the bottom flat must have rank 0")
-    for a, b in lat.covers:
-        if not r[a] <= r[b] <= r[a] + 1:
-            raise ValueError(f"unit increase fails from flat "
-                             f"{_mask_labels(lat.gens[a])} to {_mask_labels(lat.gens[b])}")
-    for a, b, join, meet in lat.pairs:
-        if r[join] + r[meet] > r[a] + r[b]:
-            raise ValueError(f"submodularity fails for flats "
-                             f"{_mask_labels(lat.gens[a])} and {_mask_labels(lat.gens[b])}")
+    gens, up = lat.gens, lat.up
+    for a, row in enumerate(up):
+        covers = sorted(set(row) - {a})
+        for x, b in enumerate(covers):
+            if not r[a] <= r[b] <= r[a] + 1:
+                raise ValueError(f"unit increase fails from flat {_mask_labels(gens[a])}"
+                                 f" to {_mask_labels(gens[b])}")
+            for c in covers[x + 1:]:
+                # b join c is b plus any hyperplane that takes a to c
+                j = (gens[c] & ~gens[a]).bit_length() - 1
+                if r[up[b][j]] + r[a] > r[b] + r[c]:
+                    raise ValueError(f"submodularity fails for flats {_mask_labels(gens[b])}"
+                                     f" and {_mask_labels(gens[c])}")
 
 
 @functools.lru_cache(maxsize=None)
 def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     """The labeled matroid of U: on every flat F, rank{B a_i : i in F}.
 
-    Checked on every flat against the second description of the same rank
-    function, dim U - dim(U meet X_F).
+    Checked at the top flat against the second description of the same rank
+    function, dim U - dim(U meet X_F), and against the matroid axioms.
     """
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -117,10 +123,12 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     ranks = tuple(
         matrix_rank(matrix([traces[i - 1] for i in f.generators], cols=U.dim))
         for f in lat.flats)
-    bad = [sorted(f.generators) for f, r in zip(lat.flats, ranks)
-           if r != U.dim - intersection_dim(U, f.subspace)]
-    self_check(not bad, f"trace ranks and flat ranks disagree on {bad}")
-    return Matroid(lat, ranks)
+    self_check(ranks[-1] == U.dim - intersection_dim(U, lat.top().subspace),
+               "the trace rank of the center disagrees with its flat rank")
+    try:
+        return Matroid(lat, ranks)
+    except ValueError as e:
+        raise SelfCheckFailed(f"trace ranks are no matroid: {e}") from None
 
 
 def bases(mat: Matroid) -> frozenset[frozenset[int]]:

@@ -11,7 +11,8 @@ Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
     fixes where dim(U meet chain flat) jumps along every maximal chain
     (chain_jumps), since every flat lies on one.  Neither per-flat label
     reads the other: trace ranks on one side, intersection dimensions on
-    the other.
+    the other.  labels, which the label and verify commands go through,
+    computes all three and checks rank = dim U - overlap on every flat.
 
 All three are supposed to cut the Grassmannian into the same pieces, and
 subspaces in one piece are supposed to have isomorphic restriction
@@ -111,12 +112,20 @@ def chain_jumps(arr: Arrangement,
                  for ch in maximal_chains(lat))
 
 
+def labels(arr: Arrangement,
+           U: Subspace) -> tuple[MatroidLabel, AdjointLabel, SchubertLabel]:
+    """The three labels of U; the finished matroid and Schubert vectors are
+    compared on every flat, and neither label reads the other."""
+    ml, al, sl = matroid_label(arr, U), adjoint_label(arr, U), schubert_label(arr, U)
+    bad = [sorted(f.generators) for f, r, d in zip(
+        intersection_lattice(arr).flats, ml.matroid.ranks, sl.dims)
+        if r != U.dim - d]
+    self_check(not bad, f"trace ranks and flat ranks disagree on {bad}")
+    return ml, al, sl
+
+
 def label_encodings(arr: Arrangement, U: Subspace) -> dict[str, str]:
-    return {
-        "matroid": matroid_label(arr, U).encode(),
-        "adjoint": adjoint_label(arr, U).encode(),
-        "schubert": schubert_label(arr, U).encode(),
-    }
+    return {kind: label.encode() for kind, label in zip(KINDS, labels(arr, U))}
 
 
 KINDS = ("matroid", "adjoint", "schubert")

@@ -5,11 +5,12 @@ The lattice reference intersects every flat with every hyperplane until
 nothing new appears, reads generators off dot products and finds covers by
 comparing every pair of flats.  The matroid reference takes the rank of
 the orthogonal projections of the normals on every one of the 2^m subsets
-and checks the matroid axioms on that whole table.  The Schubert reference
-walks every maximal chain and takes the overlap dimension of each flat on
-it.  The isomorphism reference tries every rank-preserving bijection of
-two ranked lattices.  Tests compare the package's lattice, per-flat labels
-and isomorphism search against them.
+and checks the matroid axioms on that whole table; the pairwise reference
+checks per-flat ranks on every incomparable pair of flats.  The Schubert
+reference walks every maximal chain and takes the overlap dimension of
+each flat on it.  The isomorphism reference tries every rank-preserving
+bijection of two ranked lattices.  Tests compare the package's lattice,
+per-flat labels, axiom check and isomorphism search against them.
 """
 
 import itertools
@@ -99,6 +100,27 @@ def check_rank_axioms(m, table):
                     raise ValueError(
                         f"submodularity fails for {mask_labels(S)} and "
                         f"{mask_labels(T)}")
+
+
+def check_pairwise_axioms(lat, r):
+    """Raise ValueError unless r, one rank per flat of lat, is 0 at the
+    bottom, steps by 0 or 1 on every cover and has
+    r(a join b) + r(a meet b) <= r(a) + r(b) for every incomparable pair of
+    flats.  The join is the closure of the union; the meet is the flat of
+    the common hyperplanes, since an intersection of closed sets is closed."""
+    if r[0] != 0:
+        raise ValueError("the bottom flat must have rank 0")
+    for a, b in lat.covers:
+        if not r[a] <= r[b] <= r[a] + 1:
+            raise ValueError(f"unit increase fails from flat {a} to {b}")
+    gens = lat.gens
+    index = {g: a for a, g in enumerate(gens)}
+    for a, b in itertools.combinations(range(len(gens)), 2):
+        common = gens[a] & gens[b]
+        if common == gens[a] or common == gens[b]:
+            continue
+        if r[lat.closure(gens[b], a)] + r[index[common]] > r[a] + r[b]:
+            raise ValueError(f"submodularity fails for flats {a} and {b}")
 
 
 def walked_jumps(arr, U):

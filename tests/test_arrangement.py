@@ -264,7 +264,7 @@ def test_chain_count_matches_enumeration():
 
 
 def test_intersection_lattice_against_subspaces():
-    # closures, joins and meets agree with intersecting the subspaces
+    # closures and joins agree with intersecting the subspaces
     for arr in data_arrangements() + [braid(4), nonessential3(),
                                       build_arrangement(2, [])]:
         t = intersection_lattice(arr)
@@ -273,16 +273,11 @@ def test_intersection_lattice_against_subspaces():
             rows = [arr.normals[i] for i in range(arr.size) if mask >> i & 1]
             X = kernel(matrix(rows, cols=arr.ambient_dim))
             assert flats[t.closure(mask)].subspace == X
-        comparable = 0
         for a, b in itertools.combinations(range(len(flats)), 2):
-            comparable += (t.leq(a, b) or t.leq(b, a))
-        assert len(t.pairs) + comparable == len(flats) * (len(flats) - 1) // 2
-        for a, b, join, meet in t.pairs:
-            assert not t.leq(a, b) and not t.leq(b, a)
-            assert flats[join].subspace == intersect(flats[a].subspace,
-                                                     flats[b].subspace)
-            assert (flats[meet].generators
-                    == flats[a].generators & flats[b].generators)
+            if t.leq(a, b) or t.leq(b, a):
+                continue
+            assert flats[t.closure(t.gens[b], a)].subspace == intersect(
+                flats[a].subspace, flats[b].subspace)
 
 
 def test_chain_order_deterministic():

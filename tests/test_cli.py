@@ -263,6 +263,31 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == c.read_bytes()
 
 
+# sha256 of label and verify output, which no change to the self-checks
+# may alter; verify reports embed the arrangement path, so these run from
+# the repository root on relative paths
+VERIFY_LABEL_DIGESTS = {
+    "verify data/braid3.txt --k 2 --samples 40 --include-flats":
+        "72b899a7974af7d8a21504bca112733f0b3f2b9a644f0a426a50d1f40039cbb9",
+    "verify data/generic5_4.txt --k 2 --samples 30 --include-flats":
+        "fb2b5b61a7523357b357f157295fa524f4bf641604ee319b80e1658da55f42f7",
+    "verify data/nonessential3.txt --k 1 --samples 30 --include-flats":
+        "efb7c04d994e8fabc562d1bdaa198240c312ee31c0f06c277ff39d7b08e07df6",
+    "verify data/boolean4.txt --k 2 --samples 30 --include-flats":
+        "7265576c05ff2f4a592d490addd303e1538550115d28186435c1fb03d6ffe54f",
+    "label data/braid3.txt --k 1 --subspace data/line_e1.txt":
+        "5b80dc2accea7c10e62745bae6382c0880f9ca431f0271280ed692eee9aa1892",
+}
+
+
+def test_verify_and_label_digests(monkeypatch, capsys):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
+    for command, digest in VERIFY_LABEL_DIGESTS.items():
+        assert main(command.split()) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
 def test_guard_skips_fail_closed(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(grasstrata.matroid, "MAX_LATTICE", 1)
     out = tmp_path / "report.json"
@@ -316,6 +341,47 @@ sys.exit(main(["label", {data("braid3.txt")!r}, "--k", "1",
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "self-check failed" in proc.stderr
+
+
+@pytest.fixture
+def uncached_matroids():
+    # a patched rank must reach matroid_from, and its wrong matroids must
+    # not outlive the test in the cache
+    grasstrata.matroid.matroid_from.cache_clear()
+    yield
+    grasstrata.matroid.matroid_from.cache_clear()
+
+
+LABEL_E1 = ["label", data("braid3.txt"), "--k", "1",
+            "--subspace", data("line_e1.txt")]
+
+
+def test_loop_with_rank_one_exits_3(monkeypatch, capsys, uncached_matroids):
+    # the loop {3} of braid3 on the line e1 gets rank 1: ranks 0,1,1,1,1
+    # are a matroid with the right rank at the center, so only the per-flat
+    # comparison with the overlap dimensions in strata.labels refuses them
+    real = grasstrata.matroid.matrix_rank
+    monkeypatch.setattr(grasstrata.matroid, "matrix_rank",
+                        lambda M: max(real(M), min(M.rows, 1)))
+    assert main(LABEL_E1) == 3
+    assert "trace ranks and flat ranks disagree on [[3]]" in capsys.readouterr().err
+    assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "20"]) == 3
+    captured = capsys.readouterr()
+    assert "trace ranks and flat ranks disagree" in captured.err
+    assert captured.out == ""
+
+
+def test_trace_ranks_off_the_axioms_exit_3(monkeypatch, capsys,
+                                            uncached_matroids):
+    # single traces count twice: the center keeps its rank, but the step
+    # from the bottom to a hyperplane is 2, which is a self-check failure
+    # of matroid_from, not bad input
+    real = grasstrata.matroid.matrix_rank
+    monkeypatch.setattr(grasstrata.matroid, "matrix_rank",
+                        lambda M: 2 * real(M) if M.rows == 1 else real(M))
+    assert main(LABEL_E1) == 3
+    err = capsys.readouterr().err
+    assert "self-check failed: trace ranks are no matroid: unit increase" in err
 
 
 def test_verify_rejects_bad_k(capsys):

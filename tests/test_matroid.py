@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from brute_force import check_rank_axioms
+from brute_force import check_pairwise_axioms, check_rank_axioms
 from grasstrata.arrangement import (
     GuardExceeded,
     build_arrangement,
@@ -32,10 +32,16 @@ from grasstrata.matroid import (
     restriction_lattice,
 )
 from grasstrata.pluecker import defect_subspace
+from grasstrata.sampling import structured_subspaces
 
 
 def braid3():
     return build_arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
+
+
+def braid(n):
+    return build_arrangement(n, [[(j == a) - (j == b) for j in range(n)]
+                                 for a, b in itertools.combinations(range(n), 2)])
 
 
 def boolean(n):
@@ -116,6 +122,37 @@ def test_matroid_guard_and_errors():
     with pytest.raises(ValueError):
         mat = matroid_from(boolean(2), full_space(2))
         mat.subset_rank([5])
+
+
+def test_local_check_agrees_with_pairwise_reference():
+    # on the benchmark arrangements, for the true ranks of random and
+    # structured 2- and 3-subspaces and every change of one flat's rank by
+    # 1: the check on two covers of a flat refuses exactly what the check
+    # on every incomparable pair of flats refuses
+    rng = random.Random(71)
+    outcomes = set()
+    for arr in (braid(5), boolean(6)):
+        lat = intersection_lattice(arr)
+        for k in (2, 3):
+            for U in [random_subspace(rng, arr.ambient_dim, k),
+                      rng.choice(structured_subspaces(arr, k, 0))]:
+                ranks = matroid_from(arr, U).ranks
+                trials = [ranks] + [ranks[:a] + (ranks[a] + d,) + ranks[a + 1:]
+                                    for a in range(len(ranks)) for d in (-1, 1)]
+                for r in trials:
+                    try:
+                        check_pairwise_axioms(lat, r)
+                        reference = "matroid"
+                    except ValueError as e:
+                        reference = str(e).split()[0]
+                    try:
+                        Matroid(lat, r)
+                        local_ok = True
+                    except ValueError:
+                        local_ok = False
+                    assert local_ok == (reference == "matroid"), r
+                    outcomes.add(reference)
+    assert {"matroid", "unit", "submodularity"} <= outcomes
 
 
 def test_rank_table_guard_only():
