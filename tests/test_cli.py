@@ -10,7 +10,7 @@ import pytest
 import grasstrata.arrangement
 import grasstrata.matroid
 import grasstrata.strata
-from grasstrata.arrangement import GuardExceeded, maximal_chains
+from grasstrata.arrangement import maximal_chains
 from grasstrata.cli import (
     arrangement_digest,
     main,
@@ -141,20 +141,23 @@ LATTICE_DIGESTS = {
 }
 
 
-def test_lattice_output_digests(tmp_path, capsys):
-    def write(name, n, rows):
-        p = tmp_path / name
-        p.write_text(f"{n}\n" + "".join(" ".join(map(str, r)) + "\n"
-                                        for r in rows))
-        return str(p)
+def write_arrangement(path, n, rows):
+    path.write_text(f"{n}\n" + "".join(" ".join(map(str, r)) + "\n"
+                                       for r in rows))
+    return str(path)
 
+
+def braid_rows(n):
+    return [[(j == a) - (j == b) for j in range(n)]
+            for a, b in itertools.combinations(range(n), 2)]
+
+
+def test_lattice_output_digests(tmp_path, capsys):
     paths = {name: data(name) for name in LATTICE_DIGESTS if name.endswith(".txt")}
     for n in (5, 6):
-        paths[f"braid{n}"] = write(
-            f"braid{n}", n, [[(j == a) - (j == b) for j in range(n)]
-                             for a, b in itertools.combinations(range(n), 2)])
-    paths["boolean6"] = write(
-        "boolean6", 6, [[int(i == j) for j in range(6)] for i in range(6)])
+        paths[f"braid{n}"] = write_arrangement(tmp_path / f"braid{n}", n, braid_rows(n))
+    paths["boolean6"] = write_arrangement(
+        tmp_path / "boolean6", 6, [[int(i == j) for j in range(6)] for i in range(6)])
     for name, path in paths.items():
         assert main(["lattice", path]) == 0
         out = capsys.readouterr().out
@@ -275,6 +278,8 @@ VERIFY_LABEL_DIGESTS = {
         "efb7c04d994e8fabc562d1bdaa198240c312ee31c0f06c277ff39d7b08e07df6",
     "verify data/boolean4.txt --k 2 --samples 30 --include-flats":
         "7265576c05ff2f4a592d490addd303e1538550115d28186435c1fb03d6ffe54f",
+    "verify data/braid5.txt --k 3 --samples 20":
+        "b6cc264078f0f43c6f4b3feee93c8c4347bf987bbdfb7756744b793550930bf5",
     "label data/braid3.txt --k 1 --subspace data/line_e1.txt":
         "5b80dc2accea7c10e62745bae6382c0880f9ca431f0271280ed692eee9aa1892",
 }
@@ -288,30 +293,28 @@ def test_verify_and_label_digests(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
-def test_guard_skips_fail_closed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(grasstrata.matroid, "MAX_LATTICE", 1)
+def test_non_isomorphic_class_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(grasstrata.strata, "lattice_isomorphic",
+                        lambda L1, L2: False)
     out = tmp_path / "report.json"
     args = ["verify", data("braid3.txt"), "--k", "2", "--samples", "20",
             "--include-flats", "--seed", "3", "-o", str(out)]
-    assert main(args) == 1
+    assert main(args) == 2
     report = json.loads(out.read_text())
     assert report["verdicts"]["passed"] is False
     assert False in report["verdicts"]["classification"].values()
     assert report["witnesses"]
-    assert {w["type"] for w in report["witnesses"]} == {"guard_skipped"}
-    assert "guard" in capsys.readouterr().err
+    assert {w["type"] for w in report["witnesses"]} == {"non_isomorphic_restriction"}
 
-    # a real counterexample next to a guard hit still exits 2
-    outcomes = iter([GuardExceeded("cap")])
-    def flaky(L1, L2):
-        e = next(outcomes, None)
-        if e is not None:
-            raise e
-        return False
-    monkeypatch.setattr(grasstrata.strata, "lattice_isomorphic", flaky)
-    assert main(args) == 2
-    types = {w["type"] for w in json.loads(out.read_text())["witnesses"]}
-    assert types == {"guard_skipped", "non_isomorphic_restriction"}
+
+def test_verify_braid6_k3_passes(tmp_path):
+    # random 3-subspaces restrict braid n = 6 to lattices of 76 to 82
+    # elements, which lattice isomorphism compares without a size cap
+    path = write_arrangement(tmp_path / "braid6", 6, braid_rows(6))
+    out = tmp_path / "report.json"
+    assert main(["verify", path, "--k", "3", "--samples", "5",
+                 "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["verdicts"]["passed"] is True
 
 
 def test_self_check_survives_python_O():

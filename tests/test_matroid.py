@@ -32,7 +32,7 @@ from grasstrata.matroid import (
     restriction_lattice,
 )
 from grasstrata.pluecker import defect_subspace
-from grasstrata.sampling import structured_subspaces
+from grasstrata.sampling import sample_subspace, structured_subspaces
 
 
 def braid3():
@@ -255,8 +255,11 @@ def test_lattice_isomorphic_basics():
 
 def test_lattice_isomorphic_relabeling_invariance():
     rng = random.Random(71)
-    for arr in (braid3(), boolean(3)):
-        L = ranked_lattice(intersection_lattice(arr))
+    # the last is the 82-element restriction of braid n = 6 to a 3-subspace
+    big = restriction_lattice(braid(6), sample_subspace(6, 3, 5, 0, 0))
+    assert big.size == 82
+    for L in (ranked_lattice(intersection_lattice(braid3())),
+              ranked_lattice(intersection_lattice(boolean(3))), big):
         perm = list(range(L.size))
         for _ in range(5):
             rng.shuffle(perm)
@@ -267,12 +270,6 @@ def test_lattice_isomorphic_symmetry():
     a = restriction_lattice(braid3(), kernel(matrix([[1, 1, 1]])))
     b = restriction_lattice(braid3(), span([[1, 1, 0], [0, 0, 1]], 3))
     assert lattice_isomorphic(a, b) == lattice_isomorphic(b, a)
-
-
-def test_lattice_guard():
-    big = RankedLattice(tuple([0] * 65), tuple(1 << i for i in range(65)))
-    with pytest.raises(GuardExceeded):
-        lattice_isomorphic(big, big)
 
 
 def test_distinguishes_nonisomorphic_same_size():
