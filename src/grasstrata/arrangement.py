@@ -138,6 +138,21 @@ class IntersectionLattice:
         """Reverse-inclusion order on flat indices: a <= b iff b is inside a."""
         return self.gens[a] & ~self.gens[b] == 0
 
+    def fill_up(self, value: Callable[[Flat], int], final: int) -> tuple[int, ...]:
+        """value(f) for every flat f, in flat order, for a value that moves
+        one way along the order and stops at final: above a flat where it
+        is final, the flat gets final without a call.  Flat order lists
+        every cover after the flat it covers, so marking the one-step
+        closures of each final flat reaches every flat above it."""
+        out: list[int | None] = [None] * len(self.flats)
+        for a, f in enumerate(self.flats):
+            if out[a] is None:
+                out[a] = value(f)
+            if out[a] == final:
+                for b in self.up[a]:
+                    out[b] = final
+        return tuple(out)
+
     def closure(self, mask: int, start: int = 0) -> int:
         """Index of the smallest flat above flat start whose generators
         include mask."""

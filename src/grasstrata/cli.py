@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import sys
-from multiprocessing import Pool
 from typing import Sequence
 
 from .arrangement import (
@@ -281,6 +280,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     tasks = [(arr, U) for U in subspaces]
     if args.jobs > 1:
+        # imported here: multiprocessing costs about 10 ms of start-up time,
+        # which a serial run should not pay
+        from multiprocessing import Pool
         with Pool(args.jobs) as pool:
             encodings = pool.map(_encode_worker, tasks)
     else:

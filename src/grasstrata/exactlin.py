@@ -3,7 +3,7 @@
 Every predicate downstream (membership, rank, direct sum) is an exact zero
 test, so floating point never appears.  Inside, the arithmetic is integer:
 matrix entries are stored as int (Fraction only where not integral) and one
-fraction-free elimination serves rank, echelon forms, kernels, solves and
+fraction-free elimination serves rank, echelon forms, kernels, projectors and
 determinants.  Rationals appear only at the edges: parsed input, projections,
 determinants and scale factors.  Subspaces are stored canonically: the RREF
 of any spanning set with each row rescaled to coprime integers.  Two equal
@@ -103,6 +103,18 @@ def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(top.entries + bottom.entries, top.cols)
 
 
+def _integral_rows(rows) -> list[list[int]]:
+    """Each row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+        else:
+            den = lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
 def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of M's rows, each
     first multiplied by the lcm of its denominators.  Returns the rows, the
@@ -110,13 +122,7 @@ def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]
     rows[:len(pivots)] are d times the reduced row echelon form and any rows
     below are zero.  Every division is exact, since each entry is a minor of
     the row-permuted input (Sylvester's identity)."""
-    rows = []
-    for row in M.entries:
-        if all(type(x) is int for x in row):
-            rows.append(list(row))
-        else:
-            den = lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (den // x.denominator) for x in row])
+    rows = _integral_rows(M.entries)
     pivots: list[int] = []
     d = sign = 1
     for c in range(M.cols):
@@ -275,10 +281,28 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 
 
 def intersection_dim(U: Subspace, V: Subspace) -> int:
-    """dim of the intersection via the dimension formula, without building it."""
+    """dim of the intersection, without building it.
+
+    Needs V's basis in row echelon form, as every canonical_subspace and
+    zero_subspace value is.  Each row of U is reduced, fraction-free,
+    against the pivot rows so far (V's rows, then the nonzero residuals of
+    earlier rows of U), each of which vanishes at the pivots before it, so
+    a residual is zero iff its row lies in V plus the earlier rows."""
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return U.dim + V.dim - rank(vstack(U.basis, V.basis))
+    pivot_rows = [(next(c for c, x in enumerate(row) if x), row)
+                  for row in V.basis.entries]
+    dim = U.dim
+    for u in U.basis.entries:
+        for p, row in pivot_rows:
+            f = u[p]
+            if f:
+                u = [row[p] * a - f * b for a, b in zip(u, row)]
+        p = next((c for c, x in enumerate(u) if x), None)
+        if p is not None:
+            pivot_rows.append((p, u))
+            dim -= 1
+    return dim
 
 
 def is_direct_sum_full(U: Subspace, V: Subspace) -> bool:
@@ -303,29 +327,35 @@ def is_subspace_of(U: Subspace, V: Subspace) -> bool:
     return all(contains_vector(V, row) for row in U.basis.entries)
 
 
-def _solve_invertible(G: RationalMatrix,
-                      rhs: Sequence) -> tuple[Fraction, ...]:
-    aug = RationalMatrix(
-        tuple(row + (rhs[i],) for i, row in enumerate(G.entries)), G.cols + 1)
-    rows, pivots, d, _ = _eliminate(aug)
-    if pivots != list(range(G.cols)):
-        raise ValueError("matrix is singular")
-    return tuple(Fraction(rows[i][-1], d) for i in range(G.cols))
+def projector(U: Subspace) -> tuple[RationalMatrix, int]:
+    """(P, d) with P = d * B^T (B B^T)^-1 B, an integer multiple of the
+    orthogonal projection onto U, for U's basis B with rows made integral.
+
+    One elimination of [B B^T | B] leaves d * [I | (B B^T)^-1 B]; the Gram
+    matrix is invertible because basis rows are independent.  P is
+    symmetric, P P = d P, and its row space is U.  The zero subspace gets
+    the zero matrix and d = 1."""
+    n = U.ambient_dim
+    if U.dim == 0:
+        return RationalMatrix(((0,) * n,) * n, n), 1
+    B = _integral_rows(U.basis.entries)
+    k = len(B)
+    aug = [[dot(r, s) for s in B] + r for r in B]
+    rows, pivots, d, _ = _eliminate(RationalMatrix(tuple(map(tuple, aug)), k + n))
+    if pivots != list(range(k)):
+        raise ValueError("basis rows are dependent")
+    X = [row[k:] for row in rows]  # d * (B B^T)^-1 B
+    Xcols = list(zip(*X))
+    return RationalMatrix(tuple(tuple(dot(b, x) for x in Xcols)
+                                for b in zip(*B)), n), d
 
 
 def project(U: Subspace, v: Sequence) -> tuple[Fraction, ...]:
-    """Orthogonal projection of v onto U, computed exactly.
-
-    Uses B^T (B B^T)^-1 B v for the basis matrix B; the Gram matrix is
-    invertible because basis rows are independent.  The zero subspace
-    projects everything to the zero vector.
-    """
+    """Orthogonal projection of v onto U, computed exactly as P v / d for
+    (P, d) = projector(U).  The zero subspace projects everything to the
+    zero vector."""
     w = vector(v)
     if len(w) != U.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    if U.dim == 0:
-        return tuple(Fraction(0) for _ in w)
-    B = U.basis
-    G = B.times(B.transpose())
-    y = _solve_invertible(G, B.times_vector(w))
-    return B.transpose().times_vector(y)
+    P, d = projector(U)
+    return tuple(Fraction(x, d) for x in P.times_vector(w))

@@ -7,6 +7,9 @@ since B^T (B B^T)^-1 is injective).  That rank equals
 dim U - dim(U meet X_I), so it only depends on the flat X_I: a matroid is
 stored with the intersection lattice as one rank per flat, checked against
 the second description at the top flat (strata.labels checks every flat).
+Ranks are taken in lattice order, and a flat above a flat of rank dim U
+gets rank dim U without an elimination, so the checks below see constant
+ranks there.
 The axioms are checked on the lattice: rank 0 at the bottom, a step of 0
 or 1 on every cover, and r(G join G') + r(F) <= r(G) + r(G') for every two
 covers G, G' of a flat F.  The lattice of flats is geometric, so these local
@@ -108,7 +111,8 @@ def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
 
 @functools.lru_cache(maxsize=None)
 def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
-    """The labeled matroid of U: on every flat F, rank{B a_i : i in F}.
+    """The labeled matroid of U: on every flat F, rank{B a_i : i in F},
+    inferred as dim U above a flat where it already is dim U.
 
     Checked at the top flat against the second description of the same rank
     function, dim U - dim(U meet X_F), and against the matroid axioms.
@@ -119,9 +123,9 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     # arrangement's own and restriction_lattice's calls as restrictions
     lat = arrangement.intersection_lattice(arr)
     traces = [U.basis.times_vector(a) for a in arr.normals]
-    ranks = tuple(
-        matrix_rank(matrix([traces[i - 1] for i in f.generators], cols=U.dim))
-        for f in lat.flats)
+    # a flat above one of full trace rank dim U has rank dim U too
+    ranks = lat.fill_up(lambda f: matrix_rank(
+        matrix([traces[i - 1] for i in f.generators], cols=U.dim)), U.dim)
     self_check(ranks[-1] == U.dim - intersection_dim(U, lat.top().subspace),
                "the trace rank of the center disagrees with its flat rank")
     try:

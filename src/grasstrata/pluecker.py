@@ -37,7 +37,7 @@ from .exactlin import (
     minor,
     orth_complement,
     primitive_vector,
-    project,
+    projector,
     subspace_sum,
 )
 
@@ -160,8 +160,10 @@ def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError("ambient dimensions differ")
     direct = intersect(U, subspace_sum(orth_complement(U), _center_perp(arr)))
+    # P is symmetric, so the rows of normals * P are d times the projections
+    P, _ = projector(U)
     projected = canonical_subspace(
-        matrix([project(U, a) for a in arr.normals], cols=arr.ambient_dim))
+        matrix(arr.normals, cols=arr.ambient_dim).times(P))
     self_check(direct == projected, "defect subspace routes disagree")
     self_check(direct.dim == U.dim - intersection_dim(U, center(arr)),
                "defect dimension off")

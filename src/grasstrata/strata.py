@@ -11,8 +11,12 @@ Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
     fixes where dim(U meet chain flat) jumps along every maximal chain
     (chain_jumps), since every flat lies on one.  Neither per-flat label
     reads the other: trace ranks on one side, intersection dimensions on
-    the other.  labels, which the label and verify commands go through,
-    computes all three and checks rank = dim U - overlap on every flat.
+    the other.  Each is taken in lattice order and stops where its answer
+    is forced: above a flat of trace rank dim U every rank is dim U, and
+    above a flat of overlap 0 every overlap is 0, filled in without an
+    elimination.  labels, which the label and verify commands go through,
+    computes all three and checks rank = dim U - overlap on every flat;
+    where both values were filled in, that compares two inferences.
 
 All three are supposed to cut the Grassmannian into the same pieces, and
 subspaces in one piece are supposed to have isomorphic restriction
@@ -91,7 +95,8 @@ def adjoint_label(arr: Arrangement, U: Subspace) -> AdjointLabel:
 
 def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
     lat = intersection_lattice(arr)
-    dims = tuple(intersection_dim(U, f.subspace) for f in lat.flats)
+    # a flat above one of overlap 0 lies inside it, so its overlap is 0 too
+    dims = lat.fill_up(lambda f: intersection_dim(U, f.subspace), 0)
     # dims drop from dim U at the bottom by 0 or 1 per cover, so every chain
     # has exactly dim U - i jumps
     self_check(dims[0] == U.dim and all(dims[b] <= dims[a] <= dims[b] + 1

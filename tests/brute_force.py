@@ -5,7 +5,9 @@ The lattice reference intersects every flat with every hyperplane until
 nothing new appears, reads generators off dot products and finds covers by
 comparing every pair of flats.  The matroid reference takes the rank of
 the orthogonal projections of the normals on every one of the 2^m subsets
-and checks the matroid axioms on that whole table; the pairwise reference
+and checks the matroid axioms on that whole table; the per-flat references
+take one elimination per flat, with no value inferred from another flat's,
+for the trace ranks and the overlap dimensions; the pairwise reference
 checks per-flat ranks on every incomparable pair of flats.  The Schubert
 reference walks every maximal chain and takes the overlap dimension of
 each flat on it.  The isomorphism reference tries every rank-preserving
@@ -24,6 +26,7 @@ from grasstrata.exactlin import (
     matrix,
     project,
     rank,
+    vstack,
 )
 
 
@@ -121,6 +124,23 @@ def check_pairwise_axioms(lat, r):
             continue
         if r[lat.closure(gens[b], a)] + r[index[common]] > r[a] + r[b]:
             raise ValueError(f"submodularity fails for flats {a} and {b}")
+
+
+def full_ranks(arr, U):
+    """The trace rank rank{B a_i : i in F} of every flat F, in flat order,
+    one elimination per flat."""
+    traces = [U.basis.times_vector(a) for a in arr.normals]
+    return tuple(rank(matrix([traces[i - 1] for i in f.generators],
+                             cols=U.dim))
+                 for f in intersection_lattice(arr).flats)
+
+
+def full_dims(arr, U):
+    """dim(U meet X) for every flat X, in flat order, one elimination of
+    the stacked bases per flat."""
+    return tuple(U.dim + f.subspace.dim
+                 - rank(vstack(U.basis, f.subspace.basis))
+                 for f in intersection_lattice(arr).flats)
 
 
 def walked_jumps(arr, U):

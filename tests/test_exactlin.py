@@ -23,6 +23,7 @@ from grasstrata.exactlin import (
     orth_complement,
     primitive_vector,
     project,
+    projector,
     rank,
     rref,
     span,
@@ -393,6 +394,64 @@ def test_project_is_orthogonal_projection():
         # idempotent and self-adjoint
         assert project(U, pv) == pv
         assert dot(pv, w) == dot(v, project(U, w))
+
+
+def _with_fractional_rows(rng, U):
+    """U again in a row echelon form that is neither reduced nor integral:
+    each canonical row plus random multiples of the rows below it, divided
+    by a random integer."""
+    rows = [list(r) for r in U.basis.entries]
+    for i in reversed(range(len(rows))):
+        for below in rows[i + 1:]:
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], below)]
+    return Subspace(U.ambient_dim, RationalMatrix(
+        tuple(tuple(Fraction(x, rng.choice([1, 2, 3, -5])) for x in row)
+              for row in rows), U.ambient_dim))
+
+
+def test_projector_properties():
+    # P symmetric, P P = d P and row space U, on random, zero, full and
+    # fractional inputs
+    rng = random.Random(71)
+    cases = [zero_subspace(3), full_space(4), zero_subspace(0),
+             _with_fractional_rows(rng, full_space(3))]
+    for _ in range(60):
+        rows, n = awkward_matrix(rng)
+        U = canonical_subspace(matrix(rows, cols=n))
+        cases += [U, _with_fractional_rows(rng, U)]
+    for U in cases:
+        n = U.ambient_dim
+        P, d = projector(U)
+        assert type(d) is int and d != 0
+        assert P.shape == (n, n)
+        assert all(type(x) is int for row in P.entries for x in row)
+        assert P.transpose() == P
+        assert P.times(P).entries == tuple(tuple(d * x for x in row)
+                                           for row in P.entries)
+        assert canonical_subspace(P) == canonical_subspace(U.basis)
+
+
+def test_intersection_dim_matches_stacked_rank():
+    # dim U + dim V - rank [U; V], with fractional echelon rows on either
+    # side, V = 0, V = Q^n and U = V
+    rng = random.Random(73)
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        U, V = (canonical_subspace(matrix(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(rng.randint(0, n))],
+            cols=n)) for _ in range(2))
+        for A, B in ((U, V), (V, U), (U, U), (U, zero_subspace(n)),
+                     (U, full_space(n)), (zero_subspace(n), V),
+                     (U, _with_fractional_rows(rng, U)),
+                     (_with_fractional_rows(rng, U),
+                      _with_fractional_rows(rng, V))):
+            assert intersection_dim(A, B) == \
+                A.dim + B.dim - rank(vstack(A.basis, B.basis))
+        assert intersection_dim(U, U) == U.dim
+        assert intersection_dim(U, zero_subspace(n)) == 0
+        assert intersection_dim(U, full_space(n)) == U.dim
 
 
 def test_vstack_and_contains():

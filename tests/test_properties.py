@@ -9,9 +9,13 @@ k = n now and then; each of these is also pinned by an explicit example.
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+import grasstrata.matroid
+import grasstrata.strata
 from brute_force import (
     brute_isomorphic,
     check_rank_axioms,
+    full_dims,
+    full_ranks,
     projection_rank_table,
     reference_lattice,
     walked_jumps,
@@ -138,6 +142,60 @@ def test_lattice_equals_reference(case):
 def test_rank_table_equals_projection_ranks(case):
     arr, U = case
     assert matroid_from(arr, U).rank_table == projection_rank_table(arr, U)
+
+
+@property_test
+def test_flat_labels_equal_full_elimination(case):
+    # the early-stopped trace ranks and overlap dimensions against one
+    # elimination per flat
+    arr, U = case
+    assert matroid_from(arr, U).ranks == full_ranks(arr, U)
+    assert schubert_label(arr, U).dims == full_dims(arr, U)
+
+
+def _above(lat, a):
+    """Indices of the flats strictly above flat a."""
+    return {b for b in range(len(lat.flats))
+            if b != a and lat.gens[a] & ~lat.gens[b] == 0}
+
+
+def test_labels_stop_where_the_answer_is_forced(monkeypatch):
+    # one elimination for each flat that is not above a flat of full trace
+    # rank (matroid side) or of overlap 0 (Schubert side), and none for the
+    # rest
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(grasstrata.matroid, "matrix_rank",
+                        counted(grasstrata.matroid.matrix_rank))
+    monkeypatch.setattr(grasstrata.strata, "intersection_dim",
+                        counted(grasstrata.strata.intersection_dim))
+    matroid_from.cache_clear()
+    try:
+        for arr, U in EXAMPLES + (
+                (_braid3(), span([[1, 2, 0], [0, 1, 3]], 3)),
+                (build_arrangement(4, [(1, 0, 0, 0), (0, 1, 0, 0),
+                                       (0, 0, 1, 0), (1, 1, 1, 1)]),
+                 span([[1, 0, 0, 1], [0, 1, 2, 0]], 4))):
+            lat = intersection_lattice(arr)
+            for label, final, run in (
+                    (full_ranks(arr, U), U.dim,
+                     lambda: matroid_from(arr, U)),
+                    (full_dims(arr, U), 0,
+                     lambda: schubert_label(arr, U))):
+                inferred = set().union(*(_above(lat, a)
+                                         for a, v in enumerate(label)
+                                         if v == final))
+                calls.clear()
+                run()
+                assert len(calls) == len(lat.flats) - len(inferred)
+    finally:
+        matroid_from.cache_clear()
 
 
 @property_test
