@@ -29,6 +29,7 @@ from .exactlin import (
     is_direct_sum_full,
     kernel,
     matrix,
+    maximal_minors,
     minor,
     orth_complement,
     project,

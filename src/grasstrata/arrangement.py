@@ -13,12 +13,12 @@ closure table together.  IntersectionLattice holds all of its order data.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from .exactlin import (
     Subspace,
+    Value,
     canonical_subspace,
     full_space,
     kernel,
@@ -44,12 +44,14 @@ def self_check(ok: bool, message: str) -> None:
         raise SelfCheckFailed(message)
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Value):
     """Hyperplanes labeled 1..m by their position in the normals tuple."""
 
-    ambient_dim: int
-    normals: tuple[tuple[int, ...], ...]
+    _fields = ("ambient_dim", "normals")
+
+    def __init__(self, ambient_dim: int,
+                 normals: tuple[tuple[int, ...], ...]) -> None:
+        self._set(ambient_dim=ambient_dim, normals=normals)
 
     @property
     def size(self) -> int:
@@ -81,13 +83,14 @@ def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
     return Arrangement(n, tuple(canon))
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(Value):
     """An intersection of hyperplanes; generators is the full (closed) label set."""
 
-    subspace: Subspace
-    rank: int
-    generators: frozenset[int]
+    _fields = ("subspace", "rank", "generators")
+
+    def __init__(self, subspace: Subspace, rank: int,
+                 generators: frozenset[int]) -> None:
+        self._set(subspace=subspace, rank=rank, generators=generators)
 
     @property
     def dim(self) -> int:
@@ -98,8 +101,7 @@ def _flat_key(f: Flat):
     return (f.rank, f.subspace.basis.entries)
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Value):
     """All flats ordered by reverse inclusion, bottom R^n, top the center.
 
     flats are sorted by (rank, canonical basis), covers holds index pairs
@@ -107,14 +109,17 @@ class IntersectionLattice:
     contained in a as a set.  gens[a] is flat a's generator set as a bitmask
     (bit j is hyperplane j + 1).  up[a][j] is the closure of flat a and
     hyperplane j + 1: a itself when the hyperplane contains it, else the one
-    cover of a that lies in it.
+    cover of a that lies in it.  gens and up follow from the rest and stay
+    out of equality.
     """
 
-    ambient_dim: int
-    flats: tuple[Flat, ...]
-    covers: tuple[tuple[int, int], ...]
-    gens: tuple[int, ...] = field(compare=False, repr=False)
-    up: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    _fields = ("ambient_dim", "flats", "covers")
+
+    def __init__(self, ambient_dim: int, flats: tuple[Flat, ...],
+                 covers: tuple[tuple[int, int], ...], gens: tuple[int, ...],
+                 up: tuple[tuple[int, ...], ...]) -> None:
+        self._set(ambient_dim=ambient_dim, flats=flats, covers=covers,
+                  gens=gens, up=up)
 
     @property
     def rank(self) -> int:

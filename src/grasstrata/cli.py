@@ -18,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .arrangement import (
     Arrangement,
@@ -283,7 +283,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # imported here: multiprocessing costs about 10 ms of start-up time,
         # which a serial run should not pay
         from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
+        # a worker per task at most: the rest would start only to idle
+        with Pool(min(args.jobs, len(tasks))) as pool:
             encodings = pool.map(_encode_worker, tasks)
     else:
         encodings = [_encode_worker(t) for t in tasks]

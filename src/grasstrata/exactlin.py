@@ -2,10 +2,12 @@
 
 Every predicate downstream (membership, rank, direct sum) is an exact zero
 test, so floating point never appears.  Inside, the arithmetic is integer:
-matrix entries are stored as int (Fraction only where not integral) and one
+matrix entries are stored as int (Fraction only where not integral).  One
 fraction-free elimination serves rank, echelon forms, kernels, projectors and
-determinants.  Rationals appear only at the edges: parsed input, projections,
-determinants and scale factors.  Subspaces are stored canonically: the RREF
+determinants; all maximal minors of a matrix come from one Laplace expansion
+along its rows, each minor an integer sum over minors one row smaller.
+Rationals appear only at the edges: parsed input, projections, determinants,
+minors and scale factors.  Subspaces are stored canonically: the RREF
 of any spanning set with each row rescaled to coprime integers.  Two equal
 subspaces therefore compare equal as plain tuples, which is what the lattice
 deduplication relies on.
@@ -13,10 +15,10 @@ deduplication relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -39,21 +41,58 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class Value:
+    """Base of the package's immutable value types.  A subclass sets its
+    attributes once, in __init__, through _set; assigning or deleting one
+    later raises AttributeError.  Equality and hash go over the attributes
+    named in _fields, as a tuple, between instances of one class, and so
+    does repr.  Instances have a __dict__, so they pickle as they are."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        # attribute by attribute: reading __dict__ would give each instance
+        # a dict object of its own
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+
+class RationalMatrix(Value):
     """Immutable matrix of exact numbers; cols is stored so 0-row matrices keep
     a width.  Build it with matrix() to get integral entries stored as int."""
 
-    entries: tuple[tuple[int | Fraction, ...], ...]
-    cols: int
+    _fields = ("entries", "cols")
 
-    def __post_init__(self) -> None:
-        if self.cols < 0:
+    def __init__(self, entries: tuple[tuple[int | Fraction, ...], ...],
+                 cols: int) -> None:
+        if cols < 0:
             raise ValueError("negative column count")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError(
-                    f"row of length {len(row)} in a {self.cols}-column matrix")
+                    f"row of length {len(row)} in a {cols}-column matrix")
+        self._set(entries=entries, cols=cols)
 
     @property
     def rows(self) -> int:
@@ -171,20 +210,19 @@ def primitive_vector(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
     return tuple(y // g for y in ints), Fraction(den, g)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A linear subspace of Q^n held by its canonical basis matrix.
 
     Equality of Subspace values is equality of sets: canonicalization makes
-    the representative unique, so the derived dataclass __eq__ is correct.
+    the representative unique, so comparing fields is correct.
     """
 
-    ambient_dim: int
-    basis: RationalMatrix
+    _fields = ("ambient_dim", "basis")
 
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: RationalMatrix) -> None:
+        if basis.cols != ambient_dim:
             raise ValueError("basis width does not match the ambient dimension")
+        self._set(ambient_dim=ambient_dim, basis=basis)
 
     @property
     def dim(self) -> int:
@@ -262,6 +300,34 @@ def minor(M: RationalMatrix, row_set: Sequence[int],
         tuple(tuple(M.entries[i - 1][j - 1] for j in col_set) for i in row_set),
         len(col_set))
     return det(sub)
+
+
+def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], int | Fraction]:
+    """Every maximal minor of M, keyed by its 1-based column subset in
+    lexicographic order, as an int where it is integral; a 0-row matrix
+    gives the empty minor, {(): 1}.
+
+    Laplace expansion along the rows, one at a time: the minor of the first
+    j rows on columns S is the signed sum, over the columns c of S, of row
+    j's entry at c times the minor of the first j - 1 rows on S - c.  Minors
+    are kept by column subset from one row count to the next, so all of
+    them take sum_j C(n, j) * j integer products.  Rows are made integral
+    first, as for elimination, and their scale factors divided out once."""
+    level = {(): 1}
+    for j, row in enumerate(_integral_rows(M.entries)):
+        nxt = {}
+        for S in combinations(range(1, M.cols + 1), j + 1):
+            total = 0
+            for t, c in enumerate(S):
+                if row[c - 1]:
+                    term = row[c - 1] * level[S[:t] + S[t + 1:]]
+                    total += -term if (j + t) & 1 else term
+            nxt[S] = total
+        level = nxt
+    scale = prod(lcm(*(x.denominator for x in row)) for row in M.entries)
+    if scale == 1:
+        return level
+    return {S: _exact(Fraction(v, scale)) for S, v in level.items()}
 
 
 def orth_complement(U: Subspace) -> Subspace:

@@ -20,8 +20,7 @@ through the closure table.  The 2^m subset table is only built on request.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import arrangement
 from .arrangement import (
@@ -35,6 +34,7 @@ from .arrangement import (
 )
 from .exactlin import (
     Subspace,
+    Value,
     intersection_dim,
     matrix,
     rank as matrix_rank,
@@ -47,22 +47,22 @@ def _mask_labels(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class Matroid:
+class Matroid(Value):
     """Ranks on the flats of an intersection lattice, in its flat order.
 
     Stratum labels compare matroids as labeled objects: on one arrangement,
     two matroids are equal iff their rank vectors are, loops and parallel
-    elements included.
+    elements included; the lattice stays out of equality.
     """
 
-    lattice: IntersectionLattice = field(compare=False, repr=False)
-    ranks: tuple[int, ...]
+    _fields = ("ranks",)
 
-    def __post_init__(self) -> None:
-        if len(self.ranks) != len(self.lattice.flats):
+    def __init__(self, lattice: IntersectionLattice,
+                 ranks: tuple[int, ...]) -> None:
+        if len(ranks) != len(lattice.flats):
             raise ValueError("need exactly one rank per flat")
-        _check_rank_axioms(self.lattice, self.ranks)
+        _check_rank_axioms(lattice, ranks)
+        self._set(lattice=lattice, ranks=ranks)
 
     @property
     def ground_size(self) -> int:
@@ -147,13 +147,14 @@ def loops(mat: Matroid) -> frozenset[int]:
                      if mat.subset_rank([e]) == 0)
 
 
-@dataclass(frozen=True)
-class RankedLattice:
+class RankedLattice(Value):
     """A graded poset with opaque elements: ranks plus the order relation,
     the latter as one bitmask per element (bit j set iff i <= j)."""
 
-    ranks: tuple[int, ...]
-    leq: tuple[int, ...]
+    _fields = ("ranks", "leq")
+
+    def __init__(self, ranks: tuple[int, ...], leq: tuple[int, ...]) -> None:
+        self._set(ranks=ranks, leq=leq)
 
     @property
     def size(self) -> int:

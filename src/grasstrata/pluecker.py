@@ -9,16 +9,17 @@ given by the signed complementary minor
 
 Collecting H(X) over all rank-k flats gives the k-adjoint arrangement of A.
 The sign makes the pairing with a Pluecker vector a Laplace expansion of a
-stacked determinant, so vanishing detects failure of a direct sum.
+stacked determinant, so vanishing detects failure of a direct sum.  Both
+vectors come from one exactlin.maximal_minors pass over a basis, a Laplace
+expansion that yields every maximal minor at once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .arrangement import (
     Arrangement,
@@ -30,11 +31,12 @@ from .arrangement import (
 from .exactlin import (
     RationalMatrix,
     Subspace,
+    Value,
     canonical_subspace,
     intersect,
     intersection_dim,
     matrix,
-    minor,
+    maximal_minors,
     orth_complement,
     primitive_vector,
     projector,
@@ -42,15 +44,16 @@ from .exactlin import (
 )
 
 
-@dataclass(frozen=True)
-class KSubsetIndex:
+class KSubsetIndex(Value):
     """The lexicographically ordered k-subsets of {1..n}; fixes coordinate
-    positions in R^(n choose k) for everything in this module."""
+    positions in R^(n choose k) for everything in this module.  _pos maps
+    each subset to its position and stays out of equality."""
 
-    n: int
-    k: int
-    subsets: tuple[tuple[int, ...], ...]
-    _pos: dict = field(compare=False, repr=False)
+    _fields = ("n", "k", "subsets")
+
+    def __init__(self, n: int, k: int, subsets: tuple[tuple[int, ...], ...],
+                 _pos: dict) -> None:
+        self._set(n=n, k=k, subsets=subsets, _pos=_pos)
 
     def __len__(self) -> int:
         return len(self.subsets)
@@ -71,23 +74,23 @@ def k_subset_index(n: int, k: int) -> KSubsetIndex:
     return KSubsetIndex(n, k, subs, {s: i for i, s in enumerate(subs)})
 
 
-def minor_vector(M: RationalMatrix) -> tuple[Fraction, ...]:
+def minor_vector(M: RationalMatrix) -> tuple[int | Fraction, ...]:
     """All maximal minors of M over the lex ordered column subsets, raw
     (no canonicalization).  A 0-row matrix gives the single empty minor 1."""
-    k = M.rows
-    idx = k_subset_index(M.cols, k)
-    rows = list(range(1, k + 1))
-    return tuple(minor(M, rows, list(I)) for I in idx.subsets)
+    idx = k_subset_index(M.cols, M.rows)
+    minors = maximal_minors(M)
+    return tuple(minors[I] for I in idx.subsets)
 
 
-@dataclass(frozen=True)
-class PlueckerVector:
+class PlueckerVector(Value):
     """Canonicalized minor vector of a subspace.  coords = scale * raw minors;
     scale is kept for sign-sensitive checks but ignored by equality."""
 
-    index: KSubsetIndex
-    coords: tuple[int, ...]
-    scale: Fraction = field(compare=False, repr=False)
+    _fields = ("index", "coords")
+
+    def __init__(self, index: KSubsetIndex, coords: tuple[int, ...],
+                 scale: Fraction) -> None:
+        self._set(index=index, coords=coords, scale=scale)
 
 
 def pluecker_vector(U: Subspace) -> PlueckerVector:
@@ -98,32 +101,30 @@ def pluecker_vector(U: Subspace) -> PlueckerVector:
     return PlueckerVector(k_subset_index(U.ambient_dim, U.dim), coords, c)
 
 
-@dataclass(frozen=True)
-class AdjointHyperplane:
+class AdjointHyperplane(Value):
     """H(X) for a rank-k flat X: signed complementary minors of X's basis,
     canonicalized.  coords pairing with eval_adjoint is zero exactly when the
-    argument lies on the hyperplane."""
+    argument lies on the hyperplane.  scale stays out of equality."""
 
-    source: Flat
-    index: KSubsetIndex
-    coeffs: tuple[int, ...]
-    scale: Fraction = field(compare=False, repr=False)
+    _fields = ("source", "index", "coeffs")
+
+    def __init__(self, source: Flat, index: KSubsetIndex,
+                 coeffs: tuple[int, ...], scale: Fraction) -> None:
+        self._set(source=source, index=index, coeffs=coeffs, scale=scale)
 
 
 def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:
     n = X.subspace.ambient_dim
     if X.rank != k:
         raise ValueError(f"flat has rank {X.rank}, expected {k}")
-    B = X.subspace.basis
+    minors = maximal_minors(X.subspace.basis)
     idx = k_subset_index(n, k)
-    rows = list(range(1, n - k + 1))
     half = (k * (k + 1)) // 2
     raw = []
     for I in idx.subsets:
-        inside = set(I)
-        comp = [j for j in range(1, n + 1) if j not in inside]
+        comp = tuple(j for j in range(1, n + 1) if j not in I)
         sign = -1 if (half + sum(I)) % 2 else 1
-        raw.append(sign * minor(B, rows, comp))
+        raw.append(sign * minors[comp])
     coeffs, c = primitive_vector(raw)
     return AdjointHyperplane(X, idx, coeffs, c)
 

@@ -10,7 +10,7 @@ counter-based splitmix64 stream: a sample is a pure function of
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .arrangement import Arrangement, intersection_lattice
 from .exactlin import (

@@ -26,8 +26,7 @@ exactly that on a given sample list and report witnesses when it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .arrangement import (
     Arrangement,
@@ -37,27 +36,30 @@ from .arrangement import (
     maximal_chains,
     self_check,
 )
-from .exactlin import Subspace, intersection_dim
+from .exactlin import Subspace, Value, intersection_dim
 from .matroid import Matroid, matroid_from, restriction_lattice, lattice_isomorphic
 from .pluecker import defect_subspace, eval_adjoint, k_adjoint, pluecker_vector
 
 
-@dataclass(frozen=True)
-class MatroidLabel:
-    matroid: Matroid
+class MatroidLabel(Value):
+    _fields = ("matroid",)
+
+    def __init__(self, matroid: Matroid) -> None:
+        self._set(matroid=matroid)
 
     def encode(self) -> str:
         return (f"m{self.matroid.ground_size}:"
                 + ",".join(str(r) for r in self.matroid.ranks))
 
 
-@dataclass(frozen=True)
-class AdjointLabel:
+class AdjointLabel(Value):
     """i = dim(U meet center); zero_set = the rank (k-i) flats whose adjoint
     hyperplane annihilates the defect's Pluecker vector."""
 
-    i: int
-    zero_set: tuple[Flat, ...]
+    _fields = ("i", "zero_set")
+
+    def __init__(self, i: int, zero_set: tuple[Flat, ...]) -> None:
+        self._set(i=i, zero_set=zero_set)
 
     def encode(self) -> str:
         gens = sorted(tuple(sorted(f.generators)) for f in self.zero_set)
@@ -65,12 +67,14 @@ class AdjointLabel:
         return f"i{self.i}:{body}"
 
 
-@dataclass(frozen=True)
-class SchubertLabel:
+class SchubertLabel(Value):
     """dim(U meet X) for every flat X, in the lattice's flat order; i is the
     last one, at the center."""
 
-    dims: tuple[int, ...]
+    _fields = ("dims",)
+
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        self._set(dims=dims)
 
     @property
     def i(self) -> int:
@@ -135,16 +139,21 @@ def label_encodings(arr: Arrangement, U: Subspace) -> dict[str, str]:
 KINDS = ("matroid", "adjoint", "schubert")
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    """Outcome of one verifier run; everything inside is JSON friendly."""
+class VerificationReport(Value):
+    """Outcome of one verifier run; everything inside is JSON friendly.
+    Reports compare and hash by identity."""
 
-    passed: bool
-    sample_count: int
-    encodings: tuple[dict, ...]
-    partitions: dict
-    verdicts: dict
-    witnesses: tuple[dict, ...]
+    _fields = ("passed", "sample_count", "encodings", "partitions",
+               "verdicts", "witnesses")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, passed: bool, sample_count: int,
+                 encodings: tuple[dict, ...], partitions: dict,
+                 verdicts: dict, witnesses: tuple[dict, ...]) -> None:
+        self._set(passed=passed, sample_count=sample_count,
+                  encodings=encodings, partitions=partitions,
+                  verdicts=verdicts, witnesses=witnesses)
 
 
 def _partition_blocks(encs: Sequence[str]) -> list[list[int]]:

@@ -266,6 +266,37 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == c.read_bytes()
 
 
+class SerialPool:
+    """Stands in for multiprocessing.Pool: records the requested size and
+    maps in this process, so no worker starts."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+def test_verify_starts_no_more_workers_than_subspaces(tmp_path, monkeypatch):
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    args = ["verify", data("braid3.txt"), "--k", "2", "--samples", "3"]
+    outs = [tmp_path / f"{jobs}.json" for jobs in (1, 2, 64)]
+    for jobs, out in zip((1, 2, 64), outs):
+        assert main(args + ["--jobs", str(jobs), "-o", str(out)]) == 0
+    assert SerialPool.sizes == [2, 3]
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 # sha256 of label and verify output, which no change to the self-checks
 # may alter; verify reports embed the arrangement path, so these run from
 # the repository root on relative paths

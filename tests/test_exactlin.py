@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from grasstrata.exactlin import (
     is_subspace_of,
     kernel,
     matrix,
+    maximal_minors,
     minor,
     orth_complement,
     primitive_vector,
@@ -238,6 +240,26 @@ def test_minor_matches_cofactor_on_random_submatrices():
         csel = sorted(rng.sample(range(1, cols + 1), k))
         sub = [[M.entries[i - 1][j - 1] for j in csel] for i in rsel]
         assert minor(M, rsel, csel) == det_cofactor(sub)
+
+
+def test_maximal_minors_match_minor():
+    # every row count k <= n up to n = 6: 0 rows, 1 row and square shapes
+    # among them, on integer and on fractional entries
+    rng = random.Random(41)
+    for n in range(7):
+        for k in range(n + 1):
+            for fractional in (False, True, True):
+                rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                         if fractional else rng.randint(-3, 3)
+                         for _ in range(n)] for _ in range(k)]
+                M = matrix(rows, cols=n)
+                got = maximal_minors(M)
+                subsets = list(itertools.combinations(range(1, n + 1), k))
+                assert list(got) == subsets
+                for S in subsets:
+                    assert got[S] == minor(M, list(range(1, k + 1)), S)
+    assert maximal_minors(matrix([], cols=3)) == {(): 1}
+    assert maximal_minors(matrix([[1, 2], [3, 4], [5, 6]])) == {}
 
 
 def test_primitive_vector():

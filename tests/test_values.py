@@ -1,0 +1,138 @@
+"""The package's immutable value types: construction, immutability, equality
+over the compared fields only, hashing, pickling and constructor checks.
+Also that importing the command line loads none of dataclasses, inspect and
+typing, which cost a fresh process about 20 ms between them."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from grasstrata.arrangement import (
+    Arrangement,
+    Flat,
+    IntersectionLattice,
+    build_arrangement,
+    intersection_lattice,
+)
+from grasstrata.exactlin import RationalMatrix, Subspace, full_space, span
+from grasstrata.matroid import Matroid, RankedLattice
+from grasstrata.pluecker import (
+    AdjointHyperplane,
+    KSubsetIndex,
+    PlueckerVector,
+    k_subset_index,
+)
+from grasstrata.strata import (
+    AdjointLabel,
+    MatroidLabel,
+    SchubertLabel,
+    VerificationReport,
+)
+
+# braid n = 3 and three lines in the plane: both lattices have the flats
+# bottom, three atoms and top, so one rank vector fits both
+BRAID3 = intersection_lattice(build_arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)]))
+LINES = intersection_lattice(build_arrangement(2, [(1, 0), (0, 1), (1, 1)]))
+LINE = span([[1, 1, 1]], 3)
+FLAT = BRAID3.flats[1]
+IDX = k_subset_index(3, 1)
+
+
+def matroid(lattice=BRAID3, ranks=(0, 1, 1, 1, 2)):
+    return Matroid(lattice, ranks)
+
+
+# (type, fields in signature order, one compared field changed,
+#  fields outside equality changed)
+CASES = [
+    (RationalMatrix, {"entries": ((1, 2), (3, 4)), "cols": 2},
+     {"entries": ((1, 2), (3, 5))}, {}),
+    (Subspace, {"ambient_dim": 3, "basis": LINE.basis},
+     {"basis": span([[1, 0, 0]], 3).basis}, {}),
+    (Arrangement, {"ambient_dim": 2, "normals": ((1, 0), (0, 1))},
+     {"normals": ((1, 0),)}, {}),
+    (Flat, {"subspace": LINE, "rank": 2, "generators": frozenset({1, 2, 3})},
+     {"rank": 1}, {}),
+    (IntersectionLattice, {"ambient_dim": 3, "flats": BRAID3.flats,
+                           "covers": BRAID3.covers, "gens": BRAID3.gens,
+                           "up": BRAID3.up},
+     {"covers": BRAID3.covers[1:]}, {"gens": (), "up": ()}),
+    (Matroid, {"lattice": BRAID3, "ranks": (0, 1, 1, 1, 2)},
+     {"ranks": (0, 1, 1, 1, 1)}, {"lattice": LINES}),
+    (RankedLattice, {"ranks": (0, 1), "leq": (3, 2)},
+     {"leq": (1, 2)}, {}),
+    (KSubsetIndex, {"n": 3, "k": 1, "subsets": IDX.subsets, "_pos": IDX._pos},
+     {"k": 2}, {"_pos": {}}),
+    (PlueckerVector, {"index": IDX, "coords": (1, 1, 1), "scale": Fraction(1)},
+     {"coords": (1, 0, 0)}, {"scale": Fraction(2)}),
+    (AdjointHyperplane, {"source": FLAT, "index": IDX, "coeffs": (1, -1, 0),
+                         "scale": Fraction(-1)},
+     {"coeffs": (1, 0, -1)}, {"scale": Fraction(3)}),
+    (MatroidLabel, {"matroid": matroid()},
+     {"matroid": matroid(ranks=(0, 1, 1, 1, 1))}, {}),
+    (AdjointLabel, {"i": 0, "zero_set": (FLAT,)}, {"i": 1}, {}),
+    (SchubertLabel, {"dims": (1, 1, 0)}, {"dims": (1, 0, 0)}, {}),
+    (VerificationReport, {"passed": True, "sample_count": 1,
+                          "encodings": ({"matroid": "m"},),
+                          "partitions": {"matroid": [[0]]},
+                          "verdicts": {"passed": True}, "witnesses": ()},
+     {"passed": False}, {}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed, ignored", CASES,
+                         ids=[c[0].__name__ for c in CASES])
+def test_value_type(cls, fields, changed, ignored):
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    for value in (by_keyword, by_position):
+        for name, field in fields.items():
+            assert getattr(value, name) is field
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(by_keyword, name, fields[name])
+    with pytest.raises(AttributeError):
+        delattr(by_keyword, name)
+    assert getattr(by_keyword, name) is fields[name]
+    other = cls(**{**fields, **changed})
+    copy = pickle.loads(pickle.dumps(by_keyword))
+    assert type(copy) is cls and copy.__dict__ == by_keyword.__dict__
+    if cls is VerificationReport:
+        # reports hold dicts and compare by identity
+        assert by_keyword != by_position and by_keyword == by_keyword
+        assert copy != by_keyword
+        return
+    assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
+    assert other != by_keyword and by_keyword != tuple(fields.values())
+    assert cls(**{**fields, **ignored}) == by_keyword
+    assert hash(cls(**{**fields, **ignored})) == hash(by_keyword)
+    assert copy == by_keyword and hash(copy) == hash(by_keyword)
+    assert len({by_keyword, by_position, copy, other}) == 2
+
+
+def test_value_type_checks():
+    with pytest.raises(ValueError):
+        RationalMatrix(((1, 2), (3,)), 2)  # row length
+    with pytest.raises(ValueError):
+        RationalMatrix((), -1)
+    with pytest.raises(ValueError):
+        Subspace(2, full_space(3).basis)  # basis width
+    with pytest.raises(ValueError):
+        Matroid(BRAID3, (0, 1, 1, 1))  # one rank per flat
+    with pytest.raises(ValueError):
+        Matroid(BRAID3, (0, 1, 1, 1, 3))  # and the rank axioms
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import sys, grasstrata.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
