@@ -24,10 +24,10 @@ from .arrangement import (
     Arrangement,
     GuardExceeded,
     SelfCheckFailed,
-    center,
     chain_count,
     format_arrangement,
     intersection_lattice,
+    is_essential,
     load_arrangement,
     read_rows,
     restriction,
@@ -164,7 +164,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "ambient_dim": arr.ambient_dim,
         "hyperplanes": arr.size,
         "rank": lat.rank,
-        "essential": center(arr).dim == 0,
+        "essential": is_essential(arr),
         "flats": [{
             "rank": f.rank,
             "dim": f.dim,

@@ -148,8 +148,9 @@ def loops(mat: Matroid) -> frozenset[int]:
 
 
 class RankedLattice(Value):
-    """A graded poset with opaque elements: ranks plus the order relation,
-    the latter as one bitmask per element (bit j set iff i <= j)."""
+    """A graded lattice with opaque elements: ranks plus the order relation,
+    the latter as one bitmask per element (bit j set iff i <= j).  Nothing
+    checks that it is a lattice but lattice_isomorphic, which needs one."""
 
     _fields = ("ranks", "leq")
 
@@ -175,64 +176,66 @@ def restriction_lattice(arr: Arrangement, U: Subspace) -> RankedLattice:
     return ranked_lattice(intersection_lattice(restriction(arr, U)))
 
 
-def _profiles(L: RankedLattice) -> list[tuple]:
-    """Per element: rank plus, for every rank level, how many elements lie
-    above and below.  Isomorphism invariant, used to prune the search."""
-    levels = sorted(set(L.ranks))
-    out = []
-    for i in range(L.size):
-        above = tuple(sum(1 for j in range(L.size)
-                          if L.ranks[j] == r and L.is_leq(i, j))
-                      for r in levels)
-        below = tuple(sum(1 for j in range(L.size)
-                          if L.ranks[j] == r and L.is_leq(j, i))
-                      for r in levels)
-        out.append((L.ranks[i], above, below))
-    return out
+def _join_irreducibles(L: RankedLattice) -> tuple[dict[int, tuple], list[int]] | None:
+    """The join-irreducibles of L, the elements with one lower cover, each
+    with its rank and count of elements above it on each rank, and per
+    element x the bitmask J(x) of those below x.  None unless x <= y iff
+    J(x) is a subset of J(y), as in every finite lattice: x = join J(x)."""
+    down = [0] * L.size
+    for i, row in enumerate(L.leq):
+        while row:
+            down[(row & -row).bit_length() - 1] |= 1 << i
+            row &= row - 1
+    # one lower cover iff the elements strictly below have a greatest one
+    downs = set(down)
+    ji = [x for x, d in enumerate(down) if d & ~(1 << x) in downs]
+    J = [sum(1 << j for j in ji if d >> j & 1) for d in down]
+    above = [functools.reduce(int.__and__, [L.leq[j] for j in ji if m >> j & 1],
+                              (1 << L.size) - 1) for m in J]
+    if len(set(J)) < L.size or above != list(L.leq):
+        return None
+    levels = [sum(1 << i for i, r in enumerate(L.ranks) if r == level)
+              for level in sorted(set(L.ranks))]
+    return {j: (L.ranks[j],) + tuple((L.leq[j] & m).bit_count() for m in levels)
+            for j in ji}, J
 
 
 def lattice_isomorphic(L1: RankedLattice, L2: RankedLattice) -> bool:
-    """Exact search for a rank-preserving order isomorphism.
+    """Exact search for a rank-preserving order isomorphism of two lattices:
+    False if only one of them is a lattice, ValueError if neither is.
 
-    Elements of L1 are placed right after the last of their atoms, so a
-    join is checked as soon as its atoms are mapped and a wrong atom image
-    fails at the first join it spoils.  Every mapped pair is checked both
-    ways, so the order only steers the search.  There is no size cap; the
-    worst case left is non-isomorphic lattices whose elements share every
-    profile, which can backtrack exponentially in the number of atoms.
-    """
-    if L1.size != L2.size or sorted(L1.ranks) != sorted(L2.ranks):
+    x <= y iff J(x) is a subset of J(y), so an isomorphism is a bijection of
+    join-irreducibles that takes each J(x) to a J(y) of the rank of x.  The
+    search maps one join-irreducible per level, to one of the same rank and
+    counts above, and looks x's image up when the last of J(x) is mapped.
+    Restriction lattices are geometric: their join-irreducibles are their
+    atoms, at most one per hyperplane.  No size cap; the worst case left is
+    non-isomorphic lattices whose atoms share all counts, where the search
+    can backtrack exponentially in the number of atoms."""
+    j1, j2 = _join_irreducibles(L1), _join_irreducibles(L2)
+    if j1 is None and j2 is None:
+        raise ValueError("neither order is a lattice")
+    if j1 is None or j2 is None or sorted(L1.ranks) != sorted(L2.ranks):
         return False
-    p1, p2 = _profiles(L1), _profiles(L2)
-    if sorted(p1) != sorted(p2):
+    (p1, J1), (p2, J2) = j1, j2
+    if sorted(p1.values()) != sorted(p2.values()):
         return False
-    atoms = sorted((i for i in range(L1.size) if L1.ranks[i] == 1),
-                   key=lambda i: (p1[i], i))
-    last_atom = [max((x for x, a in enumerate(atoms) if L1.is_leq(a, i)),
-                     default=-1) for i in range(L1.size)]
-    order = sorted(range(L1.size), key=lambda i: (last_atom[i], p1[i], i))
-    candidates = [[j for j in range(L2.size) if p2[j] == p1[i]]
-                  for i in range(L1.size)]
-    mapping: dict[int, int] = {}
-    used = set()
+    order = sorted(p1, key=p1.get)
+    candidates = [[1 << j for j in p2 if p2[j] == p1[a]] for a in order]
+    # finish[t]: rank of x and positions in order of J(x), for each x whose
+    # J(x) ends at order[t - 1] (the bottom: finish[0]); image[t] is the bit
+    # of order[t]'s image in L2
+    finish: list[list] = [[] for _ in range(len(order) + 1)]
+    for x, m in enumerate(J1):
+        ps = [t for t, a in enumerate(order) if m >> a & 1]
+        finish[max(ps, default=-1) + 1].append((L1.ranks[x], ps))
+    rank_of = {m: L2.ranks[y] for y, m in enumerate(J2)}
 
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            ok = all(L1.is_leq(i, a) == L2.is_leq(j, b) and
-                     L1.is_leq(a, i) == L2.is_leq(b, j)
-                     for a, b in mapping.items())
-            if ok:
-                mapping[i] = j
-                used.add(j)
-                if extend(pos + 1):
-                    return True
-                del mapping[i]
-                used.remove(j)
-        return False
+    def extend(image: tuple[int, ...]) -> bool:
+        t = len(image)
+        if any(rank_of.get(sum(image[p] for p in ps)) != r for r, ps in finish[t]):
+            return False
+        return t == len(order) or any(extend(image + (bit,))
+                                      for bit in candidates[t] if bit not in image)
 
-    return extend(0)
+    return extend(())

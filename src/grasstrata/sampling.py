@@ -17,7 +17,6 @@ from .exactlin import (
     Subspace,
     canonical_subspace,
     matrix,
-    rank,
     subspace_sum,
     zero_subspace,
 )
@@ -59,10 +58,10 @@ def sample_subspace(n: int, k: int, bound: int, seed: int,
     width = 2 * bound + 1
     for attempt in range(MAX_SAMPLE_ATTEMPTS):
         g = stream(seed, index, attempt)
-        M = matrix([[next(g) % width - bound for _ in range(n)]
-                    for _ in range(k)], cols=n)
-        if rank(M) == k:
-            return canonical_subspace(M)
+        U = canonical_subspace(matrix(
+            [[next(g) % width - bound for _ in range(n)] for _ in range(k)], cols=n))
+        if U.dim == k:
+            return U
     raise ValueError(
         f"no rank-{k} sample in {MAX_SAMPLE_ATTEMPTS} attempts; "
         f"bound={bound} is too degenerate")
@@ -109,8 +108,6 @@ def structured_subspaces(arr: Arrangement, k: int,
             j = next(g) % n
             rows = [list(r) for r in flat.subspace.basis.entries]
             rows[0][j] += 1
-            M = matrix(rows, cols=n)
-            if rank(M) == k:
-                push(canonical_subspace(M))
+            push(canonical_subspace(matrix(rows, cols=n)))
 
     return out

@@ -26,6 +26,7 @@ exactly that on a given sample list and report witnesses when it fails.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 from .arrangement import (
@@ -33,6 +34,7 @@ from .arrangement import (
     Flat,
     center,
     intersection_lattice,
+    is_essential,
     maximal_chains,
     self_check,
 )
@@ -241,12 +243,9 @@ def verify_restriction_classification(arr: Arrangement, k: int,
     if encodings is None:
         encodings = [label_encodings(arr, U) for U in subspaces]
 
-    lattices: dict[int, object] = {}
-
+    @functools.cache
     def lattice_of(idx: int):
-        if idx not in lattices:
-            lattices[idx] = restriction_lattice(arr, subspaces[idx])
-        return lattices[idx]
+        return restriction_lattice(arr, subspaces[idx])
 
     verdicts = {}
     witnesses = []
@@ -274,7 +273,7 @@ def verify_restriction_classification(arr: Arrangement, k: int,
             verdicts[key] = ok
 
     run_classes("matroid")
-    if center(arr).dim == 0:
+    if is_essential(arr):
         run_classes("adjoint")
 
     parts = {kind: _partition_blocks([e[kind] for e in encodings])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from brute_force import check_pairwise_axioms, check_rank_axioms
+from brute_force import brute_isomorphic, check_pairwise_axioms, check_rank_axioms
 from grasstrata.arrangement import (
     GuardExceeded,
     build_arrangement,
@@ -75,6 +75,15 @@ def permuted(L, perm):
                 bits |= 1 << perm[j]
         leq[perm[i]] = bits
     return RankedLattice(tuple(ranks), tuple(leq))
+
+
+def from_covers(ranks, covers):
+    """The RankedLattice whose order is generated by covers, pairs i < j."""
+    up = [1 << i for i in range(len(ranks))]
+    for _ in ranks:
+        for i, j in covers:
+            up[i] |= up[j]
+    return RankedLattice(tuple(ranks), tuple(up))
 
 
 # ---------------------------------------------------------------- matroids
@@ -277,3 +286,40 @@ def test_distinguishes_nonisomorphic_same_size():
     chain = RankedLattice((0, 1, 2), (0b111, 0b110, 0b100))
     vee = RankedLattice((0, 1, 1), (0b111, 0b010, 0b100))
     assert not lattice_isomorphic(chain, vee)
+
+
+def test_lattice_isomorphic_on_1024_elements():
+    # the lattice of the coordinate arrangement in Q^10, as large as the
+    # 1014-element restriction lattices verify --k 9 compares there: one
+    # level per atom, not per element, stays far from the recursion limit
+    L = ranked_lattice(intersection_lattice(boolean(10)))
+    assert L.size == 1024
+    perm = list(range(L.size))
+    random.Random(73).shuffle(perm)
+    assert lattice_isomorphic(L, permuted(L, perm))
+
+
+def test_lattice_isomorphic_beyond_atoms():
+    # lattices with join-irreducibles above rank 1, each against every
+    # other one and against relabelings, as brute force says
+    lattices = [
+        from_covers((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3)]),
+        from_covers((0, 1, 2, 1, 3), [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]),
+        from_covers((0, 1, 2, 2, 3), [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+        from_covers([s.bit_count() for s in range(8)],
+                    [(s, s | 1 << b) for s in range(8) for b in range(3)
+                     if not s >> b & 1]),
+        # the product of two 3-chains, (i, j) as 3 i + j
+        from_covers([i + j for i in range(3) for j in range(3)],
+                    [(3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(2)]
+                    + [(3 * i + j, 3 * i + j + 3) for i in range(2) for j in range(3)]),
+    ]
+    rng = random.Random(79)
+    pool = lattices + [permuted(L, rng.sample(range(L.size), L.size))
+                       for L in lattices for _ in range(2)]
+    outcomes = set()
+    for L1, L2 in itertools.product(pool, repeat=2):
+        expected = brute_isomorphic(L1, L2)
+        assert lattice_isomorphic(L1, L2) == expected
+        outcomes.add(expected)
+    assert outcomes == {False, True}

@@ -7,6 +7,7 @@ Random draws meet loops, parallel traces, non-essential centers, k = 0 and
 k = n now and then; each of these is also pinned by an explicit example.
 """
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import grasstrata.matroid
@@ -267,3 +268,11 @@ def test_lattice_isomorphic_on_equal_profiles():
     assert not lattice_isomorphic(cycle, two_cycles)
     assert brute_isomorphic(cycle, relabeled)
     assert lattice_isomorphic(cycle, relabeled)
+
+
+def test_lattice_isomorphic_refuses_two_non_lattices():
+    # atoms 1 and 2 lie below coatoms 5 and 6 and have no join
+    two_cycles = _atoms_and_coatoms([(1, 5), (2, 5), (1, 6), (2, 6),
+                                     (3, 7), (4, 7), (3, 8), (4, 8)])
+    with pytest.raises(ValueError):
+        lattice_isomorphic(two_cycles, two_cycles)
