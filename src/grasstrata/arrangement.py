@@ -143,19 +143,29 @@ class IntersectionLattice(Value):
         """Reverse-inclusion order on flat indices: a <= b iff b is inside a."""
         return self.gens[a] & ~self.gens[b] == 0
 
-    def fill_up(self, value: Callable[[Flat], int], final: int) -> tuple[int, ...]:
-        """value(f) for every flat f, in flat order, for a value that moves
-        one way along the order and stops at final: above a flat where it
-        is final, the flat gets final without a call.  Flat order lists
-        every cover after the flat it covers, so marking the one-step
-        closures of each final flat reaches every flat above it."""
+    @functools.cached_property
+    def lower_cover(self) -> tuple[int, ...]:
+        """One lower cover of each flat, by index; the bottom's is itself."""
+        below = [0] * len(self.flats)
+        for a, b in self.covers:
+            below[b] = a
+        return tuple(below)
+
+    def fill_up(self, value: Callable[[int, int], int], final: int) -> tuple[int, ...]:
+        """value(b, a) for every flat index b, in flat order, for a value
+        that moves one way along the order and stops at final: above a flat
+        where it is final, the flat gets final without a call.  Flat order
+        lists every cover after the flat it covers, so marking the one-step
+        closures of each final flat reaches every flat above it.  Below a
+        flat that gets a call, every flat got one, so value(b, a) can build
+        on the call for a = lower_cover[b]."""
         out: list[int | None] = [None] * len(self.flats)
-        for a, f in enumerate(self.flats):
-            if out[a] is None:
-                out[a] = value(f)
-            if out[a] == final:
-                for b in self.up[a]:
-                    out[b] = final
+        for b, a in enumerate(self.lower_cover):
+            if out[b] is None:
+                out[b] = value(b, a)
+            if out[b] == final:
+                for c in self.up[b]:
+                    out[c] = final
         return tuple(out)
 
     def closure(self, mask: int, start: int = 0) -> int:

@@ -346,29 +346,34 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     return canonical_subspace(vstack(U.basis, V.basis))
 
 
-def intersection_dim(U: Subspace, V: Subspace) -> int:
-    """dim of the intersection, without building it.
-
-    Needs V's basis in row echelon form, as every canonical_subspace and
-    zero_subspace value is.  Each row of U is reduced, fraction-free,
-    against the pivot rows so far (V's rows, then the nonzero residuals of
-    earlier rows of U), each of which vanishes at the pivots before it, so
-    a residual is zero iff its row lies in V plus the earlier rows."""
-    if U.ambient_dim != V.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    pivot_rows = [(next(c for c, x in enumerate(row) if x), row)
-                  for row in V.basis.entries]
-    dim = U.dim
-    for u in U.basis.entries:
-        for p, row in pivot_rows:
+def echelon_extend(pivot_rows: list, vectors: Iterable[Sequence]) -> list:
+    """pivot_rows, (pivot column, row) pairs of which each row vanishes at
+    the pivots before it, then the nonzero residuals of vectors, each
+    reduced fraction-free against the rows so far: a residual is zero iff
+    its vector lies in their span.  The input list is not changed."""
+    out = list(pivot_rows)
+    for u in vectors:
+        for p, row in out:
             f = u[p]
             if f:
                 u = [row[p] * a - f * b for a, b in zip(u, row)]
         p = next((c for c, x in enumerate(u) if x), None)
         if p is not None:
-            pivot_rows.append((p, u))
-            dim -= 1
-    return dim
+            out.append((p, u))
+    return out
+
+
+def intersection_dim(U: Subspace, V: Subspace) -> int:
+    """dim of the intersection, without building it.
+
+    Needs V's basis in row echelon form, as every canonical_subspace and
+    zero_subspace value is: U's rows extend V's pivot rows (echelon_extend),
+    and each row that leaves a nonzero residual is one dimension less."""
+    if U.ambient_dim != V.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    pivot_rows = [(next(c for c, x in enumerate(row) if x), row)
+                  for row in V.basis.entries]
+    return U.dim + V.dim - len(echelon_extend(pivot_rows, U.basis.entries))
 
 
 def is_direct_sum_full(U: Subspace, V: Subspace) -> bool:

@@ -102,7 +102,7 @@ def adjoint_label(arr: Arrangement, U: Subspace) -> AdjointLabel:
 def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
     lat = intersection_lattice(arr)
     # a flat above one of overlap 0 lies inside it, so its overlap is 0 too
-    dims = lat.fill_up(lambda f: intersection_dim(U, f.subspace), 0)
+    dims = lat.fill_up(lambda b, a: intersection_dim(U, lat.flats[b].subspace), 0)
     # dims drop from dim U at the bottom by 0 or 1 per cover, so every chain
     # has exactly dim U - i jumps
     self_check(dims[0] == U.dim and all(dims[b] <= dims[a] <= dims[b] + 1
@@ -234,10 +234,10 @@ def verify_restriction_classification(arr: Arrangement, k: int,
                                       ) -> VerificationReport:
     """Within every label class all restriction lattices must be isomorphic.
 
-    Isomorphism is transitive, so comparing everything in a class against
-    its first member settles every pair.  For an essential arrangement the
-    same check is repeated with classes cut by the adjoint label, which is
-    the classification statement in its projective form.
+    Isomorphism is transitive, so comparing each member of a class with
+    the first, which lattice_of keeps with its join-irreducibles, settles
+    every pair.  For an essential arrangement the adjoint label cuts
+    classes too: the classification statement in its projective form.
     """
     _check_dims(k, subspaces)
     if encodings is None:

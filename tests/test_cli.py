@@ -313,6 +313,14 @@ VERIFY_LABEL_DIGESTS = {
         "b6cc264078f0f43c6f4b3feee93c8c4347bf987bbdfb7756744b793550930bf5",
     "label data/braid3.txt --k 1 --subspace data/line_e1.txt":
         "5b80dc2accea7c10e62745bae6382c0880f9ca431f0271280ed692eee9aa1892",
+    # degenerate dimensions: k = 0, and k = n on an essential and on a
+    # non-essential arrangement
+    "verify data/braid5.txt --k 0 --samples 3":
+        "5d7b36507a4121e17b8bea8a93cad2782f4bc2bcd561337f06dc35e81e52e657",
+    "verify data/boolean4.txt --k 4 --samples 3 --include-flats":
+        "1ae088ba7bcd8d9929e490d5ea9c666b156b5725fea14f70bb927ac3aef1ab11",
+    "verify data/nonessential3.txt --k 3 --samples 5 --include-flats":
+        "046a1c6fb2dd1c7f1833b2ce0c00579501b3b96695292778060869426317e69f",
 }
 
 
@@ -358,7 +366,7 @@ from grasstrata import SelfCheckFailed, load_arrangement, matroid_from, span
 from grasstrata.cli import main
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-grasstrata.matroid.matrix_rank = lambda M: 0
+grasstrata.matroid.echelon_extend = lambda rows, vectors: []
 try:
     matroid_from(load_arrangement({data("braid3.txt")!r}), span([[1, 0, 0]], 3))
 except SelfCheckFailed:
@@ -394,9 +402,11 @@ def test_loop_with_rank_one_exits_3(monkeypatch, capsys, uncached_matroids):
     # the loop {3} of braid3 on the line e1 gets rank 1: ranks 0,1,1,1,1
     # are a matroid with the right rank at the center, so only the per-flat
     # comparison with the overlap dimensions in strata.labels refuses them
-    real = grasstrata.matroid.matrix_rank
-    monkeypatch.setattr(grasstrata.matroid, "matrix_rank",
-                        lambda M: max(real(M), min(M.rows, 1)))
+    # (on a line, the row (1,) spans every trace)
+    real = grasstrata.matroid.echelon_extend
+    monkeypatch.setattr(grasstrata.matroid, "echelon_extend",
+                        lambda rows, vectors: real(rows, vectors)
+                        or [(0, (1,))] * min(len(vectors), 1))
     assert main(LABEL_E1) == 3
     assert "trace ranks and flat ranks disagree on [[3]]" in capsys.readouterr().err
     assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "20"]) == 3
@@ -409,10 +419,12 @@ def test_trace_ranks_off_the_axioms_exit_3(monkeypatch, capsys,
                                             uncached_matroids):
     # single traces count twice: the center keeps its rank, but the step
     # from the bottom to a hyperplane is 2, which is a self-check failure
-    # of matroid_from, not bad input
-    real = grasstrata.matroid.matrix_rank
-    monkeypatch.setattr(grasstrata.matroid, "matrix_rank",
-                        lambda M: 2 * real(M) if M.rows == 1 else real(M))
+    # of matroid_from, not bad input; a flat above forgets the copy (on a
+    # line, a flat's first row is all its rows)
+    real = grasstrata.matroid.echelon_extend
+    monkeypatch.setattr(grasstrata.matroid, "echelon_extend",
+                        lambda rows, vectors: real(rows[:1], vectors)
+                        * (2 if not rows and len(vectors) == 1 else 1))
     assert main(LABEL_E1) == 3
     err = capsys.readouterr().err
     assert "self-check failed: trace ranks are no matroid: unit increase" in err

@@ -136,7 +136,7 @@ def test_matroid_guard_and_errors():
 def test_local_check_agrees_with_pairwise_reference():
     # on the benchmark arrangements, for the true ranks of random and
     # structured 2- and 3-subspaces and every change of one flat's rank by
-    # 1: the check on two covers of a flat refuses exactly what the check
+    # 1: the check on the covers of a flat refuses exactly what the check
     # on every incomparable pair of flats refuses
     rng = random.Random(71)
     outcomes = set()

@@ -161,7 +161,7 @@ def _above(lat, a):
 
 
 def test_labels_stop_where_the_answer_is_forced(monkeypatch):
-    # one elimination for each flat that is not above a flat of full trace
+    # one reduction for each flat that is not above a flat of full trace
     # rank (matroid side) or of overlap 0 (Schubert side), and none for the
     # rest
     calls = []
@@ -172,8 +172,8 @@ def test_labels_stop_where_the_answer_is_forced(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(grasstrata.matroid, "matrix_rank",
-                        counted(grasstrata.matroid.matrix_rank))
+    monkeypatch.setattr(grasstrata.matroid, "echelon_extend",
+                        counted(grasstrata.matroid.echelon_extend))
     monkeypatch.setattr(grasstrata.strata, "intersection_dim",
                         counted(grasstrata.strata.intersection_dim))
     matroid_from.cache_clear()
@@ -228,6 +228,57 @@ def test_lattice_check_agrees_with_subset_check(case):
             lattice_ok = False
         assert lattice_ok == subset_ok, r
     assert Matroid(t, ranks).ranks == ranks
+
+
+@st.composite
+def rank_vectors(draw):
+    """(lattice, ranks): a rank vector on the lattice of a small random
+    arrangement, drawn flat by flat in flat order.  Most flats draw a rank
+    from the steps of 0 or 1 that their lower covers allow, so unit steps
+    usually hold and submodularity decides; now and then a flat draws from
+    one more on either side."""
+    lat = intersection_lattice(draw(arrangements()))
+    lower = [[] for _ in lat.flats]
+    for a, b in lat.covers:
+        lower[b].append(a)
+    r = []
+    for below in lower:
+        lo = max((r[a] for a in below), default=0)
+        hi = min((r[a] + 1 for a in below), default=0)
+        wide = draw(st.integers(0, 19)) == 0 or lo > hi
+        r.append(draw(st.integers(min(lo, hi) - wide, max(lo, hi) + wide)))
+    return lat, tuple(r)
+
+
+def test_axiom_check_agrees_with_subset_check_on_any_ranks():
+    # arbitrary rank vectors, not only the true ranks and their changes by
+    # 1: the lattice check refuses exactly the vectors whose subset table,
+    # read through the closure, is no matroid, and when it blames
+    # submodularity, unit steps hold on every subset too
+    outcomes = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=rank_vectors())
+    def check(case):
+        lat, r = case
+        table = tuple(r[lat.closure(mask)] for mask in range(1 << lat.ground_size))
+        try:
+            check_rank_axioms(lat.ground_size, table)
+            subset = None
+        except ValueError as e:
+            subset = str(e)
+        try:
+            Matroid(lat, r)
+            outcome = "matroid"
+        except ValueError as e:
+            outcome = str(e).split()[0]
+        assert (outcome == "matroid") == (subset is None), (r, subset)
+        if outcome == "submodularity":
+            assert subset.startswith("submodularity"), (r, subset)
+        outcomes.add(outcome)
+
+    check()
+    assert {"matroid", "unit", "submodularity"} <= outcomes
 
 
 @example(pair=(_braid3(), span([[1, 0, 0], [0, 1, 0]], 3),
