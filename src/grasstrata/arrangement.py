@@ -15,8 +15,11 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .exactlin import (
+    RationalMatrix,
     Subspace,
     Value,
     canonical_subspace,
@@ -178,14 +181,29 @@ class IntersectionLattice(Value):
         return a
 
 
+def _primitive_trace(rows: Sequence[Sequence[int]],
+                     a: Sequence[int]) -> tuple[int, ...]:
+    """The trace B a of an integer normal on integer rows B, by plain dot
+    products, divided by the gcd of its entries and signed so that its
+    first nonzero entry is positive; all zeros when B a = 0."""
+    t = [sum(map(mul, row, a)) for row in rows]
+    g = gcd(*t)
+    if g and next(x for x in t if x) < 0:
+        g = -g
+    return tuple(x // g for x in t) if g else tuple(t)
+
+
 @functools.lru_cache(maxsize=None)
 def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     """Rank by rank from R^n, with flats keyed by generator bitmask.
 
-    A flat X with basis B meets each hyperplane j outside gens(X) in the
-    hyperplane of X cut out by the trace B a_j.  Hyperplanes with parallel
-    traces cut the same cover Y, so gens(Y) is gens(X) plus the group of j
-    whose primitive traces are equal, and only a new Y needs a basis.
+    A flat X with canonical integer basis B meets each hyperplane j outside
+    gens(X) in the hyperplane of X cut out by the trace t = B a_j.
+    Hyperplanes with parallel traces cut the same cover Y, so gens(Y) is
+    gens(X) plus the group of j whose primitive traces are equal, and only
+    a new Y needs a basis: for the first p with t_p != 0, the rows
+    t_p B_i - t_i B_p (i != p) span Y, and one canonical_subspace of them
+    gives its canonical basis.
     """
     n, m = arr.ambient_dim, arr.size
     basis = {0: full_space(n)}
@@ -194,18 +212,20 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     while frontier:
         nxt = []
         for g in frontier:
-            B = basis[g].basis
+            B = basis[g].basis.entries
             groups: dict[tuple[int, ...], int] = {}
             for j in range(m):
                 if not g >> j & 1:
-                    t, _ = primitive_vector(B.times_vector(arr.normals[j]))
+                    t = _primitive_trace(B, arr.normals[j])
                     groups[t] = groups.get(t, 0) | 1 << j
             row = up[g] = [g] * m
             for t, group in groups.items():
                 h = g | group
                 if h not in basis:
-                    K = kernel(matrix([t], cols=B.rows)).basis
-                    basis[h] = canonical_subspace(K.times(B))
+                    p = next(i for i, x in enumerate(t) if x)
+                    basis[h] = canonical_subspace(RationalMatrix(tuple(
+                        tuple(t[p] * x - t[i] * y for x, y in zip(B[i], B[p]))
+                        for i in range(len(B)) if i != p), n))
                     nxt.append(h)
                 for j in range(m):
                     if group >> j & 1:
@@ -241,15 +261,12 @@ def restriction(arr: Arrangement, U: Subspace) -> Arrangement:
         raise ValueError("ambient dimensions differ")
     if U.dim == 0:
         raise ValueError("cannot restrict to the zero subspace")
-    B = U.basis
+    B = U.basis.entries
     traces: list[tuple[int, ...]] = []
     seen = set()
-    for i in range(1, arr.size + 1):
-        t = B.times_vector(arr.normal(i))
-        if all(x == 0 for x in t):
-            continue
-        w, _ = primitive_vector(t)
-        if w not in seen:
+    for a in arr.normals:
+        w = _primitive_trace(B, a)
+        if any(w) and w not in seen:
             seen.add(w)
             traces.append(w)
     return Arrangement(U.dim, tuple(traces))

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import mul
 
 Rational = Fraction
 
@@ -38,7 +40,7 @@ def vector(entries: Iterable) -> tuple[int | Fraction, ...]:
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dot product needs equal lengths")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class Value:
@@ -228,6 +230,13 @@ class Subspace(Value):
     def dim(self) -> int:
         return self.basis.rows
 
+    @cached_property
+    def pivot_rows(self) -> tuple[tuple[int, tuple], ...]:
+        """(first nonzero column, row) for each basis row, found once per
+        value: the pivot rows of a basis in row echelon form."""
+        return tuple((next(c for c, x in enumerate(row) if x), row)
+                     for row in self.basis.entries)
+
 
 def canonical_subspace(M: RationalMatrix) -> Subspace:
     """Row space of M in canonical form (RREF rows made coprime integers).
@@ -368,12 +377,11 @@ def intersection_dim(U: Subspace, V: Subspace) -> int:
 
     Needs V's basis in row echelon form, as every canonical_subspace and
     zero_subspace value is: U's rows extend V's pivot rows (echelon_extend),
-    and each row that leaves a nonzero residual is one dimension less."""
+    and each row that leaves a nonzero residual is one dimension less.
+    V's pivots are cached on V, so a flat's are found once per run."""
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    pivot_rows = [(next(c for c, x in enumerate(row) if x), row)
-                  for row in V.basis.entries]
-    return U.dim + V.dim - len(echelon_extend(pivot_rows, U.basis.entries))
+    return U.dim + V.dim - len(echelon_extend(V.pivot_rows, U.basis.entries))
 
 
 def is_direct_sum_full(U: Subspace, V: Subspace) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable
+from operator import mul
 
 from . import arrangement
 from .arrangement import (
@@ -120,7 +121,8 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     # through the module, so a traced run books this lattice as the
     # arrangement's own and restriction_lattice's calls as restrictions
     lat = arrangement.intersection_lattice(arr)
-    gens, traces = lat.gens, [U.basis.times_vector(a) for a in arr.normals]
+    gens, B = lat.gens, U.basis.entries
+    traces = [[sum(map(mul, row, a)) for row in B] for a in arr.normals]
     rows: dict[int, list] = {0: []}
 
     def rank(b: int, a: int) -> int:

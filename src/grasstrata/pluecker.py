@@ -33,14 +33,15 @@ from .exactlin import (
     Subspace,
     Value,
     canonical_subspace,
-    intersect,
     intersection_dim,
+    kernel,
     matrix,
     maximal_minors,
     orth_complement,
     primitive_vector,
     projector,
     subspace_sum,
+    vstack,
 )
 
 
@@ -154,13 +155,16 @@ def _center_perp(arr: Arrangement) -> Subspace:
 
 @functools.lru_cache(maxsize=None)
 def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
-    """The part of U the arrangement can see: U meet (U-perp + T-perp) for
-    center T.  Cross-checked against the span of the projections of the
-    normals onto U; the two routes must agree, and the dimension must be
-    dim U - dim(U meet T)."""
+    """The part of U the arrangement can see: U meet S for S = U-perp +
+    T-perp and center T, computed as intersect(U, S) is, the kernel of
+    U-perp stacked on S-perp, with U-perp taken once.  Cross-checked
+    against the span of the projections of the normals onto U; the two
+    routes must agree, and the dimension must be dim U - dim(U meet T)."""
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    direct = intersect(U, subspace_sum(orth_complement(U), _center_perp(arr)))
+    U_perp = orth_complement(U)
+    S = subspace_sum(U_perp, _center_perp(arr))
+    direct = kernel(vstack(U_perp.basis, orth_complement(S).basis))
     # P is symmetric, so the rows of normals * P are d times the projections
     P, _ = projector(U)
     projected = canonical_subspace(

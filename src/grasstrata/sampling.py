@@ -14,6 +14,7 @@ from collections.abc import Iterator
 
 from .arrangement import Arrangement, intersection_lattice
 from .exactlin import (
+    RationalMatrix,
     Subspace,
     canonical_subspace,
     matrix,
@@ -56,14 +57,16 @@ def sample_subspace(n: int, k: int, bound: int, seed: int,
     if k == 0:
         return zero_subspace(n)
     width = 2 * bound + 1
-    for attempt in range(MAX_SAMPLE_ATTEMPTS):
+    # bound 0 draws only the zero matrix, so no attempt could succeed
+    attempts = MAX_SAMPLE_ATTEMPTS if bound else 0
+    for attempt in range(attempts):
         g = stream(seed, index, attempt)
         U = canonical_subspace(matrix(
             [[next(g) % width - bound for _ in range(n)] for _ in range(k)], cols=n))
         if U.dim == k:
             return U
     raise ValueError(
-        f"no rank-{k} sample in {MAX_SAMPLE_ATTEMPTS} attempts; "
+        f"no rank-{k} sample in {attempts} attempts; "
         f"bound={bound} is too degenerate")
 
 
@@ -71,7 +74,9 @@ def structured_subspaces(arr: Arrangement, k: int,
                          seed: int = 0) -> list[Subspace]:
     """Deterministic non-generic k-subspaces tied to the arrangement:
     every flat of dimension k, the leading k rows of bigger flats, FLAT_PAIRS
-    seeded sums of flat pairs, and flats with one basis vector nudged."""
+    seeded sums of flat pairs, and flats with one basis vector nudged.
+    Leading rows are taken from canonical bases as they are: the first k
+    rows of an RREF with coprime rows are one too."""
     n = arr.ambient_dim
     lat = intersection_lattice(arr)
     out: list[Subspace] = []
@@ -85,11 +90,13 @@ def structured_subspaces(arr: Arrangement, k: int,
     for flat in lat.flats:
         push(flat.subspace)
 
+    def leading(S: Subspace) -> Subspace:
+        return Subspace(n, RationalMatrix(S.basis.entries[:k], n))
+
     if k >= 1:
         for flat in lat.flats:
             if flat.dim > k:
-                push(canonical_subspace(
-                    matrix(flat.subspace.basis.entries[:k], cols=n)))
+                push(leading(flat.subspace))
 
         g = stream(seed, 0xF1A7)
         pool = [f for f in lat.flats if f.dim >= 1]
@@ -99,8 +106,7 @@ def structured_subspaces(arr: Arrangement, k: int,
                 b = pool[next(g) % len(pool)]
                 W = subspace_sum(a.subspace, b.subspace)
                 if W.dim >= k:
-                    push(canonical_subspace(
-                        matrix(W.basis.entries[:k], cols=n)))
+                    push(leading(W))
 
         for flat in lat.flats:
             if flat.dim != k:

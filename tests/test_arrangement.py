@@ -22,6 +22,7 @@ from grasstrata.arrangement import (
 from grasstrata.exactlin import (
     full_space,
     intersect,
+    intersection_dim,
     is_subspace_of,
     kernel,
     matrix,
@@ -29,6 +30,9 @@ from grasstrata.exactlin import (
     vector,
     zero_subspace,
 )
+from grasstrata.sampling import sample_subspace
+
+from brute_force import reference_lattice
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -278,6 +282,35 @@ def test_intersection_lattice_against_subspaces():
                 continue
             assert flats[t.closure(t.gens[b], a)].subspace == intersect(
                 flats[a].subspace, flats[b].subspace)
+
+
+def moment4(m):
+    # the normals (1, t, t^2, t^3) for t = 1..m: every four independent
+    return build_arrangement(4, [[t ** e for e in range(4)]
+                                 for t in range(1, m + 1)])
+
+
+def test_lattice_equals_reference_on_larger_lattices():
+    # covers built in one integer step, against intersecting subspaces, on
+    # lattices of 65 to 203 flats; and overlap dimensions read against the
+    # pivots each flat caches, for several subspaces per flat
+    for arr in (braid(6), boolean(6), moment4(7)):
+        lat = intersection_lattice(arr)
+        flats, covers = reference_lattice(arr)
+        assert lat.flats == flats
+        assert lat.covers == covers
+        assert lat.gens == tuple(sum(1 << (i - 1) for i in f.generators)
+                                 for f in flats)
+        index = {f.subspace: a for a, f in enumerate(flats)}
+        assert lat.up == tuple(
+            tuple(index[intersect(f.subspace, arr.hyperplane(j))]
+                  for j in range(1, arr.size + 1)) for f in flats)
+        n = arr.ambient_dim
+        for k in range(1, n):
+            U = sample_subspace(n, k, 2, seed=11, index=k)
+            for f in lat.flats:
+                assert intersection_dim(U, f.subspace) == \
+                    intersect(U, f.subspace).dim
 
 
 def test_chain_order_deterministic():

@@ -9,6 +9,7 @@ import pytest
 
 import grasstrata.arrangement
 import grasstrata.matroid
+import grasstrata.sampling
 import grasstrata.strata
 from grasstrata.arrangement import maximal_chains
 from grasstrata.cli import (
@@ -17,10 +18,18 @@ from grasstrata.cli import (
     parse_subspace,
 )
 from grasstrata.arrangement import load_arrangement, parse_arrangement
-from grasstrata.exactlin import full_space, span, zero_subspace
+from grasstrata.exactlin import canonical_subspace, full_space, span, zero_subspace
 from grasstrata.sampling import sample_subspace, structured_subspaces
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
+
+def package_env(**extra):
+    """os.environ plus extra, with the package source first on PYTHONPATH,
+    for running the package in a subprocess."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def data(name):
@@ -50,6 +59,32 @@ def test_sample_subspace_degenerate_bound():
         sample_subspace(3, 1, 0, 0, 0)
     with pytest.raises(ValueError):
         sample_subspace(3, 4, 5, 0, 0)
+
+
+def test_sample_subspace_bound_zero_fails_at_once(monkeypatch):
+    # with bound 0 only the zero matrix can be drawn, so none is
+    draws = []
+    stream = grasstrata.sampling.stream
+    monkeypatch.setattr(grasstrata.sampling, "stream",
+                        lambda *key: draws.append(key) or stream(*key))
+    with pytest.raises(ValueError, match="bound=0 is too degenerate"):
+        sample_subspace(3, 1, 0, 0, 0)
+    assert draws == []
+    assert sample_subspace(3, 0, 0, 0, 0) == zero_subspace(3)
+    assert sample_subspace(3, 1, 1, 0, 0).dim == 1
+    assert draws
+
+
+def test_structured_subspaces_are_canonical():
+    # leading rows of canonical bases are taken as they are
+    arrs = [load_arrangement(data(name)) for name in sorted(os.listdir(DATA))
+            if name.endswith(".txt") and name != "line_e1.txt"]
+    arrs.append(parse_arrangement(
+        "5\n" + "".join(" ".join(map(str, r)) + "\n" for r in braid_rows(5))))
+    for arr in arrs:
+        for k in range(arr.ambient_dim + 1):
+            for S in structured_subspaces(arr, k):
+                assert S == canonical_subspace(S.basis), (arr, k)
 
 
 def test_structured_subspaces_cover_flats():
@@ -285,6 +320,20 @@ class SerialPool:
         return [fn(t) for t in tasks]
 
 
+def test_output_independent_of_hash_seed():
+    runs = (["verify", data("generic5_4.txt"), "--k", "2", "--samples", "20",
+             "--include-flats"], ["lattice", data("braid5.txt")])
+    outs = []
+    for hash_seed in ("0", "1"):
+        for args in runs:
+            proc = subprocess.run([sys.executable, "-m", "grasstrata", *args],
+                                  env=package_env(PYTHONHASHSEED=hash_seed),
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+    assert outs[:2] == outs[2:]
+
+
 def test_verify_starts_no_more_workers_than_subspaces(tmp_path, monkeypatch):
     import multiprocessing
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
@@ -376,10 +425,7 @@ else:
 sys.exit(main(["label", {data("braid3.txt")!r}, "--k", "1",
                "--subspace", {data("line_e1.txt")!r}]))
 """
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "self-check failed" in proc.stderr
