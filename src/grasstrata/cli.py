@@ -6,6 +6,9 @@ the inputs: reports are byte identical across runs and worker counts.
 Handlers read the parsed argparse namespace, so every option and its
 default lives in _build_parser alone.  Guards are module constants, not
 options.
+Module scope imports only what parsing, lattice and restrict need; every
+other handler imports its own modules as its first statement, so a process
+loads (and, without cached bytecode, compiles) only what its command runs.
 
 Exit codes: 0 success, 1 bad input or a guard hit, 2 a verification run
 found a counterexample, 3 an internal self-check failed.  verify meets no
@@ -18,7 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .arrangement import (
     Arrangement,
@@ -33,16 +36,6 @@ from .arrangement import (
     restriction,
 )
 from .exactlin import Subspace, canonical_subspace, matrix
-from .matroid import bases, loops
-from .pluecker import k_adjoint
-from .sampling import sample_subspace, structured_subspaces
-from .strata import (
-    chain_jumps,
-    label_encodings,
-    labels,
-    verify_equivalence,
-    verify_restriction_classification,
-)
 
 # Layout version of the verify report.  Format 2 encodes the matroid and
 # Schubert labels as vectors over the flats of the intersection lattice.
@@ -178,6 +171,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def cmd_adjoint(args: argparse.Namespace) -> int:
+    from .pluecker import k_adjoint
     arr = load_arrangement(args.arrangement)
     if not 0 <= args.k <= arr.ambient_dim:
         raise ValueError(f"--k must be between 0 and {arr.ambient_dim}")
@@ -197,31 +191,9 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _label_payload(arr: Arrangement, U: Subspace) -> dict:
-    ml, al, sl = labels(arr, U)
-    return {
-        "matroid": {
-            "encoding": ml.encode(),
-            "ground_size": ml.matroid.ground_size,
-            "rank": ml.matroid.rank,
-            "rank_table": list(ml.matroid.rank_table),
-            "bases": sorted(sorted(b) for b in bases(ml.matroid)),
-            "loops": sorted(loops(ml.matroid)),
-        },
-        "adjoint": {
-            "encoding": al.encode(),
-            "i": al.i,
-            "zero_set": sorted(sorted(f.generators) for f in al.zero_set),
-        },
-        "schubert": {
-            "encoding": sl.encode(),
-            "i": sl.i,
-            "jumps": [list(s) for s in chain_jumps(arr, sl)],
-        },
-    }
-
-
 def cmd_label(args: argparse.Namespace) -> int:
+    from .matroid import bases, loops
+    from .strata import chain_jumps, labels
     arr = load_arrangement(args.arrangement)
     U = load_subspace(args.subspace)
     if U.ambient_dim != arr.ambient_dim:
@@ -230,12 +202,32 @@ def cmd_label(args: argparse.Namespace) -> int:
             f"arrangement in {arr.ambient_dim}")
     if U.dim != args.k:
         raise ValueError(f"subspace has dimension {U.dim}, --k said {args.k}")
+    ml, al, sl = labels(arr, U)
     payload = {
         "command": "label",
         "arrangement_digest": arrangement_digest(arr),
         "k": U.dim,
         "subspace_basis": _basis_rows(U),
-        "labels": _label_payload(arr, U),
+        "labels": {
+            "matroid": {
+                "encoding": ml.encode(),
+                "ground_size": ml.matroid.ground_size,
+                "rank": ml.matroid.rank,
+                "rank_table": list(ml.matroid.rank_table),
+                "bases": sorted(sorted(b) for b in bases(ml.matroid)),
+                "loops": sorted(loops(ml.matroid)),
+            },
+            "adjoint": {
+                "encoding": al.encode(),
+                "i": al.i,
+                "zero_set": sorted(sorted(f.generators) for f in al.zero_set),
+            },
+            "schubert": {
+                "encoding": sl.encode(),
+                "i": sl.i,
+                "jumps": [list(s) for s in chain_jumps(arr, sl)],
+            },
+        },
     }
     _emit_json(payload, args.output)
     return 0
@@ -251,11 +243,21 @@ def cmd_restrict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _encode_worker(args: tuple[Arrangement, Subspace]) -> dict[str, str]:
-    return label_encodings(*args)
+def _encode_worker(task: tuple[Callable, Arrangement, Subspace]
+                   ) -> dict[str, str]:
+    # the labeler travels with the task, pickled by name, so a worker
+    # started by spawn or forkserver imports strata as it unpickles one
+    encode, arr, U = task
+    return encode(arr, U)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .sampling import sample_subspace, structured_subspaces
+    from .strata import (
+        label_encodings,
+        verify_equivalence,
+        verify_restriction_classification,
+    )
     arr = load_arrangement(args.arrangement)
     n = arr.ambient_dim
     if not 0 <= args.k <= n:
@@ -278,10 +280,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not subspaces:
         raise ValueError("nothing to verify: zero samples and no injections")
 
-    tasks = [(arr, U) for U in subspaces]
+    tasks = [(label_encodings, arr, U) for U in subspaces]
     if args.jobs > 1:
-        # imported here: multiprocessing costs about 10 ms of start-up time,
-        # which a serial run should not pay
+        # multiprocessing costs about 10 ms of start-up time, which a serial
+        # run should not pay
         from multiprocessing import Pool
         # a worker per task at most: the rest would start only to idle
         with Pool(min(args.jobs, len(tasks))) as pool:

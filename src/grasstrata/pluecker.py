@@ -33,9 +33,9 @@ from .exactlin import (
     Subspace,
     Value,
     canonical_subspace,
+    dot,
     intersection_dim,
     kernel,
-    matrix,
     maximal_minors,
     orth_complement,
     primitive_vector,
@@ -165,10 +165,12 @@ def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     U_perp = orth_complement(U)
     S = subspace_sum(U_perp, _center_perp(arr))
     direct = kernel(vstack(U_perp.basis, orth_complement(S).basis))
-    # P is symmetric, so the rows of normals * P are d times the projections
+    # P is symmetric and integral, so a . (row j of P) is entry j of d times
+    # the projection of normal a
     P, _ = projector(U)
-    projected = canonical_subspace(
-        matrix(arr.normals, cols=arr.ambient_dim).times(P))
+    projected = canonical_subspace(RationalMatrix(
+        tuple(tuple(dot(a, p) for p in P.entries) for a in arr.normals),
+        arr.ambient_dim))
     self_check(direct == projected, "defect subspace routes disagree")
     self_check(direct.dim == U.dim - intersection_dim(U, center(arr)),
                "defect dimension off")

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from grasstrata.arrangement import (
     build_arrangement,
     center,
     intersection_lattice,
+    load_arrangement,
     maximal_chains,
 )
 from grasstrata.exactlin import (
@@ -272,3 +274,32 @@ def test_labels_deterministic():
     arr = braid3()
     U = span([[1, 2, 3]], 3)
     assert label_encodings(arr, U) == label_encodings(arr, U)
+
+
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+ARRANGEMENT_FILES = sorted(f for f in os.listdir(DATA) if f != "line_e1.txt")
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_FILES)
+def test_lines_have_one_stratum_per_flat(name):
+    """k = 1 closed form: the line spanned by a vector v lies in the stratum
+    of the smallest flat containing v, so the strata of G(1, n) are the
+    flats of positive dimension.  Two generic vectors of each such flat
+    must get the same three encodings, and each labeling must give exactly
+    one encoding per flat: fewer means it merges strata."""
+    arr = load_arrangement(os.path.join(DATA, name))
+    n = arr.ambient_dim
+    rng = random.Random(name)
+    flats = [X for X in intersection_lattice(arr).flats if X.dim > 0]
+    encodings = []
+    for X in flats:
+        pair = []
+        for _ in range(2):
+            coeffs = [rng.randint(-10**6, 10**6) for _ in X.subspace.basis.entries]
+            v = [sum(c * row[j] for c, row in zip(coeffs, X.subspace.basis.entries))
+                 for j in range(n)]
+            pair.append(label_encodings(arr, span([v], n)))
+        assert pair[0] == pair[1], X.generators
+        encodings.append(pair[0])
+    for kind in ("matroid", "adjoint", "schubert"):
+        assert len({e[kind] for e in encodings}) == len(flats), kind
