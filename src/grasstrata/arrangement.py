@@ -154,6 +154,27 @@ class IntersectionLattice(Value):
             below[b] = a
         return tuple(below)
 
+    @functools.cached_property
+    def added(self) -> tuple[tuple[int, ...], ...]:
+        """The hyperplanes j (bit j of a mask) that each flat's generators
+        add to its lower cover's, in increasing order."""
+        gens = self.gens
+        return tuple(tuple(j for j in range(g.bit_length()) if (g & ~gens[a]) >> j & 1)
+                     for g, a in zip(gens, self.lower_cover))
+
+    @functools.cached_property
+    def cover_groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each flat a, a pair (c, mask) per flat c covering a, where
+        mask has bit j set iff up[a][j] == c."""
+        out = []
+        for a, row in enumerate(self.up):
+            groups: dict[int, int] = {}
+            for j, c in enumerate(row):
+                if c != a:
+                    groups[c] = groups.get(c, 0) | 1 << j
+            out.append(tuple(groups.items()))
+        return tuple(out)
+
     def fill_up(self, value: Callable[[int, int], int], final: int) -> tuple[int, ...]:
         """value(b, a) for every flat index b, in flat order, for a value
         that moves one way along the order and stops at final: above a flat

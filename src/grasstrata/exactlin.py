@@ -4,13 +4,14 @@ Every predicate downstream (membership, rank, direct sum) is an exact zero
 test, so floating point never appears.  Inside, the arithmetic is integer:
 matrix entries are stored as int (Fraction only where not integral).  One
 fraction-free elimination serves rank, echelon forms, kernels, projectors and
-determinants; all maximal minors of a matrix come from one Laplace expansion
-along its rows, each minor an integer sum over minors one row smaller.
-Rationals appear only at the edges: parsed input, projections, determinants,
-minors and scale factors.  Subspaces are stored canonically: the RREF
-of any spanning set with each row rescaled to coprime integers.  Two equal
-subspaces therefore compare equal as plain tuples, which is what the lattice
-deduplication relies on.
+determinants, and a kernel comes out canonical from one elimination of the
+matrix with its columns reversed.  All maximal minors of a matrix come from
+one Laplace expansion along its rows, each minor an integer sum over minors
+one row smaller.  Rationals appear only at the edges: parsed input,
+projections, determinants, minors and scale factors.  Subspaces are stored
+canonically: the RREF of any spanning set with each row rescaled to coprime
+integers.  Two equal subspaces therefore compare equal as plain tuples,
+which is what the lattice deduplication relies on.
 """
 
 from __future__ import annotations
@@ -104,23 +105,11 @@ class RationalMatrix(Value):
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
-    def transpose(self) -> "RationalMatrix":
-        if not self.entries:
-            return RationalMatrix(((),) * self.cols, 0)
-        return RationalMatrix(tuple(zip(*self.entries)), self.rows)
-
     def times_vector(self, v: Sequence) -> tuple[int | Fraction, ...]:
         w = vector(v)
         if len(w) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(dot(row, w) for row in self.entries)
-
-    def times(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        cols = other.transpose().entries
-        return matrix([[dot(r, c) for c in cols] for r in self.entries],
-                      other.cols)
 
 
 def matrix(rows: Iterable[Iterable], cols: int | None = None) -> RationalMatrix:
@@ -148,11 +137,13 @@ def _integral_rows(rows) -> list[list[int]]:
     """Each row times the lcm of its denominators."""
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
+        for x in row:
+            if type(x) is not int:
+                den = lcm(*[x.denominator for x in row])
+                out.append([x.numerator * (den // x.denominator) for x in row])
+                break
         else:
-            den = lcm(*(x.denominator for x in row))
-            out.append([x.numerator * (den // x.denominator) for x in row])
+            out.append(list(row))
     return out
 
 
@@ -164,12 +155,14 @@ def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]
     below are zero.  Every division is exact, since each entry is a minor of
     the row-permuted input (Sylvester's identity)."""
     rows = _integral_rows(M.entries)
+    nrows = len(rows)
     pivots: list[int] = []
     d = sign = 1
     for c in range(M.cols):
-        pr = len(pivots)
-        hit = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
-        if hit is None:
+        pr = hit = len(pivots)
+        while hit < nrows and not rows[hit][c]:
+            hit += 1
+        if hit == nrows:
             continue
         if hit != pr:
             rows[pr], rows[hit] = rows[hit], rows[pr]
@@ -182,16 +175,9 @@ def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]
                 rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
         pivots.append(c)
         d = p
-        if pr + 1 == len(rows):
+        if pr + 1 == nrows:
             break
     return rows, pivots, d, sign
-
-
-def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form of M plus the 0-based pivot columns."""
-    rows, pivots, d, _ = _eliminate(M)
-    return (matrix([[Fraction(x, d) for x in row] for row in rows], M.cols),
-            tuple(pivots))
 
 
 def rank(M: RationalMatrix) -> int:
@@ -264,20 +250,26 @@ def full_space(n: int) -> Subspace:
 
 
 def kernel(M: RationalMatrix) -> Subspace:
-    """The solution space {v : Mv = 0}, canonicalized.  Free column f gives
-    the solution d at f, minus column f of d * RREF at the pivot columns."""
-    R, pivots, d, _ = _eliminate(M)
+    """The solution space {v : Mv = 0}, canonicalized, from one elimination
+    of M with its columns reversed.  Free column f gives the solution d at
+    f, minus column f of d * RREF at the pivot columns, which is nonzero
+    only at pivots right of f in M's order; so these rows, by increasing f,
+    are d times the kernel's RREF, made coprime as in canonical_subspace."""
+    n = M.cols
+    R, pivots, d, _ = _eliminate(RationalMatrix(
+        tuple([row[::-1] for row in M.entries]), n))
     taken = set(pivots)
-    rows = []
-    for f in range(M.cols):
+    basis = []
+    for f in range(n - 1, -1, -1):  # column n - 1 - f of M
         if f in taken:
             continue
-        v = [0] * M.cols
+        v = [0] * n
         v[f] = d
         for i, p in enumerate(pivots):
             v[p] = -R[i][f]
-        rows.append(tuple(v))
-    return canonical_subspace(RationalMatrix(tuple(rows), M.cols))
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append(tuple([x // g for x in reversed(v)]))
+    return Subspace(n, RationalMatrix(tuple(basis), n))
 
 
 def det(M: RationalMatrix) -> Fraction:
@@ -355,20 +347,31 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     return canonical_subspace(vstack(U.basis, V.basis))
 
 
+def _append_residuals(fixed: Sequence, vectors: Iterable[Sequence],
+                      out: list) -> None:
+    """Reduce each vector fraction-free against the (pivot column, row)
+    pairs of fixed, then of out, each row zero at the pivots before it, and
+    append its residual to out unless it is 0, i.e. in the rows' span."""
+    for u in vectors:
+        for rows in (fixed, out):
+            for p, row in rows:
+                f = u[p]
+                if f:
+                    c = row[p]
+                    u = [c * a - f * b for a, b in zip(u, row)]
+        for p, x in enumerate(u):
+            if x:
+                out.append((p, u))
+                break
+
+
 def echelon_extend(pivot_rows: list, vectors: Iterable[Sequence]) -> list:
     """pivot_rows, (pivot column, row) pairs of which each row vanishes at
     the pivots before it, then the nonzero residuals of vectors, each
-    reduced fraction-free against the rows so far: a residual is zero iff
-    its vector lies in their span.  The input list is not changed."""
+    reduced fraction-free against the rows so far.  The input list is not
+    changed."""
     out = list(pivot_rows)
-    for u in vectors:
-        for p, row in out:
-            f = u[p]
-            if f:
-                u = [row[p] * a - f * b for a, b in zip(u, row)]
-        p = next((c for c, x in enumerate(u) if x), None)
-        if p is not None:
-            out.append((p, u))
+    _append_residuals((), vectors, out)
     return out
 
 
@@ -376,12 +379,14 @@ def intersection_dim(U: Subspace, V: Subspace) -> int:
     """dim of the intersection, without building it.
 
     Needs V's basis in row echelon form, as every canonical_subspace and
-    zero_subspace value is: U's rows extend V's pivot rows (echelon_extend),
-    and each row that leaves a nonzero residual is one dimension less.
+    zero_subspace value is: U's rows are reduced against V's pivot rows and
+    the residuals so far, and each nonzero residual is one dimension less.
     V's pivots are cached on V, so a flat's are found once per run."""
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return U.dim + V.dim - len(echelon_extend(V.pivot_rows, U.basis.entries))
+    found: list = []
+    _append_residuals(V.pivot_rows, U.basis.entries, found)
+    return U.dim - len(found)
 
 
 def is_direct_sum_full(U: Subspace, V: Subspace) -> bool:
@@ -391,19 +396,6 @@ def is_direct_sum_full(U: Subspace, V: Subspace) -> bool:
     if U.dim + V.dim != U.ambient_dim:
         return False
     return det(vstack(U.basis, V.basis)) != 0
-
-
-def contains_vector(U: Subspace, v: Sequence) -> bool:
-    w = vector(v)
-    if len(w) != U.ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    return rank(vstack(U.basis, RationalMatrix((w,), U.ambient_dim))) == U.dim
-
-
-def is_subspace_of(U: Subspace, V: Subspace) -> bool:
-    if U.ambient_dim != V.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return all(contains_vector(V, row) for row in U.basis.entries)
 
 
 def projector(U: Subspace) -> tuple[RationalMatrix, int]:
@@ -419,14 +411,14 @@ def projector(U: Subspace) -> tuple[RationalMatrix, int]:
         return RationalMatrix(((0,) * n,) * n, n), 1
     B = _integral_rows(U.basis.entries)
     k = len(B)
-    aug = [[dot(r, s) for s in B] + r for r in B]
+    aug = [[sum(map(mul, r, s)) for s in B] + r for r in B]
     rows, pivots, d, _ = _eliminate(RationalMatrix(tuple(map(tuple, aug)), k + n))
     if pivots != list(range(k)):
         raise ValueError("basis rows are dependent")
     X = [row[k:] for row in rows]  # d * (B B^T)^-1 B
     Xcols = list(zip(*X))
-    return RationalMatrix(tuple(tuple(dot(b, x) for x in Xcols)
-                                for b in zip(*B)), n), d
+    return RationalMatrix(tuple([tuple([sum(map(mul, b, x)) for x in Xcols])
+                                 for b in zip(*B)]), n), d
 
 
 def project(U: Subspace, v: Sequence) -> tuple[Fraction, ...]:

@@ -8,11 +8,12 @@ dim U - dim(U meet X_I), so it only depends on the flat X_I: a matroid is
 stored with the intersection lattice as one rank per flat, checked against
 the second description at the top flat (strata.labels checks every flat).
 Ranks are taken in lattice order, each from a lower cover's echelon rows
-and the traces the flat adds, and a flat above a flat of rank dim U gets
-rank dim U without a reduction, so the checks below see constant ranks there.
-The axioms are checked on the lattice: rank 0 at the bottom, a step of 0
-or 1 on every cover, and keep(F) inside keep(G) on every cover F < G, where
-keep(F) holds the hyperplanes j with r(F join j) = r(F).  Given unit steps,
+and the traces the flat adds (IntersectionLattice.added), and a flat above
+a flat of rank dim U gets rank dim U without a reduction, so the checks
+below see constant ranks there.  The axioms are checked on the lattice:
+rank 0 at the bottom, a step of 0 or 1 on every cover, and keep(F) inside
+keep(G) on every cover F < G, where keep(F) holds the hyperplanes j with
+r(F join j) = r(F), read off the lattice's cover groups.  Given unit steps,
 that is r(G join G') + r(F) <= r(G) + r(G') for every two covers G, G' of
 every flat F (closure monotonicity; Oxley, Matroid Theory, 1.4).  The
 lattice of flats is geometric, so these local axioms imply the axioms for
@@ -97,9 +98,15 @@ def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
         if not r[a] <= r[b] <= r[a] + 1:
             raise ValueError(f"unit increase fails from flat {_mask_labels(gens[a])}"
                              f" to {_mask_labels(gens[b])}")
-    # keep[a]: the hyperplanes j with r(a join j) = r(a)
-    keep = [sum(1 << j for j, c in enumerate(row) if r[c] == r[a])
-            for a, row in enumerate(up)]
+    # keep[a]: the hyperplanes j with r(a join j) = r(a), those of a and
+    # of each cover of a that keeps its rank
+    keep = []
+    for a, groups in enumerate(lat.cover_groups):
+        mask = gens[a]
+        for c, group in groups:
+            if r[c] == r[a]:
+                mask |= group
+        keep.append(mask)
     for a, b in lat.covers:
         lost = keep[a] & ~keep[b]
         if lost:
@@ -121,15 +128,14 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     # through the module, so a traced run books this lattice as the
     # arrangement's own and restriction_lattice's calls as restrictions
     lat = arrangement.intersection_lattice(arr)
-    gens, B = lat.gens, U.basis.entries
+    added, B = lat.added, U.basis.entries
     traces = [[sum(map(mul, row, a)) for row in B] for a in arr.normals]
     rows: dict[int, list] = {0: []}
 
     def rank(b: int, a: int) -> int:
         # the echelon rows (at most dim U) of flat b's traces: those of its
         # lower cover a, extended by the traces of the hyperplanes b adds
-        rows[b] = echelon_extend(rows[a], [traces[j - 1] for j in
-                                           _mask_labels(gens[b] & ~gens[a])])
+        rows[b] = echelon_extend(rows[a], [traces[j] for j in added[b]])
         return len(rows[b])
 
     # a flat above one of full trace rank dim U has rank dim U too

@@ -20,6 +20,7 @@ import functools
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .arrangement import (
     Arrangement,
@@ -40,8 +41,8 @@ from .exactlin import (
     orth_complement,
     primitive_vector,
     projector,
-    subspace_sum,
     vstack,
+    zero_subspace,
 )
 
 
@@ -157,20 +158,23 @@ def _center_perp(arr: Arrangement) -> Subspace:
 def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     """The part of U the arrangement can see: U meet S for S = U-perp +
     T-perp and center T, computed as intersect(U, S) is, the kernel of
-    U-perp stacked on S-perp, with U-perp taken once.  Cross-checked
-    against the span of the projections of the normals onto U; the two
-    routes must agree, and the dimension must be dim U - dim(U meet T)."""
-    if U.ambient_dim != arr.ambient_dim:
+    U-perp stacked on S-perp, with U-perp taken once.  S-perp is U meet T,
+    the kernel of U-perp stacked on T-perp, and 0 without an elimination
+    when T is 0.  Cross-checked against the span of the projections of the
+    normals onto U; the two routes must agree, and the dimension must be
+    dim U - dim(U meet T)."""
+    n = arr.ambient_dim
+    if U.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
-    U_perp = orth_complement(U)
-    S = subspace_sum(U_perp, _center_perp(arr))
-    direct = kernel(vstack(U_perp.basis, orth_complement(S).basis))
+    U_perp, T_perp = orth_complement(U), _center_perp(arr)
+    S_perp = (kernel(vstack(U_perp.basis, T_perp.basis)) if T_perp.dim < n
+              else zero_subspace(n))
+    direct = kernel(vstack(U_perp.basis, S_perp.basis))
     # P is symmetric and integral, so a . (row j of P) is entry j of d times
     # the projection of normal a
     P, _ = projector(U)
-    projected = canonical_subspace(RationalMatrix(
-        tuple(tuple(dot(a, p) for p in P.entries) for a in arr.normals),
-        arr.ambient_dim))
+    projected = canonical_subspace(RationalMatrix(tuple(
+        [tuple([sum(map(mul, a, p)) for p in P.entries]) for a in arr.normals]), n))
     self_check(direct == projected, "defect subspace routes disagree")
     self_check(direct.dim == U.dim - intersection_dim(U, center(arr)),
                "defect dimension off")
@@ -182,4 +186,4 @@ def eval_adjoint(h: AdjointHyperplane, p: PlueckerVector) -> int:
     vector lies on the hyperplane."""
     if (h.index.n, h.index.k) != (p.index.n, p.index.k):
         raise ValueError("mismatched Pluecker coordinate spaces")
-    return sum(a * x for a, x in zip(h.coeffs, p.coords))
+    return dot(h.coeffs, p.coords)

@@ -105,8 +105,8 @@ def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
     dims = lat.fill_up(lambda b, a: intersection_dim(U, lat.flats[b].subspace), 0)
     # dims drop from dim U at the bottom by 0 or 1 per cover, so every chain
     # has exactly dim U - i jumps
-    self_check(dims[0] == U.dim and all(dims[b] <= dims[a] <= dims[b] + 1
-                                        for a, b in lat.covers),
+    self_check(dims[0] == U.dim
+               and {dims[a] - dims[b] for a, b in lat.covers} <= {0, 1},
                "overlap dimensions do not step down by 0 or 1 from dim U")
     return SchubertLabel(dims)
 
@@ -127,9 +127,10 @@ def labels(arr: Arrangement,
     """The three labels of U; the finished matroid and Schubert vectors are
     compared on every flat, and neither label reads the other."""
     ml, al, sl = matroid_label(arr, U), adjoint_label(arr, U), schubert_label(arr, U)
+    k = U.dim
     bad = [sorted(f.generators) for f, r, d in zip(
         intersection_lattice(arr).flats, ml.matroid.ranks, sl.dims)
-        if r != U.dim - d]
+        if r + d != k]
     self_check(not bad, f"trace ranks and flat ranks disagree on {bad}")
     return ml, al, sl
 

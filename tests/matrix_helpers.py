@@ -1,0 +1,135 @@
+"""Matrix helpers for the tests.
+
+The Fraction oracles (rref_reference and the canonical forms and kernels
+built on it) share no code with the package: textbook Gauss-Jordan over
+Fractions.  awkward_matrix draws the inputs they are compared on.  The
+rest are package-side conveniences that only tests use: reduced row
+echelon form from the package's own elimination, membership and
+containment tests, products and transposes.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from grasstrata.exactlin import (
+    RationalMatrix,
+    _eliminate,
+    dot,
+    matrix,
+    rank,
+    vector,
+    vstack,
+)
+
+
+def rref_reference(rows, cols):
+    """Independent RREF oracle: textbook Gauss-Jordan over Fractions.
+    Returns the reduced rows (zero rows kept at the bottom) and pivots."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    pr = 0
+    for c in range(cols):
+        hit = next((i for i in range(pr, len(rows)) if rows[i][c] != 0), None)
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        pv = rows[pr][c]
+        if pv != 1:
+            rows[pr] = [x / pv for x in rows[pr]]
+        for i, row in enumerate(rows):
+            if i != pr and row[c] != 0:
+                f = row[c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+def primitive_reference(row):
+    """Coprime integers with a positive leading entry, proportional to row."""
+    den = 1
+    for x in row:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in row]
+    g = 0
+    for y in ints:
+        g = gcd(g, y)
+    if next(y for y in ints if y) < 0:
+        g = -g
+    return tuple(y // g for y in ints)
+
+
+def canonical_reference(rows, cols):
+    R, pivots = rref_reference(rows, cols)
+    return tuple(primitive_reference(R[i]) for i in range(len(pivots)))
+
+
+def kernel_reference(rows, cols):
+    R, pivots = rref_reference(rows, cols)
+    out = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for i, p in enumerate(pivots):
+                v[p] = -R[i][f]
+            out.append(v)
+    return canonical_reference(out, cols)
+
+
+def awkward_matrix(rng):
+    """Random rows mixing integer and fractional entries, with zero rows,
+    duplicated and dependent rows thrown in; 0 rows or 0 columns allowed."""
+    cols = rng.randint(0, 5)
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(5)
+        if kind == 0 or not rows:
+            rows.append([Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+                         for _ in range(cols)])
+        elif kind == 1:
+            rows.append([Fraction(0)] * cols)
+        elif kind == 2:
+            rows.append(list(rng.choice(rows)))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows, cols
+
+
+def rref(M):
+    """Reduced row echelon form of M plus the 0-based pivot columns, from
+    the package's own elimination."""
+    rows, pivots, d, _ = _eliminate(M)
+    return (matrix([[Fraction(x, d) for x in row] for row in rows], M.cols),
+            tuple(pivots))
+
+
+def contains_vector(U, v):
+    w = vector(v)
+    if len(w) != U.ambient_dim:
+        raise ValueError("vector length does not match ambient dimension")
+    return rank(vstack(U.basis, RationalMatrix((w,), U.ambient_dim))) == U.dim
+
+
+def is_subspace_of(U, V):
+    if U.ambient_dim != V.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    return all(contains_vector(V, row) for row in U.basis.entries)
+
+
+def transpose(M):
+    if not M.entries:
+        return RationalMatrix(((),) * M.cols, 0)
+    return RationalMatrix(tuple(zip(*M.entries)), M.rows)
+
+
+def times(A, B):
+    """The matrix product A B."""
+    if A.cols != B.rows:
+        raise ValueError("inner dimensions do not match")
+    cols = transpose(B).entries
+    return matrix([[dot(r, c) for c in cols] for r in A.entries], B.cols)

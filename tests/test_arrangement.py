@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -23,7 +24,6 @@ from grasstrata.exactlin import (
     full_space,
     intersect,
     intersection_dim,
-    is_subspace_of,
     kernel,
     matrix,
     span,
@@ -33,6 +33,7 @@ from grasstrata.exactlin import (
 from grasstrata.sampling import sample_subspace
 
 from brute_force import reference_lattice
+from matrix_helpers import is_subspace_of
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -311,6 +312,32 @@ def test_lattice_equals_reference_on_larger_lattices():
             for f in lat.flats:
                 assert intersection_dim(U, f.subspace) == \
                     intersect(U, f.subspace).dim
+
+
+def test_walk_tables_match_their_definitions():
+    # added[b]: the hyperplanes of b outside its lower cover; cover_groups[a]:
+    # the hyperplanes outside gens[a], grouped by the cover up[a] takes them to
+    arrs = data_arrangements() + [braid(6), boolean(6), moment4(7)]
+    arrs.append(restriction(braid(5), span([[1, 2, 0, 0, 0], [0, 0, 1, 3, 5],
+                                            [0, 1, 0, 0, 1]], 5)))
+    for arr in arrs:
+        lat = intersection_lattice(arr)
+        m, gens, up = arr.size, lat.gens, lat.up
+        assert lat.added == tuple(
+            tuple(j for j in range(m)
+                  if gens[b] >> j & 1 and not gens[lat.lower_cover[b]] >> j & 1)
+            for b in range(len(gens)))
+        assert all(lat.added[b] for b in range(1, len(gens)))
+        for a, groups in enumerate(lat.cover_groups):
+            outside = (1 << m) - 1 & ~gens[a]
+            masks = [mask for _, mask in groups]
+            assert sum(mask.bit_count() for mask in masks) == outside.bit_count()
+            assert functools.reduce(int.__or__, masks, 0) == outside
+            assert sorted(c for c, _ in groups) == sorted(
+                b for x, b in lat.covers if x == a)
+            for c, mask in groups:
+                assert mask and all(up[a][j] == c for j in range(m)
+                                    if mask >> j & 1)
 
 
 def test_chain_order_deterministic():

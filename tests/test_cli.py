@@ -362,6 +362,12 @@ VERIFY_LABEL_DIGESTS = {
         "b6cc264078f0f43c6f4b3feee93c8c4347bf987bbdfb7756744b793550930bf5",
     "label data/braid3.txt --k 1 --subspace data/line_e1.txt":
         "5b80dc2accea7c10e62745bae6382c0880f9ca431f0271280ed692eee9aa1892",
+    # non-essential, so U meet T is nonzero at times and the defect route
+    # takes S-perp as a kernel
+    "verify data/braid5.txt --k 2 --samples 20 --include-flats":
+        "7e5730ed033081d3eae75c8637af27188d28a48d21e426907f3c74d006089638",
+    "verify data/nonessential3.txt --k 2 --samples 30 --include-flats":
+        "828c4cf2653dd1b90741b81a3969520826a759a1aa94d82ad3bc95da8d6b147a",
     # degenerate dimensions: k = 0, and k = n on an essential and on a
     # non-essential arrangement
     "verify data/braid5.txt --k 0 --samples 3":

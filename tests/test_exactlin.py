@@ -1,15 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
+import grasstrata.exactlin
 from grasstrata.exactlin import (
     RationalMatrix,
     Subspace,
     canonical_subspace,
-    contains_vector,
     det,
     dot,
     full_space,
@@ -17,7 +16,6 @@ from grasstrata.exactlin import (
     intersect,
     intersection_dim,
     is_direct_sum_full,
-    is_subspace_of,
     kernel,
     matrix,
     maximal_minors,
@@ -27,12 +25,22 @@ from grasstrata.exactlin import (
     project,
     projector,
     rank,
-    rref,
     span,
     subspace_sum,
     vector,
     vstack,
     zero_subspace,
+)
+from matrix_helpers import (
+    awkward_matrix,
+    canonical_reference,
+    contains_vector,
+    is_subspace_of,
+    kernel_reference,
+    rref,
+    rref_reference,
+    times,
+    transpose,
 )
 
 
@@ -50,84 +58,6 @@ def det_cofactor(rows):
         sub = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(sub)
     return total
-
-
-def rref_reference(rows, cols):
-    """Independent RREF oracle: textbook Gauss-Jordan over Fractions.
-    Returns the reduced rows (zero rows kept at the bottom) and pivots."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    pr = 0
-    for c in range(cols):
-        hit = next((i for i in range(pr, len(rows)) if rows[i][c] != 0), None)
-        if hit is None:
-            continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        pv = rows[pr][c]
-        if pv != 1:
-            rows[pr] = [x / pv for x in rows[pr]]
-        for i, row in enumerate(rows):
-            if i != pr and row[c] != 0:
-                f = row[c]
-                rows[i] = [a - f * b for a, b in zip(row, rows[pr])]
-        pivots.append(c)
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows, pivots
-
-
-def primitive_reference(row):
-    """Coprime integers with a positive leading entry, proportional to row."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for y in ints:
-        g = gcd(g, y)
-    if next(y for y in ints if y) < 0:
-        g = -g
-    return tuple(y // g for y in ints)
-
-
-def canonical_reference(rows, cols):
-    R, pivots = rref_reference(rows, cols)
-    return tuple(primitive_reference(R[i]) for i in range(len(pivots)))
-
-
-def kernel_reference(rows, cols):
-    R, pivots = rref_reference(rows, cols)
-    out = []
-    for f in range(cols):
-        if f not in pivots:
-            v = [Fraction(0)] * cols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -R[i][f]
-            out.append(v)
-    return canonical_reference(out, cols)
-
-
-def awkward_matrix(rng):
-    """Random rows mixing integer and fractional entries, with zero rows,
-    duplicated and dependent rows thrown in; 0 rows or 0 columns allowed."""
-    cols = rng.randint(0, 5)
-    rows = []
-    for _ in range(rng.randint(0, 5)):
-        kind = rng.randrange(5)
-        if kind == 0 or not rows:
-            rows.append([Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
-                         for _ in range(cols)])
-        elif kind == 1:
-            rows.append([Fraction(0)] * cols)
-        elif kind == 2:
-            rows.append(list(rng.choice(rows)))
-        else:
-            a, b = rng.choice(rows), rng.choice(rows)
-            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
-            rows.append([s * x + t * y for x, y in zip(a, b)])
-    return rows, cols
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -165,10 +95,10 @@ def mixed_representative(rng, U):
 def test_matrix_shapes():
     M = matrix([[1, 2], [3, 4], [5, 6]])
     assert M.shape == (3, 2)
-    assert M.transpose().shape == (2, 3)
+    assert transpose(M).shape == (2, 3)
     empty = matrix([], cols=3)
     assert empty.shape == (0, 3)
-    assert empty.transpose().shape == (3, 0)
+    assert transpose(empty).shape == (3, 0)
     with pytest.raises(ValueError):
         matrix([[1, 2], [3]])
 
@@ -176,7 +106,7 @@ def test_matrix_shapes():
 def test_matrix_products():
     A = matrix([[1, 2], [0, 1]])
     B = matrix([[1, 0], [3, 1]])
-    assert A.times(B).entries == matrix([[7, 2], [3, 1]]).entries
+    assert times(A, B).entries == matrix([[7, 2], [3, 1]]).entries
     assert A.times_vector((1, 1)) == (Fraction(3), Fraction(1))
 
 
@@ -448,8 +378,8 @@ def test_projector_properties():
         assert type(d) is int and d != 0
         assert P.shape == (n, n)
         assert all(type(x) is int for row in P.entries for x in row)
-        assert P.transpose() == P
-        assert P.times(P).entries == tuple(tuple(d * x for x in row)
+        assert transpose(P) == P
+        assert times(P, P).entries == tuple(tuple(d * x for x in row)
                                            for row in P.entries)
         assert canonical_subspace(P) == canonical_subspace(U.basis)
 
@@ -501,6 +431,20 @@ def test_integer_kernel_matches_fraction_reference():
         assert rank(M) == len(pivots)
         assert canonical_subspace(M).basis.entries == canonical_reference(rows, cols)
         assert kernel(M).basis.entries == kernel_reference(rows, cols)
+
+
+def test_kernel_takes_one_elimination(monkeypatch):
+    calls = []
+    real = grasstrata.exactlin._eliminate
+    monkeypatch.setattr(grasstrata.exactlin, "_eliminate",
+                        lambda M: calls.append(M.shape) or real(M))
+    rng = random.Random(79)
+    for _ in range(100):
+        rows, cols = awkward_matrix(rng)
+        calls.clear()
+        K = kernel(matrix(rows, cols=cols))
+        assert len(calls) == 1
+        assert K.basis.entries == kernel_reference(rows, cols)
 
 
 def test_intersection_dim_and_project_match_reference():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import grasstrata.exactlin
 from grasstrata.arrangement import (
     Flat,
     build_arrangement,
@@ -21,6 +22,7 @@ from grasstrata.exactlin import (
     zero_subspace,
 )
 from grasstrata.pluecker import (
+    _center_perp,
     adjoint_hyperplane,
     defect_subspace,
     eval_adjoint,
@@ -29,6 +31,8 @@ from grasstrata.pluecker import (
     minor_vector,
     pluecker_vector,
 )
+
+from matrix_helpers import times
 
 
 def braid3():
@@ -134,7 +138,7 @@ def test_pluecker_representative_independence():
                         for _ in range(k)], cols=k)
             if det(C) != 0:
                 break
-        rep = C.times(U.basis)
+        rep = times(C, U.basis)
         raw_u = minor_vector(U.basis)
         raw_rep = minor_vector(rep)
         assert raw_rep == tuple(det(C) * x for x in raw_u)
@@ -234,6 +238,28 @@ def test_defect_dimension_drop():
     V = defect_subspace(arr, U)
     assert V.dim == 1
     assert V == span([[2, -1, -1]], 3)
+
+
+def test_defect_subspace_takes_five_eliminations(monkeypatch):
+    # U-perp, S-perp = U meet T as one kernel, the direct kernel, the
+    # projector and the span of the projected normals, each kernel a single
+    # elimination; on an essential arrangement S-perp = 0 takes none
+    calls = []
+    real = grasstrata.exactlin._eliminate
+    monkeypatch.setattr(grasstrata.exactlin, "_eliminate",
+                        lambda M: calls.append(M.shape) or real(M))
+    braid5 = build_arrangement(5, [[(j == a) - (j == b) for j in range(5)]
+                                   for a, b in itertools.combinations(range(5), 2)])
+    rng = random.Random(83)
+    for arr, most in ((braid5, 5), (boolean(5), 4)):
+        _center_perp(arr)  # cached once per arrangement
+        cases = [random_subspace(rng, 5, 2) for _ in range(10)]
+        cases.append(span([[1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], 5))
+        for U in cases:
+            calls.clear()
+            V = defect_subspace.__wrapped__(arr, U)
+            assert len(calls) <= most, (U, calls)
+            assert V == defect_subspace(arr, U)
 
 
 # ---------------------------------------------------------------- pairing

@@ -27,11 +27,15 @@ from grasstrata.arrangement import (
     restriction,
 )
 from grasstrata.exactlin import (
+    RationalMatrix,
+    _eliminate,
     canonical_subspace,
+    dot,
     full_space,
     kernel,
     matrix,
     primitive_vector,
+    rank,
     span,
     zero_subspace,
 )
@@ -43,6 +47,7 @@ from grasstrata.matroid import (
     restriction_lattice,
 )
 from grasstrata.strata import chain_jumps, schubert_label
+from matrix_helpers import awkward_matrix, kernel_reference
 
 SMALL = st.integers(-2, 2)
 
@@ -327,3 +332,38 @@ def test_lattice_isomorphic_refuses_two_non_lattices():
                                      (3, 7), (4, 7), (3, 8), (4, 8)])
     with pytest.raises(ValueError):
         lattice_isomorphic(two_cycles, two_cycles)
+
+
+@st.composite
+def awkward_matrices(draw):
+    """(rows, cols) as awkward_matrix draws them: fractions, zero,
+    duplicate and dependent rows, 0 x n and n x 0."""
+    return awkward_matrix(draw(st.randoms(use_true_random=False)))
+
+
+@example(case=([], 3))
+@example(case=([[], []], 0))
+@example(case=([[0, 0, 0], [0, 0, 0]], 3))
+@settings(max_examples=300, deadline=None)
+@given(case=awkward_matrices())
+def test_kernel_in_one_elimination_is_canonical(case):
+    # kernel eliminates M once, with its columns reversed; its rows must be
+    # the canonical basis that the two-pass route gives: the forward
+    # null-space rows (d at free column f, minus column f of d * RREF at
+    # the pivots) put through canonical_subspace
+    rows, cols = case
+    M = matrix(rows, cols=cols)
+    K = kernel(M)
+    assert K.basis.entries == kernel_reference(rows, cols)
+    R, pivots, d, _ = _eliminate(M)
+    forward = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [0] * cols
+            v[f] = d
+            for i, p in enumerate(pivots):
+                v[p] = -R[i][f]
+            forward.append(tuple(v))
+    assert K == canonical_subspace(RationalMatrix(tuple(forward), cols))
+    assert all(dot(row, v) == 0 for row in M.entries for v in K.basis.entries)
+    assert K.dim == cols - rank(M)
