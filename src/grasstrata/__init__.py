@@ -9,15 +9,15 @@ the module that defines `span`."""
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "arrangement": """Arrangement Flat GuardExceeded IntersectionLattice
-        SelfCheckFailed build_arrangement center format_arrangement
-        intersection_lattice is_essential load_arrangement maximal_chains
-        parse_arrangement restriction""",
+    "arrangement": """Arrangement Flat IntersectionLattice SelfCheckFailed
+        build_arrangement center format_arrangement intersection_lattice
+        is_essential load_arrangement maximal_chains parse_arrangement
+        restriction""",
     "exactlin": """Rational RationalMatrix Subspace canonical_subspace det
         full_space intersect is_direct_sum_full kernel matrix maximal_minors
         minor orth_complement project span subspace_sum zero_subspace""",
-    "matroid": """Matroid RankedLattice bases lattice_isomorphic loops
-        matroid_from restriction_lattice""",
+    "matroid": """Matroid RankedLattice lattice_isomorphic loops matroid_from
+        restriction_lattice""",
     "pluecker": """AdjointHyperplane KSubsetIndex PlueckerVector
         adjoint_hyperplane defect_subspace eval_adjoint k_adjoint
         k_subset_index pluecker_vector""",

@@ -30,13 +30,6 @@ from .exactlin import (
     vector,
 )
 
-MAX_CHAINS = 10 ** 6
-
-
-class GuardExceeded(RuntimeError):
-    """A size guard was hit before a computation finished."""
-
-
 class SelfCheckFailed(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
@@ -296,8 +289,9 @@ def restriction(arr: Arrangement, U: Subspace) -> Arrangement:
 @functools.lru_cache(maxsize=None)
 def maximal_chains(lattice: IntersectionLattice) -> tuple[tuple[Flat, ...], ...]:
     """Every maximal chain (center, ..., R^n), dimension increasing one step
-    at a time, in lexicographic order of the flats visited.  Raises
-    GuardExceeded when more than MAX_CHAINS chains exist."""
+    at a time, in lexicographic order of the flats visited.  No command
+    calls it: it is the paper's Schubert reference, which the tests walk,
+    and there can be exponentially many chains (chain_count counts them)."""
     preds: dict[int, list[int]] = {i: [] for i in range(len(lattice.flats))}
     for a, b in lattice.covers:
         preds[b].append(a)
@@ -309,8 +303,6 @@ def maximal_chains(lattice: IntersectionLattice) -> tuple[tuple[Flat, ...], ...]
 
     def walk(idx: int) -> None:
         if lattice.flats[idx].rank == 0:
-            if len(chains) >= MAX_CHAINS:
-                raise GuardExceeded(f"more than {MAX_CHAINS} maximal chains")
             chains.append(tuple(lattice.flats[i] for i in path))
             return
         for nxt in preds[idx]:

@@ -4,15 +4,15 @@ Commands read an arrangement file and write JSON (or, for restrict, another
 arrangement file) to stdout or --output.  All output is a pure function of
 the inputs: reports are byte identical across runs and worker counts.
 Handlers read the parsed argparse namespace, so every option and its
-default lives in _build_parser alone.  Guards are module constants, not
-options.
+default lives in _build_parser alone.
 Module scope imports only what parsing, lattice and restrict need; every
 other handler imports its own modules as its first statement, so a process
 loads (and, without cached bytecode, compiles) only what its command runs.
 
-Exit codes: 0 success, 1 bad input or a guard hit, 2 a verification run
-found a counterexample, 3 an internal self-check failed.  verify meets no
-guard: it labels on flats and compares restriction lattices of any size.
+Exit codes: 0 success, 1 bad input, 2 a verification run found a
+counterexample, 3 an internal self-check failed.  No command has a size
+cap: label and verify label on flats, and verify compares restriction
+lattices of any size.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from collections.abc import Callable, Sequence
 
 from .arrangement import (
     Arrangement,
-    GuardExceeded,
     SelfCheckFailed,
     chain_count,
     format_arrangement,
@@ -192,8 +191,8 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    from .matroid import bases, loops
-    from .strata import chain_jumps, labels
+    from .matroid import loops
+    from .strata import labels
     arr = load_arrangement(args.arrangement)
     U = load_subspace(args.subspace)
     if U.ambient_dim != arr.ambient_dim:
@@ -208,13 +207,16 @@ def cmd_label(args: argparse.Namespace) -> int:
         "arrangement_digest": arrangement_digest(arr),
         "k": U.dim,
         "subspace_basis": _basis_rows(U),
+        "flats": [{
+            "generators": sorted(f.generators),
+            "trace_rank": r,
+            "overlap_dim": d,
+        } for f, r, d in zip(intersection_lattice(arr).flats,
+                             ml.matroid.ranks, sl.dims)],
         "labels": {
             "matroid": {
                 "encoding": ml.encode(),
-                "ground_size": ml.matroid.ground_size,
                 "rank": ml.matroid.rank,
-                "rank_table": list(ml.matroid.rank_table),
-                "bases": sorted(sorted(b) for b in bases(ml.matroid)),
                 "loops": sorted(loops(ml.matroid)),
             },
             "adjoint": {
@@ -222,11 +224,7 @@ def cmd_label(args: argparse.Namespace) -> int:
                 "i": al.i,
                 "zero_set": sorted(sorted(f.generators) for f in al.zero_set),
             },
-            "schubert": {
-                "encoding": sl.encode(),
-                "i": sl.i,
-                "jumps": [list(s) for s in chain_jumps(arr, sl)],
-            },
+            "schubert": {"encoding": sl.encode()},
         },
     }
     _emit_json(payload, args.output)
@@ -338,7 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError, GuardExceeded) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SelfCheckFailed as e:

@@ -17,8 +17,8 @@ r(F join j) = r(F), read off the lattice's cover groups.  Given unit steps,
 that is r(G join G') + r(F) <= r(G) + r(G') for every two covers G, G' of
 every flat F (closure monotonicity; Oxley, Matroid Theory, 1.4).  The
 lattice of flats is geometric, so these local axioms imply the axioms for
-r(S) := r(closure of S) on all subsets, read through the closure table.
-The 2^m subset table is only built on request.
+r(S) := r(closure of S) on all subsets, read through the closure table
+(Matroid.subset_rank).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from operator import mul
 from . import arrangement
 from .arrangement import (
     Arrangement,
-    GuardExceeded,
     IntersectionLattice,
     SelfCheckFailed,
     intersection_lattice,
@@ -38,8 +37,6 @@ from .arrangement import (
     self_check,
 )
 from .exactlin import Subspace, Value, echelon_extend, intersection_dim
-
-MAX_GROUND = 16
 
 
 def _mask_labels(mask: int) -> tuple[int, ...]:
@@ -78,16 +75,6 @@ class Matroid(Value):
                 raise ValueError(f"element {e} outside the ground set")
             mask |= 1 << (e - 1)
         return self.ranks[self.lattice.closure(mask)]
-
-    @property
-    def rank_table(self) -> tuple[int, ...]:
-        """The rank of every subset, indexed by bitmask (bit j is label
-        j + 1), read through the closure map."""
-        if self.ground_size > MAX_GROUND:
-            raise GuardExceeded(f"a rank table over {self.ground_size} "
-                                f"hyperplanes exceeds the guard of {MAX_GROUND}")
-        return tuple(self.ranks[self.lattice.closure(mask)]
-                     for mask in range(1 << self.ground_size))
 
 
 def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
@@ -146,14 +133,6 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
         return Matroid(lat, ranks)
     except ValueError as e:
         raise SelfCheckFailed(f"trace ranks are no matroid: {e}") from None
-
-
-def bases(mat: Matroid) -> frozenset[frozenset[int]]:
-    """All maximal independent sets; for rank 0 this is {empty set}."""
-    r = mat.rank
-    table = mat.rank_table
-    return frozenset(frozenset(_mask_labels(mask)) for mask in range(len(table))
-                     if mask.bit_count() == r and table[mask] == r)
 
 
 def loops(mat: Matroid) -> frozenset[int]:

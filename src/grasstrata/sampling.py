@@ -2,7 +2,7 @@
 
 Random rational subspaces are generic with probability close to one, so the
 interesting strata would never show up from random draws alone.  The
-structured generator therefore mixes in flats, leading sub-bases of flats,
+structured generator therefore mixes in flats, leading rows of flats,
 seeded two-flat combinations and perturbed flats.  Randomness comes from a
 counter-based splitmix64 stream: a sample is a pure function of
 (seed, index), independent of call order and process.
@@ -75,8 +75,8 @@ def structured_subspaces(arr: Arrangement, k: int,
     """Deterministic non-generic k-subspaces tied to the arrangement:
     every flat of dimension k, the leading k rows of bigger flats, FLAT_PAIRS
     seeded sums of flat pairs, and flats with one basis vector nudged.
-    Leading rows are taken from canonical bases as they are: the first k
-    rows of an RREF with coprime rows are one too."""
+    Leading rows are taken from a flat's canonical basis as it is: the
+    first k rows of an RREF with coprime rows are one too."""
     n = arr.ambient_dim
     lat = intersection_lattice(arr)
     out: list[Subspace] = []

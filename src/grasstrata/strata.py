@@ -8,10 +8,10 @@ Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
     (k - i) flats whose adjoint hyperplane contains the Pluecker vector of
     the defect subspace of U;
   * Schubert label: i together with dim(U meet X) for every flat X, which
-    fixes where dim(U meet chain flat) jumps along every maximal chain
-    (chain_jumps), since every flat lies on one.  Neither per-flat label
-    reads the other: trace ranks on one side, intersection dimensions on
-    the other.  Each is taken in lattice order and stops where its answer
+    fixes where dim(U meet chain flat) jumps along every maximal chain,
+    since every flat lies on one.  Neither per-flat label reads the
+    other: trace ranks on one side, intersection dimensions on the
+    other.  Each is taken in lattice order and stops where its answer
     is forced: above a flat of trace rank dim U every rank is dim U, and
     above a flat of overlap 0 every overlap is 0, filled in without an
     elimination.  labels, which the label and verify commands go through,
@@ -32,10 +32,8 @@ from collections.abc import Sequence
 from .arrangement import (
     Arrangement,
     Flat,
-    center,
     intersection_lattice,
     is_essential,
-    maximal_chains,
     self_check,
 )
 from .exactlin import Subspace, Value, intersection_dim
@@ -91,10 +89,11 @@ def matroid_label(arr: Arrangement, U: Subspace) -> MatroidLabel:
 
 
 def adjoint_label(arr: Arrangement, U: Subspace) -> AdjointLabel:
-    i = intersection_dim(U, center(arr))
     V = defect_subspace(arr, U)
+    # defect_subspace has checked dim V = dim U - dim(U meet center)
+    i = U.dim - V.dim
     p = pluecker_vector(V)
-    zero = tuple(h.source for h in k_adjoint(arr, U.dim - i)
+    zero = tuple(h.source for h in k_adjoint(arr, V.dim)
                  if eval_adjoint(h, p) == 0)
     return AdjointLabel(i, zero)
 
@@ -109,17 +108,6 @@ def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
                and {dims[a] - dims[b] for a, b in lat.covers} <= {0, 1},
                "overlap dimensions do not step down by 0 or 1 from dim U")
     return SchubertLabel(dims)
-
-
-def chain_jumps(arr: Arrangement,
-                label: SchubertLabel) -> tuple[tuple[int, ...], ...]:
-    """For every maximal chain (center, ..., R^n), in maximal_chains order,
-    the positions where dim(U meet chain flat) jumps, read off label.dims."""
-    lat = intersection_lattice(arr)
-    dim_at = dict(zip(lat.flats, label.dims))
-    return tuple(tuple(l for l in range(1, len(ch))
-                       if dim_at[ch[l]] > dim_at[ch[l - 1]])
-                 for ch in maximal_chains(lat))
 
 
 def labels(arr: Arrangement,

@@ -10,7 +10,9 @@ take one elimination per flat, with no value inferred from another flat's,
 for the trace ranks and the overlap dimensions; the pairwise reference
 checks per-flat ranks on every incomparable pair of flats.  The Schubert
 reference walks every maximal chain and takes the overlap dimension of
-each flat on it.  The isomorphism reference tries every rank-preserving
+each flat on it; label_jumps reads the same jump positions off a Schubert
+label's per-flat dimensions, and subset_bases the bases off a matroid's
+per-flat ranks.  The isomorphism reference tries every rank-preserving
 bijection of two ranked lattices.  Tests compare the package's lattice,
 per-flat labels, axiom check and isomorphism search against them.
 """
@@ -152,6 +154,24 @@ def walked_jumps(arr, U):
         out.append(tuple(l for l in range(1, len(ch))
                          if dims[l] > dims[l - 1]))
     return tuple(out)
+
+
+def label_jumps(arr, label):
+    """Per maximal chain, in maximal_chains order, the positions where the
+    overlap dimension goes up, read off label.dims."""
+    lat = intersection_lattice(arr)
+    dim_at = dict(zip(lat.flats, label.dims))
+    return tuple(tuple(l for l in range(1, len(ch))
+                       if dim_at[ch[l]] > dim_at[ch[l - 1]])
+                 for ch in maximal_chains(lat))
+
+
+def subset_bases(mat):
+    """All bases of a matroid: the subsets of size mat.rank whose rank,
+    read through subset_rank, is mat.rank; {empty set} for rank 0."""
+    r = mat.rank
+    return frozenset(frozenset(I) for I in itertools.combinations(
+        range(1, mat.ground_size + 1), r) if mat.subset_rank(I) == r)
 
 
 def brute_isomorphic(L1, L2):

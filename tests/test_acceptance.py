@@ -18,7 +18,7 @@ from grasstrata.arrangement import (
 )
 from grasstrata.cli import main
 from grasstrata.exactlin import intersect, is_direct_sum_full, kernel, matrix, project, rank
-from grasstrata.matroid import bases, lattice_isomorphic, matroid_from, restriction_lattice
+from grasstrata.matroid import lattice_isomorphic, matroid_from, restriction_lattice
 from grasstrata.pluecker import defect_subspace, eval_adjoint, k_adjoint, pluecker_vector
 from grasstrata.sampling import sample_subspace, structured_subspaces
 from grasstrata.strata import (
@@ -135,11 +135,11 @@ def test_criterion_3_rank_function_two_ways(capsys):
                 mat = matroid_from(arr, U)
                 projs = [project(U, arr.normal(i + 1)) for i in range(m)]
                 for mask in range(1 << m):
-                    rows = [projs[i] for i in range(m) if mask >> i & 1]
-                    lhs = rank(matrix(rows, cols=n))
+                    labels = [i + 1 for i in range(m) if mask >> i & 1]
+                    lhs = rank(matrix([projs[i - 1] for i in labels], cols=n))
                     rhs = U.dim - intersect(U, flats[mask]).dim
                     checks += 1
-                    if not lhs == rhs == mat.rank_table[mask]:
+                    if not lhs == rhs == mat.subset_rank(labels):
                         raise AssertionError(
                             f"{name}: mask {mask:b} gives {lhs} vs {rhs}")
         detail = f"{checks} (subspace, subset) pairs, all subsets per matroid"
@@ -159,7 +159,10 @@ def test_criterion_4_basis_characterizations(capsys):
             for U in subs:
                 V = defect_subspace(arr, U)
                 t = V.dim
-                B = bases(matroid_from(arr, U))
+                mat = matroid_from(arr, U)
+                # the bases: the subsets of size mat.rank and rank mat.rank
+                B = {frozenset(I) for I in itertools.combinations(
+                    range(1, m + 1), mat.rank) if mat.subset_rank(I) == mat.rank}
                 projs = {i: project(U, arr.normal(i)) for i in range(1, m + 1)}
                 for I in itertools.combinations(range(1, m + 1), t):
                     s1 = frozenset(I) in B

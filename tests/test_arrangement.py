@@ -5,10 +5,8 @@ from pathlib import Path
 
 import pytest
 
-import grasstrata.arrangement
 from grasstrata.arrangement import (
     Arrangement,
-    GuardExceeded,
     build_arrangement,
     center,
     chain_count,
@@ -247,18 +245,6 @@ def test_chain_gradedness():
             assert len(ch) == r + 1
             for j, f in enumerate(ch):
                 assert f.dim == n - r + j
-
-
-def test_chain_cap_guard(monkeypatch):
-    # listing chains stops at MAX_CHAINS; counting them has no guard
-    lat = intersection_lattice(boolean(3))
-    monkeypatch.setattr(grasstrata.arrangement, "MAX_CHAINS", 5)
-    maximal_chains.cache_clear()
-    with pytest.raises(GuardExceeded, match="more than 5 maximal chains"):
-        maximal_chains(lat)
-    assert chain_count(lat) == 6
-    monkeypatch.setattr(grasstrata.arrangement, "MAX_CHAINS", 6)
-    assert len(maximal_chains(lat)) == 6
 
 
 def test_chain_count_matches_enumeration():

@@ -7,11 +7,9 @@ import sys
 
 import pytest
 
-import grasstrata.arrangement
 import grasstrata.matroid
 import grasstrata.sampling
 import grasstrata.strata
-from grasstrata.arrangement import maximal_chains
 from grasstrata.cli import (
     arrangement_digest,
     main,
@@ -140,17 +138,6 @@ def test_chain_cap_flags(capsys):
         assert captured.out == ""
 
 
-def test_label_refuses_too_many_chains(monkeypatch, capsys):
-    # label lists the chains behind its jumps; lattice only counts them
-    monkeypatch.setattr(grasstrata.arrangement, "MAX_CHAINS", 2)
-    maximal_chains.cache_clear()
-    assert main(["label", data("braid3.txt"), "--k", "1", "--subspace",
-                 data("line_e1.txt")]) == 1
-    assert "more than 2 maximal chains" in capsys.readouterr().err
-    assert main(["lattice", data("braid3.txt")]) == 0
-    assert json.loads(capsys.readouterr().out)["chain_count"] == 3
-
-
 def test_lattice_counts_beyond_max_chains(tmp_path, capsys):
     # 10! maximal chains in 1024 flats: counted over covers, never listed
     p = tmp_path / "boolean10.txt"
@@ -159,7 +146,7 @@ def test_lattice_counts_beyond_max_chains(tmp_path, capsys):
     assert main(["lattice", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["flats"]) == 1024
-    assert out["chain_count"] == 3628800 > grasstrata.arrangement.MAX_CHAINS
+    assert out["chain_count"] == 3628800
 
 
 # sha256 of `grasstrata lattice` output, which fixes the flat order that the
@@ -224,9 +211,44 @@ def test_label_command(capsys):
     labels = out["labels"]
     assert labels["adjoint"]["i"] == 0
     assert labels["adjoint"]["zero_set"] == [[3]]
-    assert labels["matroid"]["bases"] == [[1], [2]]
+    assert labels["matroid"]["rank"] == 1
     assert labels["matroid"]["loops"] == [3]
-    assert sorted(labels["schubert"]["jumps"]) == [[1], [2], [2]]
+    # the flats in lattice order: {}, {3}, {2}, {1}, {1,2,3}
+    assert [(f["generators"], f["trace_rank"], f["overlap_dim"])
+            for f in out["flats"]] == [([], 0, 1), ([3], 0, 1), ([2], 1, 0),
+                                       ([1], 1, 0), ([1, 2, 3], 1, 0)]
+
+
+def write_subspace(path, U):
+    path.write_text(f"{U.ambient_dim} {U.dim}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in U.basis.entries))
+    return str(path)
+
+
+def test_label_prints_the_per_flat_vectors(tmp_path, capsys):
+    # every data/ arrangement at k = 0, 1 and n, and two that a 2^m table or
+    # a listing of chains would refuse: braid n = 7 (21 hyperplanes) and
+    # 17 generic planes; one random and one structured subspace each
+    paths = [data(name) for name in sorted(os.listdir(DATA))
+             if name != "line_e1.txt"]
+    paths.append(write_arrangement(tmp_path / "braid7", 7, braid_rows(7)))
+    paths.append(write_arrangement(tmp_path / "generic17", 3,
+                                   [[1, t, t * t] for t in range(1, 18)]))
+    for path in paths:
+        arr = load_arrangement(path)
+        n = arr.ambient_dim
+        assert main(["lattice", path]) == 0
+        order = [f["generators"] for f in json.loads(capsys.readouterr().out)["flats"]]
+        for k in (0, 1, n):
+            for U in [sample_subspace(n, k, 5, 0, 0)] + structured_subspaces(arr, k, 0)[:1]:
+                sub = write_subspace(tmp_path / "U.txt", U)
+                assert main(["label", path, "--k", str(k), "--subspace", sub]) == 0
+                out = json.loads(capsys.readouterr().out)
+                assert [f["generators"] for f in out["flats"]] == order
+                assert all(f["trace_rank"] + f["overlap_dim"] == k
+                           for f in out["flats"])
+                assert {kind: label["encoding"] for kind, label in out["labels"].items()
+                        } == grasstrata.strata.label_encodings(arr, U)
 
 
 def test_label_command_dimension_mismatch(capsys):
@@ -279,7 +301,7 @@ def test_verify_command_braid3(tmp_path):
 
 
 def test_verify_beyond_sixteen_hyperplanes(tmp_path):
-    # 17 planes in general position, more than matroid.MAX_GROUND
+    # 17 planes in general position: 2^17 subsets, but only 155 flats
     arr = tmp_path / "generic17.txt"
     arr.write_text("3\n" + "".join(f"1 {t} {t * t}\n" for t in range(1, 18)))
     out = tmp_path / "report.json"
@@ -361,7 +383,7 @@ VERIFY_LABEL_DIGESTS = {
     "verify data/braid5.txt --k 3 --samples 20":
         "b6cc264078f0f43c6f4b3feee93c8c4347bf987bbdfb7756744b793550930bf5",
     "label data/braid3.txt --k 1 --subspace data/line_e1.txt":
-        "5b80dc2accea7c10e62745bae6382c0880f9ca431f0271280ed692eee9aa1892",
+        "8211a31474ca6dee55a557b28d2fb44f881573f0927c9e250ad36b688752223b",
     # non-essential, so U meet T is nonzero at times and the defect route
     # takes S-perp as a kernel
     "verify data/braid5.txt --k 2 --samples 20 --include-flats":

@@ -16,7 +16,7 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 # every public name of the package, by defining module
 EXPORTS = {
     "arrangement": [
-        "Arrangement", "Flat", "GuardExceeded", "IntersectionLattice",
+        "Arrangement", "Flat", "IntersectionLattice",
         "SelfCheckFailed", "build_arrangement", "center", "format_arrangement",
         "intersection_lattice", "is_essential", "load_arrangement",
         "maximal_chains", "parse_arrangement", "restriction"],
@@ -26,7 +26,7 @@ EXPORTS = {
         "maximal_minors", "minor", "orth_complement", "project", "span",
         "subspace_sum", "zero_subspace"],
     "matroid": [
-        "Matroid", "RankedLattice", "bases", "lattice_isomorphic", "loops",
+        "Matroid", "RankedLattice", "lattice_isomorphic", "loops",
         "matroid_from", "restriction_lattice"],
     "pluecker": [
         "AdjointHyperplane", "KSubsetIndex", "PlueckerVector",

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+import grasstrata.pluecker
+import grasstrata.strata
+from brute_force import label_jumps, subset_bases
 from grasstrata.arrangement import (
     build_arrangement,
     center,
@@ -16,12 +19,12 @@ from grasstrata.exactlin import (
     kernel,
     matrix,
     span,
+    subspace_sum,
 )
-from grasstrata.matroid import bases, loops, restriction_lattice, lattice_isomorphic
+from grasstrata.matroid import loops, restriction_lattice, lattice_isomorphic
 from grasstrata.pluecker import defect_subspace
 from grasstrata.strata import (
     adjoint_label,
-    chain_jumps,
     first_disagreement,
     label_encodings,
     matroid_label,
@@ -57,7 +60,7 @@ def random_subspace(rng, n, k):
 def sigma_by_chain(arr, label):
     """Map each chain's first proper flat generators to its jump set."""
     chains = maximal_chains(intersection_lattice(arr))
-    sigma = chain_jumps(arr, label)
+    sigma = label_jumps(arr, label)
     assert len(chains) == len(sigma)
     return {ch[1].generators if len(ch) > 1 else frozenset(): s
             for ch, s in zip(chains, sigma)}
@@ -71,7 +74,7 @@ def test_braid3_line_labels():
     e1 = span([[1, 0, 0]], 3)
 
     ml = matroid_label(arr, e1)
-    assert bases(ml.matroid) == frozenset({frozenset({1}), frozenset({2})})
+    assert subset_bases(ml.matroid) == frozenset({frozenset({1}), frozenset({2})})
     assert loops(ml.matroid) == frozenset({3})
 
     al = adjoint_label(arr, e1)
@@ -95,7 +98,7 @@ def test_braid3_center_labels():
     assert al.zero_set == ()
     sl = schubert_label(arr, T)
     assert sl.i == 1
-    assert all(s == () for s in chain_jumps(arr, sl))
+    assert all(s == () for s in label_jumps(arr, sl))
 
 
 def test_boolean_generic_line_label():
@@ -110,7 +113,7 @@ def test_empty_arrangement_labels():
     al = adjoint_label(arr, U)
     assert al.i == 1  # the center is everything
     sl = schubert_label(arr, U)
-    assert chain_jumps(arr, sl) == ((),)
+    assert label_jumps(arr, sl) == ((),)
     assert matroid_label(arr, U).matroid.rank == 0
 
 
@@ -126,6 +129,29 @@ def test_label_ranks_agree():
             sl = schubert_label(arr, U)
             assert al.i == sl.i
             assert ml.matroid.rank == k - al.i
+
+
+def test_adjoint_label_meets_the_center_once(monkeypatch):
+    # i comes from the defect subspace, whose own check takes
+    # dim(U meet center) once; the label takes no second one
+    calls = []
+    for module in (grasstrata.strata, grasstrata.pluecker):
+        real = module.intersection_dim
+        monkeypatch.setattr(module, "intersection_dim", lambda U, S, real=real:
+                            calls.append(S) or real(U, S))
+    rng = random.Random(89)
+    defect_subspace.cache_clear()
+    try:
+        for arr in (braid3(), boolean(3), nonessential3()):
+            T = center(arr)
+            for k in range(4):
+                U = random_subspace(rng, 3, k)
+                calls.clear()
+                al = adjoint_label(arr, U)
+                assert calls.count(T) == 1
+                assert al.i == U.dim + T.dim - subspace_sum(U, T).dim
+    finally:
+        defect_subspace.cache_clear()
 
 
 def test_zero_set_complement_is_direct_sum():
@@ -159,7 +185,7 @@ def test_schubert_tail_recovers_transverse_flats():
             depth = r - (k - sl.i)
             tail = tuple(range(depth + 1, r + 1))
             from_chains = {ch[depth] for ch, s in zip(chains,
-                                                      chain_jumps(arr, sl))
+                                                      label_jumps(arr, sl))
                            if s == tail}
             transverse = {X for X in lat.by_rank(k - sl.i)
                           if is_direct_sum_full(V, X.subspace)}
