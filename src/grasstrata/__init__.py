@@ -13,9 +13,9 @@ _EXPORTS = {
         build_arrangement center format_arrangement intersection_lattice
         is_essential load_arrangement maximal_chains parse_arrangement
         restriction""",
-    "exactlin": """Rational RationalMatrix Subspace canonical_subspace det
-        full_space intersect is_direct_sum_full kernel matrix maximal_minors
-        minor orth_complement project span subspace_sum zero_subspace""",
+    "exactlin": """RationalMatrix Subspace canonical_subspace det full_space
+        kernel matrix maximal_minors minor orth_complement project span
+        subspace_sum zero_subspace""",
     "matroid": """Matroid RankedLattice lattice_isomorphic loops matroid_from
         restriction_lattice""",
     "pluecker": """AdjointHyperplane KSubsetIndex PlueckerVector

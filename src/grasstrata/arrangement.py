@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable, Sequence
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .exactlin import (
@@ -61,12 +60,16 @@ class Arrangement(Value):
 
 
 def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
-    """Canonicalize the normals (coprime integers, positive leading entry) and
-    reject zero vectors, wrong lengths and duplicate hyperplanes."""
+    """Canonicalize the integer normals (coprime, positive leading entry) and
+    reject other entries, zero vectors, wrong lengths and duplicate
+    hyperplanes."""
     canon: list[tuple[int, ...]] = []
     seen = set()
     for pos, raw in enumerate(raw_normals, 1):
-        v = vector(raw)
+        try:
+            v = vector(raw)
+        except ValueError as e:
+            raise ValueError(f"normal {pos}: {e}") from None
         if len(v) != n:
             raise ValueError(f"normal {pos}: expected {n} entries, got {len(v)}")
         if all(x == 0 for x in v):
@@ -327,14 +330,22 @@ def chain_count(lattice: IntersectionLattice) -> int:
 
 
 def read_rows(text: str, header: Callable[[list[str], str], tuple[int, ...]],
-              missing: str) -> tuple[tuple[int, ...], list[list[Fraction]]]:
+              missing: str) -> tuple[tuple[int, ...], list[list[int]]]:
     """The plain text format of arrangement and subspace files: a header
     line, then one row of whitespace-separated rationals per line; anything
     after a '#' is a comment.  header(fields, "line N") checks the header
     and returns its integers, the first being the row width; a text with
-    no header line raises ValueError(missing)."""
+    no header line raises ValueError(missing).
+
+    Rows come back as integers.  When every token of a row is an optional
+    sign and ASCII digits, int reads them.  Otherwise fractions.Fraction,
+    imported only then, reads the row, so its grammar (p/q, decimals,
+    exponents) is the format's on every Python, and the row is multiplied
+    by the lcm of its denominators: a row stands for a hyperplane or a
+    spanning vector, and neither changes when the row is scaled.  int
+    alone would take more than Fraction does before Python 3.11: '1_000'."""
     head: tuple[int, ...] | None = None
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -345,10 +356,17 @@ def read_rows(text: str, header: Callable[[list[str], str], tuple[int, ...]],
         if len(parts) != head[0]:
             raise ValueError(
                 f"line {lineno}: expected {head[0]} entries, got {len(parts)}")
+        if all(p.isascii() and (p[1:] if p[0] in "+-" else p).isdigit()
+               for p in parts):
+            rows.append([int(p) for p in parts])
+            continue
+        from fractions import Fraction
         try:
-            rows.append([Fraction(p) for p in parts])
+            qs = [Fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad rational entry") from None
+        den = lcm(*[q.denominator for q in qs])
+        rows.append([q.numerator * (den // q.denominator) for q in qs])
     if head is None:
         raise ValueError(missing)
     return head, rows

@@ -1,44 +1,42 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Every predicate downstream (membership, rank, direct sum) is an exact zero
-test, so floating point never appears.  Inside, the arithmetic is integer:
-matrix entries are stored as int (Fraction only where not integral).  One
-fraction-free elimination serves rank, echelon forms, kernels, projectors and
-determinants, and a kernel comes out canonical from one elimination of the
-matrix with its columns reversed.  All maximal minors of a matrix come from
-one Laplace expansion along its rows, each minor an integer sum over minors
-one row smaller.  Rationals appear only at the edges: parsed input,
-projections, determinants, minors and scale factors.  Subspaces are stored
-canonically: the RREF of any spanning set with each row rescaled to coprime
-integers.  Two equal subspaces therefore compare equal as plain tuples,
-which is what the lattice deduplication relies on.
+test, so floating point never appears.  Matrix entries are ints: matrix()
+and vector() reject anything else, a float or a Fraction included, because
+det and times_vector depend on scale.  A rational row reaches the package
+only through the file parser (arrangement.read_rows), which clears its
+denominators, as a hyperplane or a span is the same for every multiple of
+a row.  One fraction-free elimination serves rank, echelon forms, kernels,
+projectors and determinants, and a kernel comes out canonical from one
+elimination of the matrix with its columns reversed.  All maximal minors of
+a matrix come from one Laplace expansion along its rows, each minor an
+integer sum over minors one row smaller.  A Fraction appears only in
+project's result.  Subspaces are stored canonically: the RREF of any
+spanning set with each row rescaled to coprime integers.  Two equal
+subspaces therefore compare equal as plain tuples, which is what the
+lattice deduplication relies on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd
 from operator import mul
 
-Rational = Fraction
+
+def vector(entries: Iterable) -> tuple[int, ...]:
+    """entries as a tuple; ValueError unless each is of type int (a bool
+    is not)."""
+    v = tuple(entries)
+    for x in v:
+        if type(x) is not int:
+            raise ValueError(f"entry {x!r} is not an int")
+    return v
 
 
-def _exact(x) -> int | Fraction:
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    q = x if isinstance(x, Fraction) else Fraction(x)
-    return q.numerator if q.denominator == 1 else q
-
-
-def vector(entries: Iterable) -> tuple[int | Fraction, ...]:
-    return tuple(_exact(x) for x in entries)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("dot product needs equal lengths")
     return sum(map(mul, u, v))
@@ -82,13 +80,12 @@ class Value:
 
 
 class RationalMatrix(Value):
-    """Immutable matrix of exact numbers; cols is stored so 0-row matrices keep
-    a width.  Build it with matrix() to get integral entries stored as int."""
+    """Immutable integer matrix; cols is stored so 0-row matrices keep a
+    width.  Build it with matrix() to have its entries checked."""
 
     _fields = ("entries", "cols")
 
-    def __init__(self, entries: tuple[tuple[int | Fraction, ...], ...],
-                 cols: int) -> None:
+    def __init__(self, entries: tuple[tuple[int, ...], ...], cols: int) -> None:
         if cols < 0:
             raise ValueError("negative column count")
         for row in entries:
@@ -101,11 +98,7 @@ class RationalMatrix(Value):
     def rows(self) -> int:
         return len(self.entries)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows, self.cols
-
-    def times_vector(self, v: Sequence) -> tuple[int | Fraction, ...]:
+    def times_vector(self, v: Sequence) -> tuple[int, ...]:
         w = vector(v)
         if len(w) != self.cols:
             raise ValueError("vector length does not match column count")
@@ -113,7 +106,8 @@ class RationalMatrix(Value):
 
 
 def matrix(rows: Iterable[Iterable], cols: int | None = None) -> RationalMatrix:
-    rs = tuple(tuple(_exact(x) for x in row) for row in rows)
+    """The rows as a matrix; ValueError unless every entry is an int."""
+    rs = tuple(map(vector, rows))
     if cols is None:
         if not rs:
             raise ValueError("cols is required for a matrix with no rows")
@@ -133,28 +127,13 @@ def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(top.entries + bottom.entries, top.cols)
 
 
-def _integral_rows(rows) -> list[list[int]]:
-    """Each row times the lcm of its denominators."""
-    out = []
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                den = lcm(*[x.denominator for x in row])
-                out.append([x.numerator * (den // x.denominator) for x in row])
-                break
-        else:
-            out.append(list(row))
-    return out
-
-
 def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of M's rows, each
-    first multiplied by the lcm of its denominators.  Returns the rows, the
-    pivot columns, the common pivot value d and the sign of the row swaps:
-    rows[:len(pivots)] are d times the reduced row echelon form and any rows
-    below are zero.  Every division is exact, since each entry is a minor of
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of M's rows.
+    Returns the rows, the pivot columns, the common pivot value d and the
+    sign of the row swaps: rows[:len(pivots)] are d times the reduced row
+    echelon form and any rows below are zero.  Every division is exact, since each entry is a minor of
     the row-permuted input (Sylvester's identity)."""
-    rows = _integral_rows(M.entries)
+    rows = [list(row) for row in M.entries]
     nrows = len(rows)
     pivots: list[int] = []
     d = sign = 1
@@ -184,18 +163,17 @@ def rank(M: RationalMatrix) -> int:
     return len(_eliminate(M)[1])
 
 
-def primitive_vector(v: Sequence) -> tuple[tuple[int, ...], Fraction]:
-    """Rescale a nonzero rational vector to coprime integer entries with a
-    positive first nonzero entry.  Returns (scaled, c) where scaled = c * v."""
+def primitive_vector(v: Sequence) -> tuple[tuple[int, ...], int]:
+    """Divide a nonzero integer vector down to coprime entries with a
+    positive first nonzero entry.  Returns (w, g) with v = g * w, g the
+    signed gcd of v."""
     w = vector(v)
-    if all(x == 0 for x in w):
+    g = gcd(*w)
+    if not g:
         raise ValueError("cannot rescale the zero vector")
-    den = lcm(*(x.denominator for x in w))
-    ints = [x.numerator * (den // x.denominator) for x in w]
-    g = gcd(*ints)
-    if next(x for x in w if x != 0) < 0:
+    if next(x for x in w if x) < 0:
         g = -g
-    return tuple(y // g for y in ints), Fraction(den, g)
+    return tuple([x // g for x in w]), g
 
 
 class Subspace(Value):
@@ -238,6 +216,8 @@ def canonical_subspace(M: RationalMatrix) -> Subspace:
 
 
 def span(vectors: Iterable[Iterable], ambient_dim: int) -> Subspace:
+    """The span of integer vectors; a rational one needs its denominators
+    cleared first, which leaves the span as it is."""
     return canonical_subspace(matrix(vectors, cols=ambient_dim))
 
 
@@ -272,19 +252,16 @@ def kernel(M: RationalMatrix) -> Subspace:
     return Subspace(n, RationalMatrix(tuple(basis), n))
 
 
-def det(M: RationalMatrix) -> Fraction:
+def det(M: RationalMatrix) -> int:
     """Determinant via integer-preserving elimination; the 0x0 matrix gives 1."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
     _, pivots, d, sign = _eliminate(M)
-    if len(pivots) < M.rows:
-        return Fraction(0)
-    scale = prod(lcm(*(x.denominator for x in row)) for row in M.entries)
-    return Fraction(sign * d, scale)
+    return sign * d if len(pivots) == M.rows else 0
 
 
 def minor(M: RationalMatrix, row_set: Sequence[int],
-          col_set: Sequence[int]) -> Fraction:
+          col_set: Sequence[int]) -> int:
     """Determinant of the submatrix picked by 1-based row and column lists.
 
     Both lists must be strictly increasing; empty lists give the empty minor 1.
@@ -303,19 +280,17 @@ def minor(M: RationalMatrix, row_set: Sequence[int],
     return det(sub)
 
 
-def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], int | Fraction]:
+def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], int]:
     """Every maximal minor of M, keyed by its 1-based column subset in
-    lexicographic order, as an int where it is integral; a 0-row matrix
-    gives the empty minor, {(): 1}.
+    lexicographic order; a 0-row matrix gives the empty minor, {(): 1}.
 
     Laplace expansion along the rows, one at a time: the minor of the first
     j rows on columns S is the signed sum, over the columns c of S, of row
     j's entry at c times the minor of the first j - 1 rows on S - c.  Minors
     are kept by column subset from one row count to the next, so all of
-    them take sum_j C(n, j) * j integer products.  Rows are made integral
-    first, as for elimination, and their scale factors divided out once."""
+    them take sum_j C(n, j) * j integer products."""
     level = {(): 1}
-    for j, row in enumerate(_integral_rows(M.entries)):
+    for j, row in enumerate(M.entries):
         nxt = {}
         for S in combinations(range(1, M.cols + 1), j + 1):
             total = 0
@@ -325,20 +300,11 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], int | Fraction]:
                     total += -term if (j + t) & 1 else term
             nxt[S] = total
         level = nxt
-    scale = prod(lcm(*(x.denominator for x in row)) for row in M.entries)
-    if scale == 1:
-        return level
-    return {S: _exact(Fraction(v, scale)) for S, v in level.items()}
+    return level
 
 
 def orth_complement(U: Subspace) -> Subspace:
     return kernel(U.basis)
-
-
-def intersect(U: Subspace, V: Subspace) -> Subspace:
-    if U.ambient_dim != V.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return kernel(vstack(orth_complement(U).basis, orth_complement(V).basis))
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
@@ -389,18 +355,9 @@ def intersection_dim(U: Subspace, V: Subspace) -> int:
     return U.dim - len(found)
 
 
-def is_direct_sum_full(U: Subspace, V: Subspace) -> bool:
-    """True iff U + V is direct and fills the whole ambient space."""
-    if U.ambient_dim != V.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    if U.dim + V.dim != U.ambient_dim:
-        return False
-    return det(vstack(U.basis, V.basis)) != 0
-
-
 def projector(U: Subspace) -> tuple[RationalMatrix, int]:
     """(P, d) with P = d * B^T (B B^T)^-1 B, an integer multiple of the
-    orthogonal projection onto U, for U's basis B with rows made integral.
+    orthogonal projection onto U, for U's basis B.
 
     One elimination of [B B^T | B] leaves d * [I | (B B^T)^-1 B]; the Gram
     matrix is invertible because basis rows are independent.  P is
@@ -409,10 +366,10 @@ def projector(U: Subspace) -> tuple[RationalMatrix, int]:
     n = U.ambient_dim
     if U.dim == 0:
         return RationalMatrix(((0,) * n,) * n, n), 1
-    B = _integral_rows(U.basis.entries)
+    B = U.basis.entries
     k = len(B)
-    aug = [[sum(map(mul, r, s)) for s in B] + r for r in B]
-    rows, pivots, d, _ = _eliminate(RationalMatrix(tuple(map(tuple, aug)), k + n))
+    aug = [tuple([sum(map(mul, r, s)) for s in B]) + r for r in B]
+    rows, pivots, d, _ = _eliminate(RationalMatrix(tuple(aug), k + n))
     if pivots != list(range(k)):
         raise ValueError("basis rows are dependent")
     X = [row[k:] for row in rows]  # d * (B B^T)^-1 B
@@ -421,10 +378,11 @@ def projector(U: Subspace) -> tuple[RationalMatrix, int]:
                                  for b in zip(*B)]), n), d
 
 
-def project(U: Subspace, v: Sequence) -> tuple[Fraction, ...]:
-    """Orthogonal projection of v onto U, computed exactly as P v / d for
-    (P, d) = projector(U).  The zero subspace projects everything to the
-    zero vector."""
+def project(U: Subspace, v: Sequence) -> tuple:
+    """Orthogonal projection of the integer vector v onto U, as Fractions
+    P v / d for (P, d) = projector(U).  The zero subspace projects
+    everything to the zero vector.  No command calls it."""
+    from fractions import Fraction
     w = vector(v)
     if len(w) != U.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")

@@ -154,9 +154,6 @@ class RankedLattice(Value):
     def size(self) -> int:
         return len(self.ranks)
 
-    def is_leq(self, i: int, j: int) -> bool:
-        return bool(self.leq[i] >> j & 1)
-
     @functools.cached_property
     def join_irreducibles(self) -> tuple | None:
         """The join-irreducibles, the elements with one lower cover, and per

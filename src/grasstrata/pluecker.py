@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import mul
 
 from .arrangement import (
@@ -76,7 +75,7 @@ def k_subset_index(n: int, k: int) -> KSubsetIndex:
     return KSubsetIndex(n, k, subs, {s: i for i, s in enumerate(subs)})
 
 
-def minor_vector(M: RationalMatrix) -> tuple[int | Fraction, ...]:
+def minor_vector(M: RationalMatrix) -> tuple[int, ...]:
     """All maximal minors of M over the lex ordered column subsets, raw
     (no canonicalization).  A 0-row matrix gives the single empty minor 1."""
     idx = k_subset_index(M.cols, M.rows)
@@ -85,34 +84,36 @@ def minor_vector(M: RationalMatrix) -> tuple[int | Fraction, ...]:
 
 
 class PlueckerVector(Value):
-    """Canonicalized minor vector of a subspace.  coords = scale * raw minors;
-    scale is kept for sign-sensitive checks but ignored by equality."""
+    """Canonicalized minor vector of a subspace: raw minors = divisor *
+    coords, for the signed integer divisor, which is kept for sign-sensitive
+    checks but ignored by equality."""
 
     _fields = ("index", "coords")
 
     def __init__(self, index: KSubsetIndex, coords: tuple[int, ...],
-                 scale: Fraction) -> None:
-        self._set(index=index, coords=coords, scale=scale)
+                 divisor: int) -> None:
+        self._set(index=index, coords=coords, divisor=divisor)
 
 
 def pluecker_vector(U: Subspace) -> PlueckerVector:
     """Pluecker coordinates of U from its canonical basis.  The zero subspace
     gets the single-entry vector (1): the empty minor convention."""
     raw = minor_vector(U.basis)
-    coords, c = primitive_vector(raw)
-    return PlueckerVector(k_subset_index(U.ambient_dim, U.dim), coords, c)
+    coords, g = primitive_vector(raw)
+    return PlueckerVector(k_subset_index(U.ambient_dim, U.dim), coords, g)
 
 
 class AdjointHyperplane(Value):
     """H(X) for a rank-k flat X: signed complementary minors of X's basis,
-    canonicalized.  coords pairing with eval_adjoint is zero exactly when the
-    argument lies on the hyperplane.  scale stays out of equality."""
+    canonicalized: the raw coefficients are divisor * coeffs.  coeffs pairing
+    with eval_adjoint is zero exactly when the argument lies on the
+    hyperplane.  divisor stays out of equality."""
 
     _fields = ("source", "index", "coeffs")
 
     def __init__(self, source: Flat, index: KSubsetIndex,
-                 coeffs: tuple[int, ...], scale: Fraction) -> None:
-        self._set(source=source, index=index, coeffs=coeffs, scale=scale)
+                 coeffs: tuple[int, ...], divisor: int) -> None:
+        self._set(source=source, index=index, coeffs=coeffs, divisor=divisor)
 
 
 def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:
@@ -127,8 +128,8 @@ def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:
         comp = tuple(j for j in range(1, n + 1) if j not in I)
         sign = -1 if (half + sum(I)) % 2 else 1
         raw.append(sign * minors[comp])
-    coeffs, c = primitive_vector(raw)
-    return AdjointHyperplane(X, idx, coeffs, c)
+    coeffs, g = primitive_vector(raw)
+    return AdjointHyperplane(X, idx, coeffs, g)
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,10 +158,9 @@ def _center_perp(arr: Arrangement) -> Subspace:
 @functools.lru_cache(maxsize=None)
 def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     """The part of U the arrangement can see: U meet S for S = U-perp +
-    T-perp and center T, computed as intersect(U, S) is, the kernel of
-    U-perp stacked on S-perp, with U-perp taken once.  S-perp is U meet T,
-    the kernel of U-perp stacked on T-perp, and 0 without an elimination
-    when T is 0.  Cross-checked against the span of the projections of the
+    T-perp and center T, computed as the kernel of U-perp stacked on
+    S-perp, with U-perp taken once.  S-perp is U meet T, the kernel of
+    U-perp stacked on T-perp, and 0 without an elimination when T is 0.  Cross-checked against the span of the projections of the
     normals onto U; the two routes must agree, and the dimension must be
     dim U - dim(U meet T)."""
     n = arr.ambient_dim

@@ -12,23 +12,33 @@ checks per-flat ranks on every incomparable pair of flats.  The Schubert
 reference walks every maximal chain and takes the overlap dimension of
 each flat on it; label_jumps reads the same jump positions off a Schubert
 label's per-flat dimensions, and subset_bases the bases off a matroid's
-per-flat ranks.  The isomorphism reference tries every rank-preserving
-bijection of two ranked lattices.  Tests compare the package's lattice,
-per-flat labels, axiom check and isomorphism search against them.
+per-flat ranks.  The defect reference spans the Fraction projections of
+the normals, by the Gram solve of matrix_helpers.  The isomorphism
+reference tries every rank-preserving bijection of two ranked lattices.
+Tests compare the package's lattice, per-flat labels, defect subspaces,
+axiom check and isomorphism search against them.
 """
 
 import itertools
 
 from grasstrata.arrangement import Flat, intersection_lattice, maximal_chains
 from grasstrata.exactlin import (
+    RationalMatrix,
+    Subspace,
     dot,
     full_space,
-    intersect,
     intersection_dim,
     matrix,
     project,
     rank,
     vstack,
+)
+from matrix_helpers import (
+    canonical_reference,
+    cleared,
+    intersect,
+    is_leq,
+    project_reference,
 )
 
 
@@ -69,7 +79,7 @@ def projection_rank_table(arr, U):
     """rank of {project(U, a_i) : i in S} for every subset S, by bitmask
     (bit j is hyperplane j + 1)."""
     m = arr.size
-    betas = [project(U, a) for a in arr.normals]
+    betas = cleared([project(U, a) for a in arr.normals])
     return tuple(
         rank(matrix([betas[i] for i in range(m) if mask >> i & 1],
                     cols=arr.ambient_dim))
@@ -174,6 +184,15 @@ def subset_bases(mat):
         range(1, mat.ground_size + 1), r) if mat.subset_rank(I) == r)
 
 
+def defect_reference(arr, U):
+    """The span of the orthogonal projections of the normals onto U, from
+    project_reference and canonical_reference: no code shared with
+    pluecker.defect_subspace or exactlin.projector."""
+    n = arr.ambient_dim
+    rows = [project_reference(U.basis.entries, a) for a in arr.normals]
+    return Subspace(n, RationalMatrix(canonical_reference(rows, n), n))
+
+
 def brute_isomorphic(L1, L2):
     """Whether some rank-preserving bijection between two RankedLattices
     preserves the order both ways, trying every one."""
@@ -186,6 +205,6 @@ def brute_isomorphic(L1, L2):
         f = {}
         for block, image in zip(src, images):
             f.update(zip(block, image))
-        if all(L1.is_leq(i, j) == L2.is_leq(f[i], f[j]) for i in f for j in f):
+        if all(is_leq(L1, i, j) == is_leq(L2, f[i], f[j]) for i in f for j in f):
             return True
     return False

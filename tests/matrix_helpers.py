@@ -1,21 +1,27 @@
 """Matrix helpers for the tests.
 
-The Fraction oracles (rref_reference and the canonical forms and kernels
-built on it) share no code with the package: textbook Gauss-Jordan over
-Fractions.  awkward_matrix draws the inputs they are compared on.  The
-rest are package-side conveniences that only tests use: reduced row
-echelon form from the package's own elimination, membership and
-containment tests, products and transposes.
+The Fraction oracles (rref_reference and the canonical forms, kernels and
+projections built on it) share no code with the package: textbook
+Gauss-Jordan over Fractions.  awkward_matrix draws the inputs they are
+compared on, with fractional rows; cleared turns those into the integer
+rows the package takes, and row_lcms gives the factors that clearing
+multiplied each row by.  The rest are package-side conveniences that only
+tests use: reduced row echelon form from the package's own elimination,
+membership and containment tests, intersections and direct sums, products,
+transposes and shapes, and the order relation of a RankedLattice.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from grasstrata.exactlin import (
     RationalMatrix,
     _eliminate,
+    det,
     dot,
+    kernel,
     matrix,
+    orth_complement,
     rank,
     vector,
     vstack,
@@ -66,6 +72,18 @@ def canonical_reference(rows, cols):
     return tuple(primitive_reference(R[i]) for i in range(len(pivots)))
 
 
+def project_reference(basis, v):
+    """Orthogonal projection of v onto the span of the independent rows
+    basis: solve the Gram system (B B^T) y = B v by rref_reference and
+    return y B, over Fractions."""
+    B = [[Fraction(x) for x in row] for row in basis]
+    aug = [[sum(a * b for a, b in zip(r, s)) for s in B]
+           + [sum(a * b for a, b in zip(r, v))] for r in B]
+    R, _ = rref_reference(aug, len(B) + 1)
+    return tuple(sum((R[i][-1] * B[i][j] for i in range(len(B))), Fraction(0))
+                 for j in range(len(v)))
+
+
 def kernel_reference(rows, cols):
     R, pivots = rref_reference(rows, cols)
     out = []
@@ -100,12 +118,27 @@ def awkward_matrix(rng):
     return rows, cols
 
 
+def row_lcms(rows):
+    """The lcm of the denominators of each row of rationals."""
+    return [lcm(*[Fraction(x).denominator for x in row]) for row in rows]
+
+
+def cleared(rows):
+    """Each row of rationals times the lcm of its denominators, as ints:
+    the same row space, in entries that matrix() takes."""
+    return [[int(x * c) for x in row] for row, c in zip(rows, row_lcms(rows))]
+
+
 def rref(M):
-    """Reduced row echelon form of M plus the 0-based pivot columns, from
-    the package's own elimination."""
+    """Reduced row echelon form of M, as rows of Fractions, plus the 0-based
+    pivot columns, from the package's own elimination."""
     rows, pivots, d, _ = _eliminate(M)
-    return (matrix([[Fraction(x, d) for x in row] for row in rows], M.cols),
+    return (tuple(tuple(Fraction(x, d) for x in row) for row in rows),
             tuple(pivots))
+
+
+def shape(M):
+    return M.rows, M.cols
 
 
 def contains_vector(U, v):
@@ -119,6 +152,26 @@ def is_subspace_of(U, V):
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
     return all(contains_vector(V, row) for row in U.basis.entries)
+
+
+def intersect(U, V):
+    if U.ambient_dim != V.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    return kernel(vstack(orth_complement(U).basis, orth_complement(V).basis))
+
+
+def is_direct_sum_full(U, V):
+    """True iff U + V is direct and fills the whole ambient space."""
+    if U.ambient_dim != V.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    if U.dim + V.dim != U.ambient_dim:
+        return False
+    return det(vstack(U.basis, V.basis)) != 0
+
+
+def is_leq(L, i, j):
+    """Whether i <= j in the RankedLattice L."""
+    return bool(L.leq[i] >> j & 1)
 
 
 def transpose(M):

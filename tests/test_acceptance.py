@@ -17,7 +17,7 @@ from grasstrata.arrangement import (
     load_arrangement,
 )
 from grasstrata.cli import main
-from grasstrata.exactlin import intersect, is_direct_sum_full, kernel, matrix, project, rank
+from grasstrata.exactlin import kernel, matrix, project, rank
 from grasstrata.matroid import lattice_isomorphic, matroid_from, restriction_lattice
 from grasstrata.pluecker import defect_subspace, eval_adjoint, k_adjoint, pluecker_vector
 from grasstrata.sampling import sample_subspace, structured_subspaces
@@ -26,6 +26,8 @@ from grasstrata.strata import (
     verify_equivalence,
     verify_restriction_classification,
 )
+
+from matrix_helpers import cleared, intersect, is_direct_sum_full
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -133,7 +135,8 @@ def test_criterion_3_rank_function_two_ways(capsys):
             # all structured injections plus a batch of the random draws
             for U in subs[:50] + subs[SAMPLES:]:
                 mat = matroid_from(arr, U)
-                projs = [project(U, arr.normal(i + 1)) for i in range(m)]
+                # each projection times its lcm: the ranks stay the same
+                projs = cleared([project(U, arr.normal(i + 1)) for i in range(m)])
                 for mask in range(1 << m):
                     labels = [i + 1 for i in range(m) if mask >> i & 1]
                     lhs = rank(matrix([projs[i - 1] for i in labels], cols=n))
@@ -163,7 +166,8 @@ def test_criterion_4_basis_characterizations(capsys):
                 # the bases: the subsets of size mat.rank and rank mat.rank
                 B = {frozenset(I) for I in itertools.combinations(
                     range(1, m + 1), mat.rank) if mat.subset_rank(I) == mat.rank}
-                projs = {i: project(U, arr.normal(i)) for i in range(1, m + 1)}
+                projs = dict(enumerate(cleared(
+                    [project(U, a) for a in arr.normals]), 1))
                 for I in itertools.combinations(range(1, m + 1), t):
                     s1 = frozenset(I) in B
                     s2 = rank(matrix([projs[i] for i in I], cols=n)) == t

@@ -20,7 +20,6 @@ from grasstrata.arrangement import (
 )
 from grasstrata.exactlin import (
     full_space,
-    intersect,
     intersection_dim,
     kernel,
     matrix,
@@ -31,7 +30,7 @@ from grasstrata.exactlin import (
 from grasstrata.sampling import sample_subspace
 
 from brute_force import reference_lattice
-from matrix_helpers import is_subspace_of
+from matrix_helpers import intersect, is_subspace_of
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -89,6 +88,9 @@ def test_build_rejects_bad_input():
         build_arrangement(2, [(0, 0)])
     with pytest.raises(ValueError):
         build_arrangement(2, [(1, 0, 0)])
+    # rows are taken up to scale, but only as ints
+    with pytest.raises(ValueError, match="normal 2: entry 0.5 is not an int"):
+        build_arrangement(2, [(1, 0), (0.5, 1)])
 
 
 def test_hyperplane_subspaces():
@@ -146,7 +148,6 @@ def test_lattice_closed_under_hyperplane_intersection():
     for arr in (braid3(), boolean(3), nonessential3()):
         lat = intersection_lattice(arr)
         subs = {f.subspace for f in lat.flats}
-        from grasstrata.exactlin import intersect
         for f in lat.flats:
             for i in range(1, arr.size + 1):
                 assert intersect(f.subspace, arr.hyperplane(i)) in subs

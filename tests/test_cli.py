@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -109,6 +111,88 @@ def test_parse_subspace():
         parse_subspace("3\n1 0 0\n")
     with pytest.raises(ValueError, match="rows"):
         parse_subspace("3 2\n1 0 0\n")
+
+
+def rational_token(q, rng):
+    """The rational q written in a way Fraction parses: p/q, a decimal where
+    q's denominator divides a power of 10, or digits with an exponent."""
+    forms = [f"{q.numerator}/{q.denominator}"]
+    k = next((k for k in range(8) if (q * 10 ** k).denominator == 1), None)
+    if k is not None:
+        N = int(q * 10 ** k)
+        digits = str(abs(N)).rjust(k + 1, "0")
+        point = digits[:len(digits) - k] + "." + digits[len(digits) - k:]
+        sign = "-" if N < 0 else rng.choice(["", "+"])
+        forms += [sign + point, f"{N}e-{k}", f"{N * 10}E-{k + 1}"]
+        if k and abs(q) < 1:
+            forms.append(sign + point[1:])  # no leading zero: .5
+        if q.denominator == 1:
+            forms += [str(q), f"{q}e0", f"{q * 10}e-1"]
+    return rng.choice(forms)
+
+
+def rational_twin(text, rng):
+    """text with every row after the header line multiplied by a random
+    nonzero rational with a non-trivial denominator and written with
+    rational_token, comments and blank lines kept."""
+    out, seen_header = [], False
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if tokens and seen_header:
+            c = Fraction(rng.choice([1, -1, 3, -6, 10]), rng.choice([2, 3, 4, 5, 7]))
+            line = " ".join(rational_token(c * int(t), rng) for t in tokens)
+        seen_header = seen_header or bool(tokens)
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def test_rational_twins_give_the_same_output(tmp_path, capsys):
+    # rows are read up to scale: a file whose rows are rational multiples of
+    # another's, in any of the rational spellings, gives the same bytes
+    rng = random.Random(2)
+
+    def output(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    for name in sorted(os.listdir(DATA)):
+        if name == "line_e1.txt":
+            continue
+        for t in range(3):
+            twin = tmp_path / f"{t}{name}"
+            twin.write_text(rational_twin(open(data(name)).read(), rng))
+            assert "/" in twin.read_text() or "." in twin.read_text()
+            assert output(["lattice", str(twin)]) == output(["lattice", data(name)])
+    want = output(["label", data("braid3.txt"), "--k", "1",
+                   "--subspace", data("line_e1.txt")])
+    for t in range(3):
+        twin = tmp_path / f"line{t}.txt"
+        twin.write_text(rational_twin(open(data("line_e1.txt")).read(), rng))
+        arr = tmp_path / f"braid3_{t}.txt"
+        arr.write_text(rational_twin(open(data("braid3.txt")).read(), rng))
+        for path in (data("braid3.txt"), str(arr)):
+            assert output(["label", path, "--k", "1", "--subspace", str(twin)]) == want
+
+
+@pytest.mark.parametrize("token", ["1/0", "abc", "1.5.2", "1_000", "1/-2", "0x10",
+                                   "1e", "+", "--1", "\u0663", "\u00bd", "1_0/2_0"])
+def test_rational_entries_follow_the_fraction_grammar(tmp_path, capsys, token):
+    # the grammar is Fraction's on the running Python: '1_000' is an error
+    # before 3.11 and 1000 from 3.11 on, and '1/0' is always an error
+    path = tmp_path / "arr.txt"
+    path.write_text(f"3\n1 {token} 0\n0 1 0\n")
+    try:
+        q = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        assert main(["lattice", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 2: bad rational entry\n"
+        return
+    assert main(["lattice", str(path)]) == 0
+    got = capsys.readouterr().out
+    same = tmp_path / "same.txt"
+    same.write_text(f"3\n{q.denominator} {q.numerator} 0\n0 1 0\n")
+    assert main(["lattice", str(same)]) == 0
+    assert got == capsys.readouterr().out
 
 
 # -------------------------------------------------------------- commands

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -13,9 +14,7 @@ from grasstrata.exactlin import (
     dot,
     full_space,
     identity,
-    intersect,
     intersection_dim,
-    is_direct_sum_full,
     kernel,
     matrix,
     maximal_minors,
@@ -34,11 +33,17 @@ from grasstrata.exactlin import (
 from matrix_helpers import (
     awkward_matrix,
     canonical_reference,
+    cleared,
     contains_vector,
+    intersect,
+    is_direct_sum_full,
     is_subspace_of,
     kernel_reference,
+    project_reference,
+    row_lcms,
     rref,
     rref_reference,
+    shape,
     times,
     transpose,
 )
@@ -86,7 +91,7 @@ def mixed_representative(rng, U):
             rows[i], rows[j] = rows[j], rows[i]
     # duplicate a row to make the representative non-minimal
     rows.append(list(rows[rng.randrange(len(rows))]))
-    return matrix(rows, cols=U.ambient_dim)
+    return matrix(cleared(rows), cols=U.ambient_dim)
 
 
 # ---------------------------------------------------------------- matrices
@@ -94,20 +99,34 @@ def mixed_representative(rng, U):
 
 def test_matrix_shapes():
     M = matrix([[1, 2], [3, 4], [5, 6]])
-    assert M.shape == (3, 2)
-    assert transpose(M).shape == (2, 3)
+    assert shape(M) == (3, 2)
+    assert shape(transpose(M)) == (2, 3)
     empty = matrix([], cols=3)
-    assert empty.shape == (0, 3)
-    assert transpose(empty).shape == (3, 0)
+    assert shape(empty) == (0, 3)
+    assert shape(transpose(empty)) == (3, 0)
     with pytest.raises(ValueError):
         matrix([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, Fraction(1, 2), Fraction(2), "1", True])
+def test_matrix_and_vector_take_ints_only(entry):
+    with pytest.raises(ValueError):
+        matrix([[1, entry]])
+    with pytest.raises(ValueError):
+        matrix([[1, 2], [entry, 3]], cols=2)
+    with pytest.raises(ValueError):
+        vector((entry, 1))
+    with pytest.raises(ValueError):
+        span([[entry, 1]], 2)
+    with pytest.raises(ValueError):
+        identity(2).times_vector((entry, 1))
 
 
 def test_matrix_products():
     A = matrix([[1, 2], [0, 1]])
     B = matrix([[1, 0], [3, 1]])
     assert times(A, B).entries == matrix([[7, 2], [3, 1]]).entries
-    assert A.times_vector((1, 1)) == (Fraction(3), Fraction(1))
+    assert A.times_vector((1, 1)) == (3, 1)
 
 
 def test_rref_idempotent():
@@ -115,8 +134,8 @@ def test_rref_idempotent():
     for _ in range(30):
         M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         R, piv = rref(M)
-        R2, piv2 = rref(R)
-        assert R2.entries == R.entries
+        R2, piv2 = rref(matrix(cleared(R), cols=M.cols))
+        assert R2 == R
         assert piv2 == piv
 
 
@@ -124,7 +143,7 @@ def test_det_examples():
     assert det(matrix([], cols=0) if False else RationalMatrix((), 0)) == 1
     assert det(identity(4)) == 1
     assert det(matrix([[1, 2], [3, 4]])) == -2
-    assert det(matrix([[Fraction(1, 2), 1], [1, 2]])) == 0
+    assert det(matrix([[1, 2], [1, 2]])) == 0
     with pytest.raises(ValueError):
         det(matrix([[1, 2, 3]]))
 
@@ -133,9 +152,9 @@ def test_det_matches_cofactor_oracle():
     rng = random.Random(7)
     for _ in range(120):
         n = rng.randint(0, 5)
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
-                for _ in range(n)]
-        assert det(matrix(rows, cols=n)) == det_cofactor(rows)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        got = det(matrix(rows, cols=n))
+        assert type(got) is int and got == det_cofactor(rows)
 
 
 def test_minor_examples():
@@ -169,12 +188,14 @@ def test_minor_matches_cofactor_on_random_submatrices():
         rsel = sorted(rng.sample(range(1, rows + 1), k))
         csel = sorted(rng.sample(range(1, cols + 1), k))
         sub = [[M.entries[i - 1][j - 1] for j in csel] for i in rsel]
-        assert minor(M, rsel, csel) == det_cofactor(sub)
+        got = minor(M, rsel, csel)
+        assert type(got) is int and got == det_cofactor(sub)
 
 
 def test_maximal_minors_match_minor():
     # every row count k <= n up to n = 6: 0 rows, 1 row and square shapes
-    # among them, on integer and on fractional entries
+    # among them, on integer rows and on cleared fractional rows, whose
+    # minors are the fractional ones times the product of the row lcms
     rng = random.Random(41)
     for n in range(7):
         for k in range(n + 1):
@@ -182,22 +203,30 @@ def test_maximal_minors_match_minor():
                 rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                          if fractional else rng.randint(-3, 3)
                          for _ in range(n)] for _ in range(k)]
-                M = matrix(rows, cols=n)
+                M = matrix(cleared(rows), cols=n)
+                scale = prod(row_lcms(rows))
                 got = maximal_minors(M)
                 subsets = list(itertools.combinations(range(1, n + 1), k))
                 assert list(got) == subsets
                 for S in subsets:
+                    assert type(got[S]) is int
                     assert got[S] == minor(M, list(range(1, k + 1)), S)
+                    assert Fraction(got[S], scale) == det_cofactor(
+                        [[row[j - 1] for j in S] for row in rows])
     assert maximal_minors(matrix([], cols=3)) == {(): 1}
     assert maximal_minors(matrix([[1, 2], [3, 4], [5, 6]])) == {}
 
 
 def test_primitive_vector():
-    w, c = primitive_vector((Fraction(-2, 3), Fraction(4, 3), Fraction(0)))
-    assert w == vector((1, -2, 0))
-    assert c == Fraction(-3, 2)
+    w, g = primitive_vector((-4, 8, 0))
+    assert w == (1, -2, 0) and g == -4
+    assert primitive_vector((0, 3, -6)) == ((0, 1, -2), 3)
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
+    with pytest.raises(ValueError):
+        primitive_vector(())
+    with pytest.raises(ValueError):
+        primitive_vector((Fraction(1, 2), 1))
 
 
 # --------------------------------------------------------------- subspaces
@@ -325,10 +354,14 @@ def test_is_direct_sum_full_examples():
 
 def test_project_examples():
     e1 = span([[1, 0, 0]], 3)
-    assert project(e1, (1, -1, 0)) == vector((1, 0, 0))
-    v = vector((3, Fraction(1, 2), -2))
+    assert project(e1, (1, -1, 0)) == (1, 0, 0)
+    assert project(span([[1, 1, 0]], 3), (1, 0, 0)) == \
+        (Fraction(1, 2), Fraction(1, 2), 0)
+    v = (3, 1, -2)
     assert project(full_space(3), v) == v
-    assert project(zero_subspace(3), v) == vector((0, 0, 0))
+    assert project(zero_subspace(3), v) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        project(e1, (Fraction(1, 2), 0, 0))
 
 
 def test_project_is_orthogonal_projection():
@@ -339,44 +372,47 @@ def test_project_is_orthogonal_projection():
         v = vector([rng.randint(-4, 4) for _ in range(n)])
         w = vector([rng.randint(-4, 4) for _ in range(n)])
         pv = project(U, v)
-        assert contains_vector(U, pv)
+        (pv_int,) = cleared([pv])
+        assert contains_vector(U, pv_int)
         # residual orthogonal to U
         for row in U.basis.entries:
             assert dot(tuple(a - b for a, b in zip(v, pv)), row) == 0
-        # idempotent and self-adjoint
-        assert project(U, pv) == pv
+        # idempotent (on pv times its lcm, as project takes ints) and
+        # self-adjoint
+        c = row_lcms([pv])[0]
+        assert project(U, pv_int) == tuple(c * x for x in pv)
         assert dot(pv, w) == dot(v, project(U, w))
 
 
-def _with_fractional_rows(rng, U):
-    """U again in a row echelon form that is neither reduced nor integral:
-    each canonical row plus random multiples of the rows below it, divided
-    by a random integer."""
+def _with_scaled_rows(rng, U):
+    """U again in a row echelon form that is neither reduced nor coprime:
+    each canonical row plus random multiples of the rows below it, times a
+    random nonzero integer."""
     rows = [list(r) for r in U.basis.entries]
     for i in reversed(range(len(rows))):
         for below in rows[i + 1:]:
             c = rng.randint(-2, 2)
             rows[i] = [a + c * b for a, b in zip(rows[i], below)]
-    return Subspace(U.ambient_dim, RationalMatrix(
-        tuple(tuple(Fraction(x, rng.choice([1, 2, 3, -5])) for x in row)
-              for row in rows), U.ambient_dim))
+    return Subspace(U.ambient_dim, matrix(
+        [[rng.choice([1, 2, 3, -5]) * x for x in row] for row in rows],
+        cols=U.ambient_dim))
 
 
 def test_projector_properties():
     # P symmetric, P P = d P and row space U, on random, zero, full and
-    # fractional inputs
+    # non-canonical inputs
     rng = random.Random(71)
     cases = [zero_subspace(3), full_space(4), zero_subspace(0),
-             _with_fractional_rows(rng, full_space(3))]
+             _with_scaled_rows(rng, full_space(3))]
     for _ in range(60):
         rows, n = awkward_matrix(rng)
-        U = canonical_subspace(matrix(rows, cols=n))
-        cases += [U, _with_fractional_rows(rng, U)]
+        U = canonical_subspace(matrix(cleared(rows), cols=n))
+        cases += [U, _with_scaled_rows(rng, U)]
     for U in cases:
         n = U.ambient_dim
         P, d = projector(U)
         assert type(d) is int and d != 0
-        assert P.shape == (n, n)
+        assert shape(P) == (n, n)
         assert all(type(x) is int for row in P.entries for x in row)
         assert transpose(P) == P
         assert times(P, P).entries == tuple(tuple(d * x for x in row)
@@ -385,20 +421,20 @@ def test_projector_properties():
 
 
 def test_intersection_dim_matches_stacked_rank():
-    # dim U + dim V - rank [U; V], with fractional echelon rows on either
-    # side, V = 0, V = Q^n and U = V
+    # dim U + dim V - rank [U; V], with non-canonical echelon rows on
+    # either side, V = 0, V = Q^n and U = V
     rng = random.Random(73)
     for _ in range(150):
         n = rng.randint(0, 5)
-        U, V = (canonical_subspace(matrix(
+        U, V = (canonical_subspace(matrix(cleared(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-              for _ in range(n)] for _ in range(rng.randint(0, n))],
+              for _ in range(n)] for _ in range(rng.randint(0, n))]),
             cols=n)) for _ in range(2))
         for A, B in ((U, V), (V, U), (U, U), (U, zero_subspace(n)),
                      (U, full_space(n)), (zero_subspace(n), V),
-                     (U, _with_fractional_rows(rng, U)),
-                     (_with_fractional_rows(rng, U),
-                      _with_fractional_rows(rng, V))):
+                     (U, _with_scaled_rows(rng, U)),
+                     (_with_scaled_rows(rng, U),
+                      _with_scaled_rows(rng, V))):
             assert intersection_dim(A, B) == \
                 A.dim + B.dim - rank(vstack(A.basis, B.basis))
         assert intersection_dim(U, U) == U.dim
@@ -423,11 +459,11 @@ def test_integer_kernel_matches_fraction_reference():
     rng = random.Random(53)
     for _ in range(300):
         rows, cols = awkward_matrix(rng)
-        M = matrix(rows, cols=cols)
+        M = matrix(cleared(rows), cols=cols)
         R, pivots = rref_reference(rows, cols)
         got, got_pivots = rref(M)
         assert got_pivots == tuple(pivots)
-        assert got.entries == tuple(tuple(r) for r in R)
+        assert got == tuple(tuple(r) for r in R)
         assert rank(M) == len(pivots)
         assert canonical_subspace(M).basis.entries == canonical_reference(rows, cols)
         assert kernel(M).basis.entries == kernel_reference(rows, cols)
@@ -437,12 +473,12 @@ def test_kernel_takes_one_elimination(monkeypatch):
     calls = []
     real = grasstrata.exactlin._eliminate
     monkeypatch.setattr(grasstrata.exactlin, "_eliminate",
-                        lambda M: calls.append(M.shape) or real(M))
+                        lambda M: calls.append(shape(M)) or real(M))
     rng = random.Random(79)
     for _ in range(100):
         rows, cols = awkward_matrix(rng)
         calls.clear()
-        K = kernel(matrix(rows, cols=cols))
+        K = kernel(matrix(cleared(rows), cols=cols))
         assert len(calls) == 1
         assert K.basis.entries == kernel_reference(rows, cols)
 
@@ -453,21 +489,18 @@ def test_intersection_dim_and_project_match_reference():
         rows_u, n = awkward_matrix(rng)
         rows_v = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                    for _ in range(n)] for _ in range(rng.randint(0, 3))]
-        U = canonical_subspace(matrix(rows_u, cols=n))
-        V = canonical_subspace(matrix(rows_v, cols=n))
+        U = canonical_subspace(matrix(cleared(rows_u), cols=n))
+        V = canonical_subspace(matrix(cleared(rows_v), cols=n))
+        assert U.basis.entries == canonical_reference(rows_u, n)
+        assert V.basis.entries == canonical_reference(rows_v, n)
         both = [list(r) for r in U.basis.entries + V.basis.entries]
         assert intersection_dim(U, V) == \
             U.dim + V.dim - len(rref_reference(both, n)[1])
-        # projection: solve the Gram system by the reference, then map back
+        # projection of v times its lcm, against the reference's Gram solve
         v = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-        B = [[Fraction(x) for x in row] for row in U.basis.entries]
-        aug = [[sum(a * b for a, b in zip(r, s)) for s in B]
-               + [sum(a * b for a, b in zip(r, v))] for r in B]
-        R, _ = rref_reference(aug, len(B) + 1)
-        y = [R[i][-1] for i in range(len(B))]
-        want = tuple(sum((y[i] * B[i][j] for i in range(len(B))), Fraction(0))
-                     for j in range(n))
-        assert project(U, v) == want
+        c = row_lcms([v])[0]
+        assert project(U, cleared([v])[0]) == tuple(
+            c * x for x in project_reference(U.basis.entries, v))
 
 
 def test_det_with_fractional_entries_matches_cofactor():
@@ -478,19 +511,17 @@ def test_det_with_fractional_entries_matches_cofactor():
                  for _ in range(n)] for _ in range(n)]
         if n and rng.random() < 0.3:
             rows[-1] = [2 * x for x in rows[0]]  # force a singular matrix
-        assert det(matrix(rows, cols=n)) == det_cofactor(rows)
+        got = det(matrix(cleared(rows), cols=n))
+        assert Fraction(got, prod(row_lcms(rows))) == det_cofactor(rows)
 
 
 def test_storage_is_integer():
-    M = matrix([[Fraction(4, 2), Fraction(1, 3)], [Fraction(-6, 3), 5]])
-    assert [type(x) for x in M.entries[0]] == [int, Fraction]
-    assert type(M.entries[1][0]) is int
     rng = random.Random(67)
     for _ in range(60):
         rows, cols = awkward_matrix(rng)
-        for S in (canonical_subspace(matrix(rows, cols=cols)),
-                  kernel(matrix(rows, cols=cols))):
+        M = matrix(cleared(rows), cols=cols)
+        for S in (canonical_subspace(M), kernel(M)):
             assert all(type(x) is int for row in S.basis.entries for x in row)
-    w, c = primitive_vector((Fraction(1, 2), Fraction(-3, 4)))
-    assert w == (2, -3) and all(type(x) is int for x in w)
-    assert type(c) is Fraction
+    w, g = primitive_vector((2, -3 * 2))
+    assert w == (1, -3) and all(type(x) is int for x in w)
+    assert type(g) is int

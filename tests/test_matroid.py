@@ -17,8 +17,6 @@ from grasstrata.arrangement import (
 from grasstrata.exactlin import (
     canonical_subspace,
     full_space,
-    intersect,
-    is_direct_sum_full,
     kernel,
     matrix,
     project,
@@ -36,6 +34,7 @@ from grasstrata.matroid import (
 )
 from grasstrata.pluecker import defect_subspace
 from grasstrata.sampling import sample_subspace, structured_subspaces
+from matrix_helpers import cleared, intersect, is_direct_sum_full, is_leq
 
 
 def braid3():
@@ -74,7 +73,7 @@ def permuted(L, perm):
         ranks[perm[i]] = L.ranks[i]
         bits = 0
         for j in range(size):
-            if L.is_leq(i, j):
+            if is_leq(L, i, j):
                 bits |= 1 << perm[j]
         leq[perm[i]] = bits
     return RankedLattice(tuple(ranks), tuple(leq))
@@ -186,7 +185,7 @@ def test_rank_table_has_both_descriptions():
             mat = matroid_from(arr, U)
             for size in range(arr.size + 1):
                 for I in itertools.combinations(range(1, arr.size + 1), size):
-                    betas = [project(U, arr.normal(i)) for i in I]
+                    betas = cleared([project(U, arr.normal(i)) for i in I])
                     lhs = rank(matrix(betas, cols=n))
                     flat = kernel(matrix([arr.normal(i) for i in I], cols=n))
                     rhs = U.dim - intersect(U, flat).dim
@@ -211,7 +210,7 @@ def test_basis_triple_equivalence():
                     for I in itertools.combinations(range(1, arr.size + 1),
                                                     size):
                         s1 = frozenset(I) in B
-                        betas = [project(U, arr.normal(i)) for i in I]
+                        betas = cleared([project(U, arr.normal(i)) for i in I])
                         s2 = size == target and rank(
                             matrix(betas, cols=n)) == size
                         flat = kernel(matrix([arr.normal(i) for i in I],
@@ -244,9 +243,9 @@ def test_ranked_lattice_order():
     bottom = L.ranks.index(0)
     top = L.ranks.index(2)
     for j in range(L.size):
-        assert L.is_leq(bottom, j)
-        assert L.is_leq(j, top)
-    assert not L.is_leq(top, bottom)
+        assert is_leq(L, bottom, j)
+        assert is_leq(L, j, top)
+    assert not is_leq(L, top, bottom)
 
 
 def test_lattice_isomorphic_basics():

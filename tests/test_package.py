@@ -21,10 +21,10 @@ EXPORTS = {
         "intersection_lattice", "is_essential", "load_arrangement",
         "maximal_chains", "parse_arrangement", "restriction"],
     "exactlin": [
-        "Rational", "RationalMatrix", "Subspace", "canonical_subspace", "det",
-        "full_space", "intersect", "is_direct_sum_full", "kernel", "matrix",
-        "maximal_minors", "minor", "orth_complement", "project", "span",
-        "subspace_sum", "zero_subspace"],
+        "RationalMatrix", "Subspace", "canonical_subspace", "det",
+        "full_space", "kernel", "matrix", "maximal_minors", "minor",
+        "orth_complement", "project", "span", "subspace_sum",
+        "zero_subspace"],
     "matroid": [
         "Matroid", "RankedLattice", "lattice_isomorphic", "loops",
         "matroid_from", "restriction_lattice"],

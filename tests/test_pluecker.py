@@ -1,26 +1,30 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import grasstrata.exactlin
+from brute_force import defect_reference, full_dims
 from grasstrata.arrangement import (
     Flat,
     build_arrangement,
     center,
     intersection_lattice,
+    load_arrangement,
 )
 from grasstrata.exactlin import (
     canonical_subspace,
     det,
     full_space,
-    is_direct_sum_full,
     matrix,
+    rank,
     span,
     vstack,
     zero_subspace,
 )
+from grasstrata.matroid import matroid_from
 from grasstrata.pluecker import (
     _center_perp,
     adjoint_hyperplane,
@@ -31,8 +35,11 @@ from grasstrata.pluecker import (
     minor_vector,
     pluecker_vector,
 )
+from grasstrata.sampling import sample_subspace, structured_subspaces
+from grasstrata.strata import adjoint_label
+from matrix_helpers import is_direct_sum_full, shape, times
 
-from matrix_helpers import times
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 
 def braid3():
@@ -153,8 +160,8 @@ def test_pluecker_scale_links_raw_and_canonical():
         U = random_subspace(rng, n, k)
         p = pluecker_vector(U)
         raw = minor_vector(U.basis)
-        assert tuple(Fraction(c) for c in p.coords) == \
-            tuple(p.scale * x for x in raw)
+        assert type(p.divisor) is int
+        assert raw == tuple(p.divisor * c for c in p.coords)
 
 
 # ------------------------------------------------------ adjoint hyperplanes
@@ -185,8 +192,8 @@ def test_adjoint_matches_sign_formula_oracle():
         X = random_subspace(rng, n, n - k)
         h = adjoint_hyperplane(ad_hoc_flat(X), k)
         raw = adjoint_coeffs_oracle(X.basis.entries, n, k)
-        assert tuple(Fraction(c) for c in h.coeffs) == \
-            tuple(h.scale * x for x in raw)
+        assert type(h.divisor) is int
+        assert raw == tuple(h.divisor * c for c in h.coeffs)
 
 
 def test_k_adjoint_braid3():
@@ -247,7 +254,7 @@ def test_defect_subspace_takes_five_eliminations(monkeypatch):
     calls = []
     real = grasstrata.exactlin._eliminate
     monkeypatch.setattr(grasstrata.exactlin, "_eliminate",
-                        lambda M: calls.append(M.shape) or real(M))
+                        lambda M: calls.append(shape(M)) or real(M))
     braid5 = build_arrangement(5, [[(j == a) - (j == b) for j in range(5)]
                                    for a, b in itertools.combinations(range(5), 2)])
     rng = random.Random(83)
@@ -260,6 +267,36 @@ def test_defect_subspace_takes_five_eliminations(monkeypatch):
             V = defect_subspace.__wrapped__(arr, U)
             assert len(calls) <= most, (U, calls)
             assert V == defect_subspace(arr, U)
+
+
+def braid(n):
+    return build_arrangement(n, [[(j == a) - (j == b) for j in range(n)]
+                                 for a, b in itertools.combinations(range(n), 2)])
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(DATA) if f != "line_e1.txt") + ["braid6"])
+def test_defect_sees_what_the_arrangement_sees(name):
+    # V = defect(U) is the span of the projections of the normals onto U,
+    # and V lies in U, so projecting onto V gives the same vectors: U and V
+    # have one trace matroid, dim(U meet X) = dim(V meet X) + i on every
+    # flat X for i = dim(U meet center), and one adjoint zero set
+    arr = braid(6) if name == "braid6" else load_arrangement(os.path.join(DATA, name))
+    n = arr.ambient_dim
+    T = center(arr)
+    for k in range(n + 1):
+        cases = ([sample_subspace(n, k, 3, 0, j) for j in range(3)]
+                 + structured_subspaces(arr, k)[:8])
+        for U in cases:
+            V = defect_subspace(arr, U)
+            assert V == defect_reference(arr, U), (U, V)
+            i = U.dim + T.dim - rank(vstack(U.basis, T.basis))
+            assert V.dim == U.dim - i
+            assert matroid_from(arr, U).ranks == matroid_from(arr, V).ranks
+            assert full_dims(arr, U) == tuple(d + i for d in full_dims(arr, V))
+            label_u, label_v = adjoint_label(arr, U), adjoint_label(arr, V)
+            assert (label_u.i, label_v.i) == (i, 0)
+            assert label_u.zero_set == label_v.zero_set
 
 
 # ---------------------------------------------------------------- pairing
@@ -293,10 +330,10 @@ def test_laplace_expansion_identity():
         raw_v = minor_vector(V.basis)
         raw_x = adjoint_coeffs_oracle(X.basis.entries, n, k)
         assert sum(a * b for a, b in zip(raw_x, raw_v)) == stacked_det
-        # canonical route with tracked scales
+        # canonical route with tracked divisors
         h = adjoint_hyperplane(ad_hoc_flat(X), k)
         p = pluecker_vector(V)
-        assert eval_adjoint(h, p) == h.scale * p.scale * stacked_det
+        assert eval_adjoint(h, p) * h.divisor * p.divisor == stacked_det
 
 
 def test_direct_sum_biconditional():

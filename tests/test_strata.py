@@ -15,7 +15,6 @@ from grasstrata.arrangement import (
 )
 from grasstrata.exactlin import (
     canonical_subspace,
-    is_direct_sum_full,
     kernel,
     matrix,
     span,
@@ -23,6 +22,7 @@ from grasstrata.exactlin import (
 )
 from grasstrata.matroid import loops, restriction_lattice, lattice_isomorphic
 from grasstrata.pluecker import defect_subspace
+from matrix_helpers import is_direct_sum_full
 from grasstrata.strata import (
     adjoint_label,
     first_disagreement,

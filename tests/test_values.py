@@ -1,13 +1,14 @@
 """The package's immutable value types: construction, immutability, equality
 over the compared fields only, hashing, pickling and constructor checks.
 Also that importing the command line loads none of dataclasses, inspect and
-typing, which cost a fresh process about 20 ms between them."""
+typing, which cost a fresh process about 20 ms between them, and that
+running lattice and verify on integer files loads neither fractions nor
+the decimal module it imports."""
 
 import os
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -67,11 +68,11 @@ CASES = [
      {"leq": (1, 2)}, {}),
     (KSubsetIndex, {"n": 3, "k": 1, "subsets": IDX.subsets, "_pos": IDX._pos},
      {"k": 2}, {"_pos": {}}),
-    (PlueckerVector, {"index": IDX, "coords": (1, 1, 1), "scale": Fraction(1)},
-     {"coords": (1, 0, 0)}, {"scale": Fraction(2)}),
+    (PlueckerVector, {"index": IDX, "coords": (1, 1, 1), "divisor": 1},
+     {"coords": (1, 0, 0)}, {"divisor": 2}),
     (AdjointHyperplane, {"source": FLAT, "index": IDX, "coeffs": (1, -1, 0),
-                         "scale": Fraction(-1)},
-     {"coeffs": (1, 0, -1)}, {"scale": Fraction(3)}),
+                         "divisor": -1},
+     {"coeffs": (1, 0, -1)}, {"divisor": 3}),
     (MatroidLabel, {"matroid": matroid()},
      {"matroid": matroid(ranks=(0, 1, 1, 1, 1))}, {}),
     (AdjointLabel, {"i": 0, "zero_set": (FLAT,)}, {"i": 1}, {}),
@@ -127,14 +128,32 @@ def test_value_type_checks():
         Matroid(BRAID3, (0, 1, 1, 1, 3))  # and the rank axioms
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
     # nor the modules that only some commands run
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
     absent = {"dataclasses", "inspect", "typing", "grasstrata.matroid",
               "grasstrata.pluecker", "grasstrata.sampling", "grasstrata.strata"}
     script = f"import sys, grasstrata.cli; print(sorted({absent!r} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # integer files never reach fractions (which imports decimal); a
+    # rational entry does, through the parser's lazy branch
+    braid5 = os.path.join(os.path.dirname(__file__), os.pardir, "data", "braid5.txt")
+    twin = tmp_path / "braid3.txt"
+    twin.write_text("3\n1/2 -0.5 0\n1 0 -1e0\n0 1 -1\n")
+    script = (
+        "import os, sys\n"
+        "from grasstrata.cli import main\n"
+        "out = ['-o', os.devnull]\n"
+        f"codes = [main(['lattice', {braid5!r}] + out),\n"
+        f"         main(['verify', {braid5!r}, '--k', '2', '--samples', '3',\n"
+        "               '--include-flats'] + out)]\n"
+        "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        f"print(main(['lattice', {str(twin)!r}] + out), 'fractions' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0] []", "0 True"]
