@@ -8,6 +8,8 @@ default lives in _build_parser alone.
 Module scope imports only what parsing, lattice and restrict need; every
 other handler imports its own modules as its first statement, so a process
 loads (and, without cached bytecode, compiles) only what its command runs.
+No command loads hashlib (OpenSSL) or json (pure Python with an indent):
+_json_text writes json.dumps(payload, indent=2, sort_keys=True) itself.
 
 Exit codes: 0 success, 1 bad input, 2 a verification run found a
 counterexample, 3 an internal self-check failed.  No command has a size
@@ -18,8 +20,6 @@ lattices of any size.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from collections.abc import Callable, Sequence
 
@@ -35,6 +35,14 @@ from .arrangement import (
     restriction,
 )
 from .exactlin import Subspace, canonical_subspace, matrix
+
+try:  # the builtin SHA-256 that hashlib falls back to without OpenSSL
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:  # built without the builtin SHA-2
+        from hashlib import sha256
 
 # Layout version of the verify report.  Format 2 encodes the matroid and
 # Schubert labels as vectors over the flats of the intersection lattice.
@@ -125,7 +133,7 @@ def load_subspace(path: str) -> Subspace:
 
 
 def arrangement_digest(arr: Arrangement) -> str:
-    return hashlib.sha256(format_arrangement(arr).encode()).hexdigest()
+    return sha256(format_arrangement(arr).encode()).hexdigest()
 
 
 def _basis_rows(S: Subspace) -> list[list[int]]:
@@ -140,8 +148,50 @@ def _write(text: str, output_path: str | None) -> None:
             fh.write(text)
 
 
+def _escape(c: str) -> str:
+    named = '"\\\b\f\n\r\t'.find(c)
+    if named >= 0:
+        return "\\" + '"\\bfnrt'[named]
+    n = ord(c)
+    if 0x20 <= n < 0x7f:
+        return c
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # a surrogate pair, as json's ensure_ascii writes it
+    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+def _quote(s: str) -> str:
+    # str.isascii(s) raises TypeError on a dict key that is not a str
+    if str.isascii(s) and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+def _json_text(o, pad: str = "\n") -> str:
+    """json.dumps(o, indent=2, sort_keys=True) on exact str-keyed dicts, lists,
+    tuples, str, int, bool and None; pad is a newline and o's indent."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return repr(o)
+    inner = pad + "  "
+    if t is list or t is tuple:
+        return "[" + inner + ("," + inner).join([
+            repr(v) if type(v) is int else _json_text(v, inner)
+            for v in o]) + pad + "]" if o else "[]"
+    if t is dict:
+        return "{" + inner + ("," + inner).join([
+            f"{_quote(k)}: {_json_text(o[k], inner)}"
+            for k in sorted(o)]) + pad + "}" if o else "{}"
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict, output_path: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", output_path)
+    _write(_json_text(payload) + "\n", output_path)
 
 
 # ------------------------------------------------------------- commands

@@ -13,7 +13,10 @@ reference walks every maximal chain and takes the overlap dimension of
 each flat on it; label_jumps reads the same jump positions off a Schubert
 label's per-flat dimensions, and subset_bases the bases off a matroid's
 per-flat ranks.  The defect reference spans the Fraction projections of
-the normals, by the Gram solve of matrix_helpers.  The isomorphism
+the normals, by the Gram solve of matrix_helpers.  The essentialization
+writes the normals in the canonical basis E of the span of the normals,
+and maps a subspace U to the pair (i, W): i = dim(U meet center) and W
+the coordinates, in E, of the projection of U's defect.  The isomorphism
 reference tries every rank-preserving bijection of two ranked lattices.
 Tests compare the package's lattice, per-flat labels, defect subspaces,
 axiom check and isomorphism search against them.
@@ -21,7 +24,12 @@ axiom check and isomorphism search against them.
 
 import itertools
 
-from grasstrata.arrangement import Flat, intersection_lattice, maximal_chains
+from grasstrata.arrangement import (
+    Flat,
+    build_arrangement,
+    intersection_lattice,
+    maximal_chains,
+)
 from grasstrata.exactlin import (
     RationalMatrix,
     Subspace,
@@ -36,6 +44,7 @@ from grasstrata.exactlin import (
 from matrix_helpers import (
     canonical_reference,
     cleared,
+    gram_coordinates,
     intersect,
     is_leq,
     project_reference,
@@ -191,6 +200,37 @@ def defect_reference(arr, U):
     n = arr.ambient_dim
     rows = [project_reference(U.basis.entries, a) for a in arr.normals]
     return Subspace(n, RationalMatrix(canonical_reference(rows, n), n))
+
+
+def essential_basis(arr):
+    """E: the canonical basis of the span of the normals, the orthogonal
+    complement of the center, as integer rows."""
+    return canonical_reference(arr.normals, arr.ambient_dim)
+
+
+def essentialize(arr):
+    """ess(A) in Q^r, r = rank A: the normals E a_j in hyperplane order.  A
+    normal lies in the span of E, so E a_j is not zero, and E is injective
+    there, so distinct hyperplanes stay distinct."""
+    E = essential_basis(arr)
+    return build_arrangement(len(E), [[dot(e, a) for e in E]
+                                      for a in arr.normals])
+
+
+def essential_pair(arr, U):
+    """(i, W) for U: i = dim(U meet center), and W in Q^r the span of the
+    coordinates, in E, of the projections to the span of E of the defect
+    V = defect_reference(arr, U).  The normals lie in that span, so
+    a_j . v = (E a_j) . w for each v of V and its coordinates w."""
+    E = essential_basis(arr)
+    V = defect_reference(arr, U)
+    rows = cleared([gram_coordinates(E, v) for v in V.basis.entries])
+    W = Subspace(len(E), RationalMatrix(canonical_reference(rows, len(E)),
+                                        len(E)))
+    if W.dim != V.dim:
+        raise ValueError("the projection to the span of E is not injective "
+                         "on the defect")
+    return U.dim - V.dim, W
 
 
 def brute_isomorphic(L1, L2):

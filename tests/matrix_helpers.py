@@ -72,15 +72,22 @@ def canonical_reference(rows, cols):
     return tuple(primitive_reference(R[i]) for i in range(len(pivots)))
 
 
-def project_reference(basis, v):
-    """Orthogonal projection of v onto the span of the independent rows
-    basis: solve the Gram system (B B^T) y = B v by rref_reference and
-    return y B, over Fractions."""
+def gram_coordinates(basis, v):
+    """The coordinates y, over Fractions, of the orthogonal projection of v
+    onto the span of the independent rows basis, in that basis: the
+    solution of the Gram system (B B^T) y = B v, by rref_reference."""
     B = [[Fraction(x) for x in row] for row in basis]
     aug = [[sum(a * b for a, b in zip(r, s)) for s in B]
            + [sum(a * b for a, b in zip(r, v))] for r in B]
     R, _ = rref_reference(aug, len(B) + 1)
-    return tuple(sum((R[i][-1] * B[i][j] for i in range(len(B))), Fraction(0))
+    return tuple(R[i][-1] for i in range(len(B)))
+
+
+def project_reference(basis, v):
+    """Orthogonal projection of v onto the span of the independent rows
+    basis: y B for y = gram_coordinates(basis, v), over Fractions."""
+    y = gram_coordinates(basis, v)
+    return tuple(sum((c * row[j] for c, row in zip(y, basis)), Fraction(0))
                  for j in range(len(v)))
 
 

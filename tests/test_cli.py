@@ -8,16 +8,23 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grasstrata.matroid
 import grasstrata.sampling
 import grasstrata.strata
 from grasstrata.cli import (
+    _json_text,
     arrangement_digest,
     main,
     parse_subspace,
+    sha256,
 )
-from grasstrata.arrangement import load_arrangement, parse_arrangement
+from grasstrata.arrangement import (
+    format_arrangement,
+    load_arrangement,
+    parse_arrangement,
+)
 from grasstrata.exactlin import canonical_subspace, full_space, span, zero_subspace
 from grasstrata.sampling import sample_subspace, structured_subspaces
 
@@ -611,3 +618,77 @@ def test_digest_stable():
     assert arrangement_digest(arr) == arrangement_digest(arr)
     other = load_arrangement(data("boolean3.txt"))
     assert arrangement_digest(arr) != arrangement_digest(other)
+
+
+ARRANGEMENTS = sorted(f for f in os.listdir(DATA) if f != "line_e1.txt")
+
+
+def test_digest_is_sha256_of_the_canonical_text():
+    # the builtin SHA-256 module, and hashlib (OpenSSL first) only on an
+    # interpreter built without it
+    assert sha256.__module__ in ("_sha2", "_sha256")
+    digests = []
+    for name in ARRANGEMENTS:
+        arr = load_arrangement(data(name))
+        digests.append(arrangement_digest(arr))
+        assert digests[-1] == hashlib.sha256(
+            format_arrangement(arr).encode()).hexdigest()
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from grasstrata.arrangement import load_arrangement\n"
+        "from grasstrata.cli import arrangement_digest, sha256\n"
+        "assert sha256 is hashlib.sha256\n"
+        "for path in sys.argv[1:]:\n"
+        "    print(arrangement_digest(load_arrangement(path)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script] + [data(name) for name in ARRANGEMENTS],
+        env=package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == digests
+
+
+# ------------------------------------------------------------ json writer
+
+# every code point, surrogates included, and the ones json escapes by name
+_text = st.text(st.characters(exclude_categories=())
+                | st.sampled_from('"\\\x7f\x00\x1f\b\f\n\r\t\ud800\udfff\U0001d49c'))
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2**200, max_value=2**200) | _text)
+_payloads = st.recursive(
+    _scalars, lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                             | st.dictionaries(_text, inner)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_payloads)
+def test_json_writer_matches_json_dumps(payload):
+    assert (_json_text(payload)
+            == json.dumps(payload, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, float("nan"), {1, 2}, frozenset(), b"bytes", object(), {1: 2},
+    {"a": 1, None: 2}, {"a": [0.5]}, [[{"b": {3}}]]])
+def test_json_writer_rejects_what_it_cannot_write(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)
+
+
+def test_reports_on_an_odd_path_are_what_json_writes(tmp_path, capsys):
+    # non-ASCII, astral, a quote, a backslash and a byte that is not
+    # UTF-8, which the path holds as a lone surrogate
+    where = tmp_path / 'ärr "q" \\ 𝒜 \udcff'
+    where.mkdir()
+    path = str(where / "braid3.txt")
+    with open(data("braid3.txt")) as src, open(path, "w") as dst:
+        dst.write(src.read())
+    for argv in (["verify", path, "--k", "1", "--samples", "3", "--include-flats"],
+                 ["label", path, "--k", "1", "--subspace", data("line_e1.txt")]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        if argv[0] == "verify":
+            assert json.loads(out)["config"]["arrangement"] == path

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 import grasstrata.exactlin
-from brute_force import defect_reference, full_dims
+from brute_force import (
+    defect_reference,
+    essential_pair,
+    essentialize,
+    full_dims,
+)
 from grasstrata.arrangement import (
     Flat,
     build_arrangement,
@@ -36,7 +41,7 @@ from grasstrata.pluecker import (
     pluecker_vector,
 )
 from grasstrata.sampling import sample_subspace, structured_subspaces
-from grasstrata.strata import adjoint_label
+from grasstrata.strata import KINDS, adjoint_label, label_encodings
 from matrix_helpers import is_direct_sum_full, shape, times
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -297,6 +302,78 @@ def test_defect_sees_what_the_arrangement_sees(name):
             label_u, label_v = adjoint_label(arr, U), adjoint_label(arr, V)
             assert (label_u.i, label_v.i) == (i, 0)
             assert label_u.zero_set == label_v.zero_set
+
+
+def classes(keys):
+    """The partition of range(len(keys)) by equal keys."""
+    groups = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    return sorted(groups.values())
+
+
+def generic_line(rng, X):
+    """A random integer vector of the flat X, as a line."""
+    basis = X.subspace.basis.entries
+    coeffs = [rng.randint(-10**6, 10**6) for _ in basis]
+    return span([[sum(c * row[j] for c, row in zip(coeffs, basis))
+                  for j in range(X.subspace.ambient_dim)]], X.subspace.ambient_dim)
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(DATA) if f != "line_e1.txt") + ["braid6"])
+def test_labels_factor_through_the_essentialization(name):
+    # every label of U is a label of the pair (i, W) on ess(A): the
+    # normals lie in the span of E, so a_j . v = (E a_j) . w, and the
+    # defect identities carry over with flats matched by generator sets
+    arr = braid(6) if name == "braid6" else load_arrangement(os.path.join(DATA, name))
+    ess = essentialize(arr)
+    n, r, t = arr.ambient_dim, ess.ambient_dim, center(arr).dim
+    lat, ess_lat = intersection_lattice(arr), intersection_lattice(ess)
+    assert r == n - t == ess_lat.rank
+    at = {f.generators: j for j, f in enumerate(ess_lat.flats)}
+    match = [at[f.generators] for f in lat.flats]
+    assert sorted(match) == list(range(len(ess_lat.flats)))
+    for f, j in zip(lat.flats, match):
+        assert (f.rank, f.dim) == (ess_lat.flats[j].rank, ess_lat.flats[j].dim + t)
+    assert {(match[a], match[b]) for a, b in lat.covers} == set(ess_lat.covers)
+    for k in range(n + 1):
+        cases = ([sample_subspace(n, k, 3, 0, j) for j in range(3)]
+                 + structured_subspaces(arr, k)[:8])
+        on_arr, on_ess = [], []
+        for U in cases:
+            i, W = essential_pair(arr, U)
+            assert (W.ambient_dim, W.dim) == (r, k - i)
+            ranks = matroid_from(ess, W).ranks
+            assert matroid_from(arr, U).ranks == tuple(ranks[j] for j in match)
+            dims = full_dims(ess, W)
+            assert full_dims(arr, U) == tuple(dims[j] + i for j in match)
+            label_u, label_w = adjoint_label(arr, U), adjoint_label(ess, W)
+            assert (label_u.i, label_w.i) == (i, 0)
+            assert ({f.generators for f in label_u.zero_set}
+                    == {f.generators for f in label_w.zero_set})
+            on_arr.append(label_encodings(arr, U))
+            on_ess.append((i, label_encodings(ess, W)))
+        for kind in KINDS:
+            assert (classes([e[kind] for e in on_arr])
+                    == classes([(i, e[kind]) for i, e in on_ess])), (k, kind)
+    # so the strata of A at k = 1 are the pairs (1, the zero subspace) and
+    # (0, a stratum of lines of ess(A)), and every such pair occurs
+    rng = random.Random(name)
+    lines, pairs = set(), set()
+    for X in lat.flats:
+        if X.dim > 0:
+            U = generic_line(rng, X)
+            lines.add(tuple(label_encodings(arr, U).values()))
+            i, W = essential_pair(arr, U)
+            pairs.add((i, tuple(label_encodings(ess, W).values())))
+    ess_lines = {(0, tuple(label_encodings(ess, generic_line(rng, X)).values()))
+                 for X in ess_lat.flats if X.dim > 0}
+    zero = {(1, tuple(label_encodings(ess, zero_subspace(r)).values()))}
+    assert pairs == ess_lines | (zero if t else set())
+    assert len(lines) == len(pairs)
+    assert len(lines) == {"braid5.txt": 52, "nonessential3.txt": 4}.get(
+        name, len(lines))
 
 
 # ---------------------------------------------------------------- pairing

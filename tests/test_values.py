@@ -132,16 +132,20 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
     # nor the modules that only some commands run
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    absent = {"dataclasses", "inspect", "typing", "grasstrata.matroid",
-              "grasstrata.pluecker", "grasstrata.sampling", "grasstrata.strata"}
+    absent = {"dataclasses", "inspect", "typing", "hashlib", "_hashlib", "json",
+              "grasstrata.matroid", "grasstrata.pluecker", "grasstrata.sampling",
+              "grasstrata.strata"}
     script = f"import sys, grasstrata.cli; print(sorted({absent!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     # integer files never reach fractions (which imports decimal); a
-    # rational entry does, through the parser's lazy branch
+    # rational entry does, through the parser's lazy branch.  No command
+    # loads hashlib, OpenSSL's _hashlib or json
     braid5 = os.path.join(os.path.dirname(__file__), os.pardir, "data", "braid5.txt")
+    plane = tmp_path / "plane.txt"
+    plane.write_text("5 2\n1 0 0 0 0\n0 1 1 0 0\n")
     twin = tmp_path / "braid3.txt"
     twin.write_text("3\n1/2 -0.5 0\n1 0 -1e0\n0 1 -1\n")
     script = (
@@ -149,11 +153,14 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
         "from grasstrata.cli import main\n"
         "out = ['-o', os.devnull]\n"
         f"codes = [main(['lattice', {braid5!r}] + out),\n"
+        f"         main(['label', {braid5!r}, '--k', '2', '--subspace',\n"
+        f"               {str(plane)!r}] + out),\n"
         f"         main(['verify', {braid5!r}, '--k', '2', '--samples', '3',\n"
         "               '--include-flats'] + out)]\n"
-        "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "print(codes, sorted({'fractions', 'decimal', 'hashlib', '_hashlib',\n"
+        "                     'json'} & set(sys.modules)))\n"
         f"print(main(['lattice', {str(twin)!r}] + out), 'fractions' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0] []", "0 True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0] []", "0 True"]
