@@ -18,13 +18,11 @@ from math import gcd, lcm
 from operator import mul
 
 from .exactlin import (
-    RationalMatrix,
     Subspace,
     Value,
     canonical_subspace,
     full_space,
     kernel,
-    matrix,
     primitive_vector,
     vector,
 )
@@ -56,7 +54,7 @@ class Arrangement(Value):
         return self.normals[label - 1]
 
     def hyperplane(self, label: int) -> Subspace:
-        return kernel(matrix([self.normal(label)], cols=self.ambient_dim))
+        return kernel([self.normal(label)], self.ambient_dim)
 
 
 def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
@@ -97,7 +95,7 @@ class Flat(Value):
 
 
 def _flat_key(f: Flat):
-    return (f.rank, f.subspace.basis.entries)
+    return (f.rank, f.subspace.basis)
 
 
 class IntersectionLattice(Value):
@@ -229,7 +227,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     while frontier:
         nxt = []
         for g in frontier:
-            B = basis[g].basis.entries
+            B = basis[g].basis
             groups: dict[tuple[int, ...], int] = {}
             for j in range(m):
                 if not g >> j & 1:
@@ -240,9 +238,9 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                 h = g | group
                 if h not in basis:
                     p = next(i for i, x in enumerate(t) if x)
-                    basis[h] = canonical_subspace(RationalMatrix(tuple(
-                        tuple(t[p] * x - t[i] * y for x, y in zip(B[i], B[p]))
-                        for i in range(len(B)) if i != p), n))
+                    basis[h] = canonical_subspace(
+                        [[t[p] * x - t[i] * y for x, y in zip(B[i], B[p])]
+                         for i in range(len(B)) if i != p], n)
                     nxt.append(h)
                 for j in range(m):
                     if group >> j & 1:
@@ -261,7 +259,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
 @functools.lru_cache(maxsize=None)
 def center(arr: Arrangement) -> Subspace:
     """The intersection of all hyperplanes; R^n for the empty arrangement."""
-    return kernel(matrix(arr.normals, cols=arr.ambient_dim))
+    return kernel(arr.normals, arr.ambient_dim)
 
 
 def is_essential(arr: Arrangement) -> bool:
@@ -278,7 +276,7 @@ def restriction(arr: Arrangement, U: Subspace) -> Arrangement:
         raise ValueError("ambient dimensions differ")
     if U.dim == 0:
         raise ValueError("cannot restrict to the zero subspace")
-    B = U.basis.entries
+    B = U.basis
     traces: list[tuple[int, ...]] = []
     seen = set()
     for a in arr.normals:
@@ -329,6 +327,15 @@ def chain_count(lattice: IntersectionLattice) -> int:
 # ------------------------------------------------------------ text format
 
 
+def int_token(token: str) -> int | None:
+    """The int that token spells when it is an optional sign and ASCII
+    digits, else None: the one integer grammar of the text format, for
+    header fields and entries alike.  int alone would also take '1_000' and
+    non-ASCII digits such as '٣'."""
+    digits = token[1:] if token[:1] in "+-" else token
+    return int(token) if digits.isascii() and digits.isdigit() else None
+
+
 def read_rows(text: str, header: Callable[[list[str], str], tuple[int, ...]],
               missing: str) -> tuple[tuple[int, ...], list[list[int]]]:
     """The plain text format of arrangement and subspace files: a header
@@ -337,8 +344,8 @@ def read_rows(text: str, header: Callable[[list[str], str], tuple[int, ...]],
     and returns its integers, the first being the row width; a text with
     no header line raises ValueError(missing).
 
-    Rows come back as integers.  When every token of a row is an optional
-    sign and ASCII digits, int reads them.  Otherwise fractions.Fraction,
+    Rows come back as integers.  When every token of a row is an integer
+    by int_token, those are the row.  Otherwise fractions.Fraction,
     imported only then, reads the row, so its grammar (p/q, decimals,
     exponents) is the format's on every Python, and the row is multiplied
     by the lcm of its denominators: a row stands for a hyperplane or a
@@ -356,9 +363,9 @@ def read_rows(text: str, header: Callable[[list[str], str], tuple[int, ...]],
         if len(parts) != head[0]:
             raise ValueError(
                 f"line {lineno}: expected {head[0]} entries, got {len(parts)}")
-        if all(p.isascii() and (p[1:] if p[0] in "+-" else p).isdigit()
-               for p in parts):
-            rows.append([int(p) for p in parts])
+        ints = [int_token(p) for p in parts]
+        if None not in ints:
+            rows.append(ints)
             continue
         from fractions import Fraction
         try:
@@ -375,10 +382,9 @@ def read_rows(text: str, header: Callable[[list[str], str], tuple[int, ...]],
 def _dimension_header(parts: list[str], where: str) -> tuple[int]:
     if len(parts) != 1:
         raise ValueError(f"{where}: expected the ambient dimension alone")
-    try:
-        n = int(parts[0])
-    except ValueError:
-        raise ValueError(f"{where}: bad dimension {parts[0]!r}") from None
+    n = int_token(parts[0])
+    if n is None:
+        raise ValueError(f"{where}: bad dimension {parts[0]!r}")
     if n < 0:
         raise ValueError(f"{where}: negative dimension")
     return (n,)

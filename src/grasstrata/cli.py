@@ -28,6 +28,7 @@ from .arrangement import (
     SelfCheckFailed,
     chain_count,
     format_arrangement,
+    int_token,
     intersection_lattice,
     is_essential,
     load_arrangement,
@@ -105,10 +106,9 @@ def _build_parser() -> _Parser:
 def _subspace_header(parts: list[str], where: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"{where}: expected 'n k'")
-    try:
-        n, k = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"{where}: bad header") from None
+    n, k = map(int_token, parts)
+    if n is None or k is None:
+        raise ValueError(f"{where}: bad header")
     if not 0 <= k <= n:
         raise ValueError(f"{where}: need 0 <= k <= n")
     return n, k
@@ -121,7 +121,7 @@ def parse_subspace(text: str) -> Subspace:
                              "missing 'n k' header line")
     if len(rows) != k:
         raise ValueError(f"expected {k} rows, got {len(rows)}")
-    U = canonical_subspace(matrix(rows, cols=n))
+    U = canonical_subspace(matrix(rows, n), n)
     if U.dim != k:
         raise ValueError("subspace rows are linearly dependent")
     return U
@@ -137,7 +137,7 @@ def arrangement_digest(arr: Arrangement) -> str:
 
 
 def _basis_rows(S: Subspace) -> list[list[int]]:
-    return [list(row) for row in S.basis.entries]
+    return [list(row) for row in S.basis]
 
 
 def _write(text: str, output_path: str | None) -> None:
@@ -220,7 +220,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def cmd_adjoint(args: argparse.Namespace) -> int:
-    from .pluecker import k_adjoint
+    from .pluecker import k_adjoint, k_subsets
     arr = load_arrangement(args.arrangement)
     if not 0 <= args.k <= arr.ambient_dim:
         raise ValueError(f"--k must be between 0 and {arr.ambient_dim}")
@@ -230,7 +230,8 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
         "arrangement_digest": arrangement_digest(arr),
         "n": arr.ambient_dim,
         "k": args.k,
-        "subsets": [list(s) for s in (hs[0].index.subsets if hs else [])],
+        "subsets": [list(s) for s in
+                    (k_subsets(arr.ambient_dim, args.k) if hs else ())],
         "hyperplanes": [{
             "generators": sorted(h.source.generators),
             "coeffs": list(h.coeffs),

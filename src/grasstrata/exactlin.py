@@ -1,21 +1,23 @@
 """Exact linear algebra over the integers.
 
 Every predicate downstream (membership, rank, direct sum) is an exact zero
-test, so floating point never appears.  Matrix entries are ints: matrix()
-and vector() reject anything else, a float or a Fraction included, because
-det and times_vector depend on scale.  A rational row reaches the package
-only through the file parser (arrangement.read_rows), which clears its
-denominators, as a hyperplane or a span is the same for every multiple of
-a row.  One fraction-free elimination serves rank, echelon forms, kernels,
-projectors and determinants, and a kernel comes out canonical from one
-elimination of the matrix with its columns reversed.  All maximal minors of
-a matrix come from one Laplace expansion along its rows, each minor an
-integer sum over minors one row smaller.  A Fraction appears only in
-project's result.  Subspaces are stored canonically: the RREF of any
-spanning set with each row rescaled to coprime integers.  Two equal
-subspaces therefore compare equal as plain tuples, which is what the
-lattice deduplication relies on.
-"""
+test, so floating point never appears.  A matrix is a tuple of rows, each a
+tuple of ints; matrix() and vector() reject any other entry, a float or a
+Fraction included, because det and the minors depend on scale.  Functions
+read a matrix's width from its rows, so a function whose result needs the
+width of a matrix that may have no rows takes it as an argument:
+canonical_subspace(rows, n) and kernel(rows, n).  A rational row reaches
+the package only through the file parser (arrangement.read_rows), which
+clears its denominators, as a hyperplane or a span is the same for every
+multiple of a row.  One fraction-free elimination serves rank, echelon
+forms, kernels, projectors and determinants, and a kernel comes out
+canonical from one elimination of the matrix with its columns reversed.
+All maximal minors of a matrix come from one Laplace expansion along its
+rows, each minor an integer sum over minors one row smaller.  A Fraction
+appears only in project's result.  Subspaces are stored canonically: the
+RREF of any spanning set with each row rescaled to coprime integers.  Two
+equal subspaces therefore compare equal as plain tuples, which is what the
+lattice deduplication relies on."""
 
 from __future__ import annotations
 
@@ -79,65 +81,30 @@ class Value:
         return f"{type(self).__name__}({body})"
 
 
-class RationalMatrix(Value):
-    """Immutable integer matrix; cols is stored so 0-row matrices keep a
-    width.  Build it with matrix() to have its entries checked."""
-
-    _fields = ("entries", "cols")
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...], cols: int) -> None:
-        if cols < 0:
-            raise ValueError("negative column count")
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError(
-                    f"row of length {len(row)} in a {cols}-column matrix")
-        self._set(entries=entries, cols=cols)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    def times_vector(self, v: Sequence) -> tuple[int, ...]:
-        w = vector(v)
-        if len(w) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(dot(row, w) for row in self.entries)
-
-
-def matrix(rows: Iterable[Iterable], cols: int | None = None) -> RationalMatrix:
-    """The rows as a matrix; ValueError unless every entry is an int."""
+def matrix(rows: Iterable[Iterable], cols: int) -> tuple[tuple[int, ...], ...]:
+    """The rows as a tuple of int tuples; ValueError unless every entry is
+    an int and every row has cols entries."""
     rs = tuple(map(vector, rows))
-    if cols is None:
-        if not rs:
-            raise ValueError("cols is required for a matrix with no rows")
-        cols = len(rs[0])
-    return RationalMatrix(rs, cols)
+    for row in rs:
+        if len(row) != cols:
+            raise ValueError(
+                f"row of length {len(row)} in a {cols}-column matrix")
+    return rs
 
 
-def identity(n: int) -> RationalMatrix:
-    return RationalMatrix(
-        tuple(tuple(1 if i == j else 0 for j in range(n))
-              for i in range(n)), n)
-
-
-def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
-    if top.cols != bottom.cols:
-        raise ValueError("column counts differ")
-    return RationalMatrix(top.entries + bottom.entries, top.cols)
-
-
-def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]:
+def _eliminate(M: Sequence[Sequence[int]]
+               ) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of M's rows.
     Returns the rows, the pivot columns, the common pivot value d and the
     sign of the row swaps: rows[:len(pivots)] are d times the reduced row
-    echelon form and any rows below are zero.  Every division is exact, since each entry is a minor of
-    the row-permuted input (Sylvester's identity)."""
-    rows = [list(row) for row in M.entries]
+    echelon form and any rows below are zero.  Every division is exact,
+    since each entry is a minor of the row-permuted input (Sylvester's
+    identity)."""
+    rows = [list(row) for row in M]
     nrows = len(rows)
     pivots: list[int] = []
     d = sign = 1
-    for c in range(M.cols):
+    for c in range(len(rows[0]) if rows else 0):
         pr = hit = len(pivots)
         while hit < nrows and not rows[hit][c]:
             hit += 1
@@ -159,7 +126,7 @@ def _eliminate(M: RationalMatrix) -> tuple[list[list[int]], list[int], int, int]
     return rows, pivots, d, sign
 
 
-def rank(M: RationalMatrix) -> int:
+def rank(M: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(M)[1])
 
 
@@ -177,7 +144,7 @@ def primitive_vector(v: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 class Subspace(Value):
-    """A linear subspace of Q^n held by its canonical basis matrix.
+    """A linear subspace of Q^n held by its canonical basis rows.
 
     Equality of Subspace values is equality of sets: canonicalization makes
     the representative unique, so comparing fields is correct.
@@ -185,25 +152,31 @@ class Subspace(Value):
 
     _fields = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: RationalMatrix) -> None:
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width does not match the ambient dimension")
+    def __init__(self, ambient_dim: int,
+                 basis: tuple[tuple[int, ...], ...]) -> None:
+        if ambient_dim < 0:
+            raise ValueError("negative ambient dimension")
+        for row in basis:
+            if len(row) != ambient_dim:
+                raise ValueError(
+                    "basis width does not match the ambient dimension")
         self._set(ambient_dim=ambient_dim, basis=basis)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.basis)
 
     @cached_property
     def pivot_rows(self) -> tuple[tuple[int, tuple], ...]:
         """(first nonzero column, row) for each basis row, found once per
         value: the pivot rows of a basis in row echelon form."""
         return tuple((next(c for c, x in enumerate(row) if x), row)
-                     for row in self.basis.entries)
+                     for row in self.basis)
 
 
-def canonical_subspace(M: RationalMatrix) -> Subspace:
-    """Row space of M in canonical form (RREF rows made coprime integers).
+def canonical_subspace(M: Sequence[Sequence[int]], n: int) -> Subspace:
+    """Row space in Q^n of the rows M, in canonical form (RREF rows made
+    coprime integers).
 
     The eliminated rows are d times the RREF rows, whose pivots are 1, so
     dividing by the row gcd with the sign of d gives the coprime rows."""
@@ -212,32 +185,34 @@ def canonical_subspace(M: RationalMatrix) -> Subspace:
     for row in rows[:len(pivots)]:
         g = gcd(*row) if d > 0 else -gcd(*row)
         basis.append(tuple(x // g for x in row))
-    return Subspace(M.cols, RationalMatrix(tuple(basis), M.cols))
+    return Subspace(n, tuple(basis))
 
 
 def span(vectors: Iterable[Iterable], ambient_dim: int) -> Subspace:
     """The span of integer vectors; a rational one needs its denominators
     cleared first, which leaves the span as it is."""
-    return canonical_subspace(matrix(vectors, cols=ambient_dim))
+    return canonical_subspace(matrix(vectors, ambient_dim), ambient_dim)
 
 
 def zero_subspace(n: int) -> Subspace:
-    return Subspace(n, RationalMatrix((), n))
+    return Subspace(n, ())
 
 
 def full_space(n: int) -> Subspace:
-    return canonical_subspace(identity(n))
+    return Subspace(n, tuple([tuple([int(i == j) for j in range(n)])
+                              for i in range(n)]))
 
 
-def kernel(M: RationalMatrix) -> Subspace:
-    """The solution space {v : Mv = 0}, canonicalized, from one elimination
-    of M with its columns reversed.  Free column f gives the solution d at
-    f, minus column f of d * RREF at the pivot columns, which is nonzero
-    only at pivots right of f in M's order; so these rows, by increasing f,
-    are d times the kernel's RREF, made coprime as in canonical_subspace."""
-    n = M.cols
-    R, pivots, d, _ = _eliminate(RationalMatrix(
-        tuple([row[::-1] for row in M.entries]), n))
+def kernel(M: Sequence[Sequence[int]], n: int) -> Subspace:
+    """The solution space {v in Q^n : Mv = 0} of the rows M, canonicalized,
+    from one elimination of M with its columns reversed.  Free column f
+    gives the solution d at f, minus column f of d * RREF at the pivot
+    columns, which is nonzero only at pivots right of f in M's order; so
+    these rows, by increasing f, are d times the kernel's RREF, made coprime
+    as in canonical_subspace."""
+    if any(len(row) != n for row in M):
+        raise ValueError(f"kernel in Q^{n} of rows of another length")
+    R, pivots, d, _ = _eliminate([row[::-1] for row in M])
     taken = set(pivots)
     basis = []
     for f in range(n - 1, -1, -1):  # column n - 1 - f of M
@@ -249,18 +224,18 @@ def kernel(M: RationalMatrix) -> Subspace:
             v[p] = -R[i][f]
         g = gcd(*v) if d > 0 else -gcd(*v)
         basis.append(tuple([x // g for x in reversed(v)]))
-    return Subspace(n, RationalMatrix(tuple(basis), n))
+    return Subspace(n, tuple(basis))
 
 
-def det(M: RationalMatrix) -> int:
+def det(M: Sequence[Sequence[int]]) -> int:
     """Determinant via integer-preserving elimination; the 0x0 matrix gives 1."""
-    if M.rows != M.cols:
+    if any(len(row) != len(M) for row in M):
         raise ValueError("determinant of a non-square matrix")
     _, pivots, d, sign = _eliminate(M)
-    return sign * d if len(pivots) == M.rows else 0
+    return sign * d if len(pivots) == len(M) else 0
 
 
-def minor(M: RationalMatrix, row_set: Sequence[int],
+def minor(M: Sequence[Sequence[int]], row_set: Sequence[int],
           col_set: Sequence[int]) -> int:
     """Determinant of the submatrix picked by 1-based row and column lists.
 
@@ -268,19 +243,16 @@ def minor(M: RationalMatrix, row_set: Sequence[int],
     """
     if len(row_set) != len(col_set):
         raise ValueError("row and column selections differ in size")
-    for name, idx, bound in (("row", row_set, M.rows),
-                             ("column", col_set, M.cols)):
+    for name, idx, bound in (("row", row_set, len(M)),
+                             ("column", col_set, len(M[0]) if M else 0)):
         if any(not 1 <= i <= bound for i in idx):
             raise ValueError(f"{name} index out of range")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError(f"{name} indices must be strictly increasing")
-    sub = RationalMatrix(
-        tuple(tuple(M.entries[i - 1][j - 1] for j in col_set) for i in row_set),
-        len(col_set))
-    return det(sub)
+    return det([[M[i - 1][j - 1] for j in col_set] for i in row_set])
 
 
-def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], int]:
+def maximal_minors(M: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """Every maximal minor of M, keyed by its 1-based column subset in
     lexicographic order; a 0-row matrix gives the empty minor, {(): 1}.
 
@@ -290,9 +262,9 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], int]:
     are kept by column subset from one row count to the next, so all of
     them take sum_j C(n, j) * j integer products."""
     level = {(): 1}
-    for j, row in enumerate(M.entries):
+    for j, row in enumerate(M):
         nxt = {}
-        for S in combinations(range(1, M.cols + 1), j + 1):
+        for S in combinations(range(1, len(row) + 1), j + 1):
             total = 0
             for t, c in enumerate(S):
                 if row[c - 1]:
@@ -304,13 +276,13 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], int]:
 
 
 def orth_complement(U: Subspace) -> Subspace:
-    return kernel(U.basis)
+    return kernel(U.basis, U.ambient_dim)
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return canonical_subspace(vstack(U.basis, V.basis))
+    return canonical_subspace(U.basis + V.basis, U.ambient_dim)
 
 
 def _append_residuals(fixed: Sequence, vectors: Iterable[Sequence],
@@ -351,31 +323,31 @@ def intersection_dim(U: Subspace, V: Subspace) -> int:
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
     found: list = []
-    _append_residuals(V.pivot_rows, U.basis.entries, found)
+    _append_residuals(V.pivot_rows, U.basis, found)
     return U.dim - len(found)
 
 
-def projector(U: Subspace) -> tuple[RationalMatrix, int]:
+def projector(U: Subspace) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(P, d) with P = d * B^T (B B^T)^-1 B, an integer multiple of the
-    orthogonal projection onto U, for U's basis B.
+    orthogonal projection onto U, for U's basis B, as a tuple of rows.
 
     One elimination of [B B^T | B] leaves d * [I | (B B^T)^-1 B]; the Gram
     matrix is invertible because basis rows are independent.  P is
     symmetric, P P = d P, and its row space is U.  The zero subspace gets
-    the zero matrix and d = 1."""
+    n zero rows and d = 1."""
     n = U.ambient_dim
     if U.dim == 0:
-        return RationalMatrix(((0,) * n,) * n, n), 1
-    B = U.basis.entries
+        return ((0,) * n,) * n, 1
+    B = U.basis
     k = len(B)
     aug = [tuple([sum(map(mul, r, s)) for s in B]) + r for r in B]
-    rows, pivots, d, _ = _eliminate(RationalMatrix(tuple(aug), k + n))
+    rows, pivots, d, _ = _eliminate(aug)
     if pivots != list(range(k)):
         raise ValueError("basis rows are dependent")
     X = [row[k:] for row in rows]  # d * (B B^T)^-1 B
     Xcols = list(zip(*X))
-    return RationalMatrix(tuple([tuple([sum(map(mul, b, x)) for x in Xcols])
-                                 for b in zip(*B)]), n), d
+    return tuple([tuple([sum(map(mul, b, x)) for x in Xcols])
+                  for b in zip(*B)]), d
 
 
 def project(U: Subspace, v: Sequence) -> tuple:
@@ -387,4 +359,4 @@ def project(U: Subspace, v: Sequence) -> tuple:
     if len(w) != U.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
     P, d = projector(U)
-    return tuple(Fraction(x, d) for x in P.times_vector(w))
+    return tuple(Fraction(dot(row, w), d) for row in P)

@@ -115,7 +115,7 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     # through the module, so a traced run books this lattice as the
     # arrangement's own and restriction_lattice's calls as restrictions
     lat = arrangement.intersection_lattice(arr)
-    added, B = lat.added, U.basis.entries
+    added, B = lat.added, U.basis
     traces = [[sum(map(mul, row, a)) for row in B] for a in arr.normals]
     rows: dict[int, list] = {0: []}
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
 from operator import mul
 
 from .arrangement import (
@@ -29,7 +28,6 @@ from .arrangement import (
     self_check,
 )
 from .exactlin import (
-    RationalMatrix,
     Subspace,
     Value,
     canonical_subspace,
@@ -40,80 +38,52 @@ from .exactlin import (
     orth_complement,
     primitive_vector,
     projector,
-    vstack,
     zero_subspace,
 )
 
 
-class KSubsetIndex(Value):
-    """The lexicographically ordered k-subsets of {1..n}; fixes coordinate
-    positions in R^(n choose k) for everything in this module.  _pos maps
-    each subset to its position and stays out of equality."""
-
-    _fields = ("n", "k", "subsets")
-
-    def __init__(self, n: int, k: int, subsets: tuple[tuple[int, ...], ...],
-                 _pos: dict) -> None:
-        self._set(n=n, k=k, subsets=subsets, _pos=_pos)
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-    def position(self, subset: Sequence[int]) -> int:
-        try:
-            return self._pos[tuple(subset)]
-        except KeyError:
-            raise ValueError(f"{tuple(subset)} is not a {self.k}-subset of "
-                             f"1..{self.n}") from None
-
-
 @functools.lru_cache(maxsize=None)
-def k_subset_index(n: int, k: int) -> KSubsetIndex:
+def k_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically ordered k-subsets of {1..n}; fixes coordinate
+    positions in R^(n choose k) for everything in this module."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    subs = tuple(itertools.combinations(range(1, n + 1), k))
-    return KSubsetIndex(n, k, subs, {s: i for i, s in enumerate(subs)})
-
-
-def minor_vector(M: RationalMatrix) -> tuple[int, ...]:
-    """All maximal minors of M over the lex ordered column subsets, raw
-    (no canonicalization).  A 0-row matrix gives the single empty minor 1."""
-    idx = k_subset_index(M.cols, M.rows)
-    minors = maximal_minors(M)
-    return tuple(minors[I] for I in idx.subsets)
+    return tuple(itertools.combinations(range(1, n + 1), k))
 
 
 class PlueckerVector(Value):
-    """Canonicalized minor vector of a subspace: raw minors = divisor *
-    coords, for the signed integer divisor, which is kept for sign-sensitive
-    checks but ignored by equality."""
+    """Canonicalized minor vector of a k-subspace of Q^n, with coordinates
+    at k_subsets(n, k): raw minors = divisor * coords, for the signed
+    integer divisor, which is kept for sign-sensitive checks but ignored by
+    equality.  n and k stay in equality, as every zero subspace has the
+    coordinates (1)."""
 
-    _fields = ("index", "coords")
+    _fields = ("n", "k", "coords")
 
-    def __init__(self, index: KSubsetIndex, coords: tuple[int, ...],
+    def __init__(self, n: int, k: int, coords: tuple[int, ...],
                  divisor: int) -> None:
-        self._set(index=index, coords=coords, divisor=divisor)
+        self._set(n=n, k=k, coords=coords, divisor=divisor)
 
 
 def pluecker_vector(U: Subspace) -> PlueckerVector:
     """Pluecker coordinates of U from its canonical basis.  The zero subspace
-    gets the single-entry vector (1): the empty minor convention."""
-    raw = minor_vector(U.basis)
-    coords, g = primitive_vector(raw)
-    return PlueckerVector(k_subset_index(U.ambient_dim, U.dim), coords, g)
+    gets the single-entry vector (1): the empty minor convention.  The
+    minors come keyed in the order of k_subsets."""
+    coords, g = primitive_vector(maximal_minors(U.basis).values())
+    return PlueckerVector(U.ambient_dim, U.dim, coords, g)
 
 
 class AdjointHyperplane(Value):
-    """H(X) for a rank-k flat X: signed complementary minors of X's basis,
-    canonicalized: the raw coefficients are divisor * coeffs.  coeffs pairing
-    with eval_adjoint is zero exactly when the argument lies on the
-    hyperplane.  divisor stays out of equality."""
+    """H(X) for a rank-k flat X of Q^n: signed complementary minors of X's
+    basis at k_subsets(n, k), canonicalized: the raw coefficients are
+    divisor * coeffs.  coeffs pairing with eval_adjoint is zero exactly when
+    the argument lies on the hyperplane.  divisor stays out of equality."""
 
-    _fields = ("source", "index", "coeffs")
+    _fields = ("source", "coeffs")
 
-    def __init__(self, source: Flat, index: KSubsetIndex,
-                 coeffs: tuple[int, ...], divisor: int) -> None:
-        self._set(source=source, index=index, coeffs=coeffs, divisor=divisor)
+    def __init__(self, source: Flat, coeffs: tuple[int, ...],
+                 divisor: int) -> None:
+        self._set(source=source, coeffs=coeffs, divisor=divisor)
 
 
 def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:
@@ -121,15 +91,14 @@ def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:
     if X.rank != k:
         raise ValueError(f"flat has rank {X.rank}, expected {k}")
     minors = maximal_minors(X.subspace.basis)
-    idx = k_subset_index(n, k)
     half = (k * (k + 1)) // 2
     raw = []
-    for I in idx.subsets:
+    for I in k_subsets(n, k):
         comp = tuple(j for j in range(1, n + 1) if j not in I)
         sign = -1 if (half + sum(I)) % 2 else 1
         raw.append(sign * minors[comp])
     coeffs, g = primitive_vector(raw)
-    return AdjointHyperplane(X, idx, coeffs, g)
+    return AdjointHyperplane(X, coeffs, g)
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,21 +129,22 @@ def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     """The part of U the arrangement can see: U meet S for S = U-perp +
     T-perp and center T, computed as the kernel of U-perp stacked on
     S-perp, with U-perp taken once.  S-perp is U meet T, the kernel of
-    U-perp stacked on T-perp, and 0 without an elimination when T is 0.  Cross-checked against the span of the projections of the
-    normals onto U; the two routes must agree, and the dimension must be
+    U-perp stacked on T-perp, and 0 without an elimination when T is 0.
+    Cross-checked against the span of the projections of the normals onto
+    U; the two routes must agree, and the dimension must be
     dim U - dim(U meet T)."""
     n = arr.ambient_dim
     if U.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
     U_perp, T_perp = orth_complement(U), _center_perp(arr)
-    S_perp = (kernel(vstack(U_perp.basis, T_perp.basis)) if T_perp.dim < n
+    S_perp = (kernel(U_perp.basis + T_perp.basis, n) if T_perp.dim < n
               else zero_subspace(n))
-    direct = kernel(vstack(U_perp.basis, S_perp.basis))
+    direct = kernel(U_perp.basis + S_perp.basis, n)
     # P is symmetric and integral, so a . (row j of P) is entry j of d times
     # the projection of normal a
     P, _ = projector(U)
-    projected = canonical_subspace(RationalMatrix(tuple(
-        [tuple([sum(map(mul, a, p)) for p in P.entries]) for a in arr.normals]), n))
+    projected = canonical_subspace(
+        [[sum(map(mul, a, p)) for p in P] for a in arr.normals], n)
     self_check(direct == projected, "defect subspace routes disagree")
     self_check(direct.dim == U.dim - intersection_dim(U, center(arr)),
                "defect dimension off")
@@ -184,6 +154,6 @@ def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
 def eval_adjoint(h: AdjointHyperplane, p: PlueckerVector) -> int:
     """Pair an adjoint hyperplane with a Pluecker vector; zero iff the
     vector lies on the hyperplane."""
-    if (h.index.n, h.index.k) != (p.index.n, p.index.k):
+    if (h.source.subspace.ambient_dim, h.source.rank) != (p.n, p.k):
         raise ValueError("mismatched Pluecker coordinate spaces")
     return dot(h.coeffs, p.coords)

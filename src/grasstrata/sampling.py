@@ -13,14 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .arrangement import Arrangement, intersection_lattice
-from .exactlin import (
-    RationalMatrix,
-    Subspace,
-    canonical_subspace,
-    matrix,
-    subspace_sum,
-    zero_subspace,
-)
+from .exactlin import Subspace, canonical_subspace, subspace_sum, zero_subspace
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -61,8 +54,8 @@ def sample_subspace(n: int, k: int, bound: int, seed: int,
     attempts = MAX_SAMPLE_ATTEMPTS if bound else 0
     for attempt in range(attempts):
         g = stream(seed, index, attempt)
-        U = canonical_subspace(matrix(
-            [[next(g) % width - bound for _ in range(n)] for _ in range(k)], cols=n))
+        U = canonical_subspace(
+            [[next(g) % width - bound for _ in range(n)] for _ in range(k)], n)
         if U.dim == k:
             return U
     raise ValueError(
@@ -91,7 +84,7 @@ def structured_subspaces(arr: Arrangement, k: int,
         push(flat.subspace)
 
     def leading(S: Subspace) -> Subspace:
-        return Subspace(n, RationalMatrix(S.basis.entries[:k], n))
+        return Subspace(n, S.basis[:k])
 
     if k >= 1:
         for flat in lat.flats:
@@ -112,8 +105,8 @@ def structured_subspaces(arr: Arrangement, k: int,
             if flat.dim != k:
                 continue
             j = next(g) % n
-            rows = [list(r) for r in flat.subspace.basis.entries]
+            rows = [list(r) for r in flat.subspace.basis]
             rows[0][j] += 1
-            push(canonical_subspace(matrix(rows, cols=n)))
+            push(canonical_subspace(rows, n))
 
     return out

@@ -31,7 +31,6 @@ from grasstrata.arrangement import (
     maximal_chains,
 )
 from grasstrata.exactlin import (
-    RationalMatrix,
     Subspace,
     dot,
     full_space,
@@ -39,7 +38,6 @@ from grasstrata.exactlin import (
     matrix,
     project,
     rank,
-    vstack,
 )
 from matrix_helpers import (
     canonical_reference,
@@ -71,9 +69,9 @@ def reference_lattice(arr):
     flats = sorted(
         (Flat(S, n - S.dim, frozenset(
             i for i in range(1, arr.size + 1)
-            if all(dot(row, arr.normal(i)) == 0 for row in S.basis.entries)))
+            if all(dot(row, arr.normal(i)) == 0 for row in S.basis)))
          for S in seen),
-        key=lambda f: (f.rank, f.subspace.basis.entries))
+        key=lambda f: (f.rank, f.subspace.basis))
     covers = tuple(
         (a, b) for a, fa in enumerate(flats) for b, fb in enumerate(flats)
         if fb.rank == fa.rank + 1 and fa.generators <= fb.generators)
@@ -150,7 +148,7 @@ def check_pairwise_axioms(lat, r):
 def full_ranks(arr, U):
     """The trace rank rank{B a_i : i in F} of every flat F, in flat order,
     one elimination per flat."""
-    traces = [U.basis.times_vector(a) for a in arr.normals]
+    traces = [tuple(dot(row, a) for row in U.basis) for a in arr.normals]
     return tuple(rank(matrix([traces[i - 1] for i in f.generators],
                              cols=U.dim))
                  for f in intersection_lattice(arr).flats)
@@ -160,7 +158,7 @@ def full_dims(arr, U):
     """dim(U meet X) for every flat X, in flat order, one elimination of
     the stacked bases per flat."""
     return tuple(U.dim + f.subspace.dim
-                 - rank(vstack(U.basis, f.subspace.basis))
+                 - rank(U.basis + f.subspace.basis)
                  for f in intersection_lattice(arr).flats)
 
 
@@ -198,8 +196,8 @@ def defect_reference(arr, U):
     project_reference and canonical_reference: no code shared with
     pluecker.defect_subspace or exactlin.projector."""
     n = arr.ambient_dim
-    rows = [project_reference(U.basis.entries, a) for a in arr.normals]
-    return Subspace(n, RationalMatrix(canonical_reference(rows, n), n))
+    rows = [project_reference(U.basis, a) for a in arr.normals]
+    return Subspace(n, canonical_reference(rows, n))
 
 
 def essential_basis(arr):
@@ -224,9 +222,8 @@ def essential_pair(arr, U):
     a_j . v = (E a_j) . w for each v of V and its coordinates w."""
     E = essential_basis(arr)
     V = defect_reference(arr, U)
-    rows = cleared([gram_coordinates(E, v) for v in V.basis.entries])
-    W = Subspace(len(E), RationalMatrix(canonical_reference(rows, len(E)),
-                                        len(E)))
+    rows = cleared([gram_coordinates(E, v) for v in V.basis])
+    W = Subspace(len(E), canonical_reference(rows, len(E)))
     if W.dim != V.dim:
         raise ValueError("the projection to the span of E is not injective "
                          "on the defect")

@@ -7,15 +7,15 @@ compared on, with fractional rows; cleared turns those into the integer
 rows the package takes, and row_lcms gives the factors that clearing
 multiplied each row by.  The rest are package-side conveniences that only
 tests use: reduced row echelon form from the package's own elimination,
-membership and containment tests, intersections and direct sums, products,
-transposes and shapes, and the order relation of a RankedLattice.
+membership and containment tests, intersections and direct sums, products
+and transposes, and the order relation of a RankedLattice.  A matrix is a
+tuple of int rows, as in the package.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from grasstrata.exactlin import (
-    RationalMatrix,
     _eliminate,
     det,
     dot,
@@ -24,7 +24,6 @@ from grasstrata.exactlin import (
     orth_complement,
     rank,
     vector,
-    vstack,
 )
 
 
@@ -144,27 +143,24 @@ def rref(M):
             tuple(pivots))
 
 
-def shape(M):
-    return M.rows, M.cols
-
-
 def contains_vector(U, v):
     w = vector(v)
     if len(w) != U.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
-    return rank(vstack(U.basis, RationalMatrix((w,), U.ambient_dim))) == U.dim
+    return rank(U.basis + (w,)) == U.dim
 
 
 def is_subspace_of(U, V):
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return all(contains_vector(V, row) for row in U.basis.entries)
+    return all(contains_vector(V, row) for row in U.basis)
 
 
 def intersect(U, V):
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return kernel(vstack(orth_complement(U).basis, orth_complement(V).basis))
+    return kernel(orth_complement(U).basis + orth_complement(V).basis,
+                  U.ambient_dim)
 
 
 def is_direct_sum_full(U, V):
@@ -173,7 +169,7 @@ def is_direct_sum_full(U, V):
         raise ValueError("ambient dimensions differ")
     if U.dim + V.dim != U.ambient_dim:
         return False
-    return det(vstack(U.basis, V.basis)) != 0
+    return det(U.basis + V.basis) != 0
 
 
 def is_leq(L, i, j):
@@ -182,14 +178,13 @@ def is_leq(L, i, j):
 
 
 def transpose(M):
-    if not M.entries:
-        return RationalMatrix(((),) * M.cols, 0)
-    return RationalMatrix(tuple(zip(*M.entries)), M.rows)
+    """The transpose of a matrix with at least one row."""
+    return tuple(zip(*M))
 
 
 def times(A, B):
-    """The matrix product A B."""
-    if A.cols != B.rows:
+    """The matrix product A B, for B with at least one row."""
+    if any(len(r) != len(B) for r in A):
         raise ValueError("inner dimensions do not match")
-    cols = transpose(B).entries
-    return matrix([[dot(r, c) for c in cols] for r in A.entries], B.cols)
+    cols = transpose(B)
+    return matrix([[dot(r, c) for c in cols] for r in A], len(cols))

@@ -66,7 +66,7 @@ def subset_intersection_oracle(arr):
     for size in range(arr.size + 1):
         for S in itertools.combinations(range(arr.size), size):
             rows = [arr.normals[i] for i in S]
-            out.add(kernel(matrix(rows, cols=arr.ambient_dim)))
+            out.add(kernel(matrix(rows, cols=arr.ambient_dim), arr.ambient_dim))
     return out
 
 
@@ -141,7 +141,8 @@ def test_lattice_matches_subset_oracle():
             assert f.rank == arr.ambient_dim - f.subspace.dim
             # generators realize the flat and form a closure
             assert kernel(matrix([arr.normals[i - 1] for i in sorted(f.generators)],
-                                 cols=arr.ambient_dim)) == f.subspace
+                                 cols=arr.ambient_dim),
+                          arr.ambient_dim) == f.subspace
 
 
 def test_lattice_closed_under_hyperplane_intersection():
@@ -178,7 +179,7 @@ def test_center_examples():
 
 
 def test_restriction_braid3_to_sum_zero_plane():
-    U = kernel(matrix([[1, 1, 1]]))
+    U = kernel(((1, 1, 1),), 3)
     res = restriction(braid3(), U)
     assert res.ambient_dim == 2
     assert res.size == 3
@@ -263,7 +264,7 @@ def test_intersection_lattice_against_subspaces():
         flats = t.flats
         for mask in range(1 << arr.size):
             rows = [arr.normals[i] for i in range(arr.size) if mask >> i & 1]
-            X = kernel(matrix(rows, cols=arr.ambient_dim))
+            X = kernel(matrix(rows, cols=arr.ambient_dim), arr.ambient_dim)
             assert flats[t.closure(mask)].subspace == X
         for a, b in itertools.combinations(range(len(flats)), 2):
             if t.leq(a, b) or t.leq(b, a):

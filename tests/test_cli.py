@@ -91,7 +91,7 @@ def test_structured_subspaces_are_canonical():
     for arr in arrs:
         for k in range(arr.ambient_dim + 1):
             for S in structured_subspaces(arr, k):
-                assert S == canonical_subspace(S.basis), (arr, k)
+                assert S == canonical_subspace(S.basis, S.ambient_dim), (arr, k)
 
 
 def test_structured_subspaces_cover_flats():
@@ -200,6 +200,24 @@ def test_rational_entries_follow_the_fraction_grammar(tmp_path, capsys, token):
     same.write_text(f"3\n{q.denominator} {q.numerator} 0\n0 1 0\n")
     assert main(["lattice", str(same)]) == 0
     assert got == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token", ["\u0663", "\uff13", "1_000"])
+def test_header_fields_are_ascii_integers(tmp_path, capsys, token):
+    # a header field follows the integer rule of entries on every Python,
+    # an optional sign then ASCII digits, though int() takes all three
+    arr = tmp_path / "arr.txt"
+    arr.write_text(f"{token}\n1 0 0\n")
+    assert main(["lattice", str(arr)]) == 1
+    assert capsys.readouterr().err == f"error: line 1: bad dimension {token!r}\n"
+    sub = tmp_path / "sub.txt"
+    for header in (f"{token} 1", f"3 {token}"):
+        sub.write_text(f"{header}\n1 0 0\n")
+        assert main(["restrict", data("braid3.txt"), "--subspace", str(sub)]) == 1
+        assert capsys.readouterr().err == "error: line 1: bad header\n"
+    arr.write_text("+3\n1 0 0\n")
+    sub.write_text("+3 +1\n1 0 0\n")
+    assert main(["restrict", str(arr), "--subspace", str(sub)]) == 0
 
 
 # -------------------------------------------------------------- commands
@@ -312,7 +330,7 @@ def test_label_command(capsys):
 
 def write_subspace(path, U):
     path.write_text(f"{U.ambient_dim} {U.dim}\n" + "".join(
-        " ".join(map(str, row)) + "\n" for row in U.basis.entries))
+        " ".join(map(str, row)) + "\n" for row in U.basis))
     return str(path)
 
 

@@ -59,7 +59,7 @@ def random_subspace(rng, n, k):
     while True:
         M = matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)],
                    cols=n)
-        U = canonical_subspace(M)
+        U = canonical_subspace(M, n)
         if U.dim == k:
             return U
 
@@ -187,7 +187,7 @@ def test_rank_table_has_both_descriptions():
                 for I in itertools.combinations(range(1, arr.size + 1), size):
                     betas = cleared([project(U, arr.normal(i)) for i in I])
                     lhs = rank(matrix(betas, cols=n))
-                    flat = kernel(matrix([arr.normal(i) for i in I], cols=n))
+                    flat = kernel(matrix([arr.normal(i) for i in I], cols=n), n)
                     rhs = U.dim - intersect(U, flat).dim
                     assert mat.subset_rank(I) == lhs == rhs
 
@@ -214,7 +214,7 @@ def test_basis_triple_equivalence():
                         s2 = size == target and rank(
                             matrix(betas, cols=n)) == size
                         flat = kernel(matrix([arr.normal(i) for i in I],
-                                             cols=n))
+                                             cols=n), n)
                         s3 = size == target and is_direct_sum_full(V, flat)
                         assert s1 == s2 == s3
 
@@ -224,7 +224,7 @@ def test_basis_triple_equivalence():
 
 def test_restriction_lattice_examples():
     arr = braid3()
-    generic = kernel(matrix([[1, 1, 1]]))
+    generic = kernel(((1, 1, 1),), 3)
     L = restriction_lattice(arr, generic)
     assert L.size == 5
     assert sorted(L.ranks) == [0, 1, 1, 1, 2]
@@ -250,7 +250,7 @@ def test_ranked_lattice_order():
 
 def test_lattice_isomorphic_basics():
     arr = braid3()
-    generic = restriction_lattice(arr, kernel(matrix([[1, 1, 1]])))
+    generic = restriction_lattice(arr, kernel(((1, 1, 1),), 3))
     assert lattice_isomorphic(generic, generic)
 
     other = restriction_lattice(arr, span([[1, 0, 0], [0, 1, 0]], 3))
@@ -275,7 +275,7 @@ def test_lattice_isomorphic_relabeling_invariance():
 
 
 def test_lattice_isomorphic_symmetry():
-    a = restriction_lattice(braid3(), kernel(matrix([[1, 1, 1]])))
+    a = restriction_lattice(braid3(), kernel(((1, 1, 1),), 3))
     b = restriction_lattice(braid3(), span([[1, 1, 0], [0, 0, 1]], 3))
     assert lattice_isomorphic(a, b) == lattice_isomorphic(b, a)
 

@@ -21,17 +21,16 @@ EXPORTS = {
         "intersection_lattice", "is_essential", "load_arrangement",
         "maximal_chains", "parse_arrangement", "restriction"],
     "exactlin": [
-        "RationalMatrix", "Subspace", "canonical_subspace", "det",
-        "full_space", "kernel", "matrix", "maximal_minors", "minor",
-        "orth_complement", "project", "span", "subspace_sum",
-        "zero_subspace"],
+        "Subspace", "canonical_subspace", "det", "full_space", "kernel",
+        "matrix", "maximal_minors", "minor", "orth_complement", "project",
+        "span", "subspace_sum", "zero_subspace"],
     "matroid": [
         "Matroid", "RankedLattice", "lattice_isomorphic", "loops",
         "matroid_from", "restriction_lattice"],
     "pluecker": [
-        "AdjointHyperplane", "KSubsetIndex", "PlueckerVector",
-        "adjoint_hyperplane", "defect_subspace", "eval_adjoint", "k_adjoint",
-        "k_subset_index", "pluecker_vector"],
+        "AdjointHyperplane", "PlueckerVector", "adjoint_hyperplane",
+        "defect_subspace", "eval_adjoint", "k_adjoint", "k_subsets",
+        "pluecker_vector"],
     "sampling": ["sample_subspace", "structured_subspaces"],
     "strata": [
         "AdjointLabel", "MatroidLabel", "SchubertLabel", "VerificationReport",

@@ -24,9 +24,9 @@ from grasstrata.exactlin import (
     det,
     full_space,
     matrix,
+    maximal_minors,
     rank,
     span,
-    vstack,
     zero_subspace,
 )
 from grasstrata.matroid import matroid_from
@@ -36,13 +36,12 @@ from grasstrata.pluecker import (
     defect_subspace,
     eval_adjoint,
     k_adjoint,
-    k_subset_index,
-    minor_vector,
+    k_subsets,
     pluecker_vector,
 )
 from grasstrata.sampling import sample_subspace, structured_subspaces
 from grasstrata.strata import KINDS, adjoint_label, label_encodings
-from matrix_helpers import is_direct_sum_full, shape, times
+from matrix_helpers import is_direct_sum_full, times
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -85,7 +84,7 @@ def random_subspace(rng, n, k):
     while True:
         M = matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)],
                    cols=n)
-        U = canonical_subspace(M)
+        U = canonical_subspace(M, n)
         if U.dim == k:
             return U
 
@@ -94,19 +93,22 @@ def ad_hoc_flat(S):
     return Flat(S, S.ambient_dim - S.dim, frozenset())
 
 
+def minor_vector(M):
+    """The raw Pluecker vector of the rows M: their maximal minors, which
+    maximal_minors keys in the order of k_subsets."""
+    return tuple(maximal_minors(M).values())
+
+
 # ----------------------------------------------------------- subset index
 
 
-def test_k_subset_index():
-    idx = k_subset_index(4, 2)
-    assert idx.subsets == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-    assert len(idx) == 6
-    assert idx.position((2, 3)) == 3
-    with pytest.raises(ValueError):
-        idx.position((3, 2))
-    assert k_subset_index(3, 0).subsets == ((),)
-    with pytest.raises(ValueError):
-        k_subset_index(2, 3)
+def test_k_subsets():
+    assert k_subsets(4, 2) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    assert k_subsets(3, 0) == k_subsets(5, 0) == ((),)
+    assert k_subsets(2, 2) == ((1, 2),)
+    for n, k in ((2, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            k_subsets(n, k)
 
 
 # ------------------------------------------------------- pluecker vectors
@@ -114,12 +116,10 @@ def test_k_subset_index():
 
 def test_pluecker_examples():
     p = pluecker_vector(span([[1, 0, 0]], 3))
-    assert p.coords == (1, 0, 0)
-    assert p.index.subsets == ((1,), (2,), (3,))
+    assert (p.n, p.k, p.coords) == (3, 1, (1, 0, 0))
 
     q = pluecker_vector(span([[1, 1, 0], [0, 0, 1]], 3))  # x1 = x2
-    assert q.index.subsets == ((1, 2), (1, 3), (2, 3))
-    assert q.coords == (0, 1, 1)
+    assert (q.n, q.k, q.coords) == (3, 2, (0, 1, 1))
 
     assert pluecker_vector(full_space(3)).coords == (1,)
     assert pluecker_vector(zero_subspace(3)).coords == (1,)
@@ -133,8 +133,9 @@ def test_minor_vector_against_leibniz():
         M = matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)],
                    cols=n)
         got = minor_vector(M)
-        for I, val in zip(k_subset_index(n, k).subsets, got):
-            sub = [[row[j - 1] for j in I] for row in M.entries]
+        assert list(maximal_minors(M)) == list(k_subsets(n, k))
+        for I, val in zip(k_subsets(n, k), got):
+            sub = [[row[j - 1] for j in I] for row in M]
             assert val == det_leibniz(sub)
 
 
@@ -154,7 +155,7 @@ def test_pluecker_representative_independence():
         raw_u = minor_vector(U.basis)
         raw_rep = minor_vector(rep)
         assert raw_rep == tuple(det(C) * x for x in raw_u)
-        assert pluecker_vector(canonical_subspace(rep)) == pluecker_vector(U)
+        assert pluecker_vector(canonical_subspace(rep, n)) == pluecker_vector(U)
 
 
 def test_pluecker_scale_links_raw_and_canonical():
@@ -196,7 +197,7 @@ def test_adjoint_matches_sign_formula_oracle():
         k = rng.randint(0, n - 1)
         X = random_subspace(rng, n, n - k)
         h = adjoint_hyperplane(ad_hoc_flat(X), k)
-        raw = adjoint_coeffs_oracle(X.basis.entries, n, k)
+        raw = adjoint_coeffs_oracle(X.basis, n, k)
         assert type(h.divisor) is int
         assert raw == tuple(h.divisor * c for c in h.coeffs)
 
@@ -259,7 +260,7 @@ def test_defect_subspace_takes_five_eliminations(monkeypatch):
     calls = []
     real = grasstrata.exactlin._eliminate
     monkeypatch.setattr(grasstrata.exactlin, "_eliminate",
-                        lambda M: calls.append(shape(M)) or real(M))
+                        lambda M: calls.append(M) or real(M))
     braid5 = build_arrangement(5, [[(j == a) - (j == b) for j in range(5)]
                                    for a, b in itertools.combinations(range(5), 2)])
     rng = random.Random(83)
@@ -295,7 +296,7 @@ def test_defect_sees_what_the_arrangement_sees(name):
         for U in cases:
             V = defect_subspace(arr, U)
             assert V == defect_reference(arr, U), (U, V)
-            i = U.dim + T.dim - rank(vstack(U.basis, T.basis))
+            i = U.dim + T.dim - rank(U.basis + T.basis)
             assert V.dim == U.dim - i
             assert matroid_from(arr, U).ranks == matroid_from(arr, V).ranks
             assert full_dims(arr, U) == tuple(d + i for d in full_dims(arr, V))
@@ -314,7 +315,7 @@ def classes(keys):
 
 def generic_line(rng, X):
     """A random integer vector of the flat X, as a line."""
-    basis = X.subspace.basis.entries
+    basis = X.subspace.basis
     coeffs = [rng.randint(-10**6, 10**6) for _ in basis]
     return span([[sum(c * row[j] for c, row in zip(coeffs, basis))
                   for j in range(X.subspace.ambient_dim)]], X.subspace.ambient_dim)
@@ -395,6 +396,18 @@ def test_eval_adjoint_examples():
         eval_adjoint(by_gens[frozenset({1})], pluecker_vector(full_space(3)))
 
 
+def test_pluecker_vectors_keep_their_space():
+    # every zero subspace has the coordinates (1) at the one 0-subset (),
+    # so only n tells Q^3's from Q^5's
+    zero3, zero5 = (pluecker_vector(zero_subspace(n)) for n in (3, 5))
+    assert zero3.coords == zero5.coords == (1,)
+    assert zero3 != zero5
+    h0 = k_adjoint(braid3(), 0)[0]
+    assert eval_adjoint(h0, zero3) == 1
+    with pytest.raises(ValueError):
+        eval_adjoint(h0, zero5)
+
+
 def test_laplace_expansion_identity():
     rng = random.Random(53)
     for _ in range(40):
@@ -402,10 +415,10 @@ def test_laplace_expansion_identity():
         k = rng.randint(0, n)
         V = random_subspace(rng, n, k)
         X = random_subspace(rng, n, n - k)
-        stacked_det = det(vstack(V.basis, X.basis))
+        stacked_det = det(V.basis + X.basis)
         # raw route: the signed sum of complementary minor products
         raw_v = minor_vector(V.basis)
-        raw_x = adjoint_coeffs_oracle(X.basis.entries, n, k)
+        raw_x = adjoint_coeffs_oracle(X.basis, n, k)
         assert sum(a * b for a, b in zip(raw_x, raw_v)) == stacked_det
         # canonical route with tracked divisors
         h = adjoint_hyperplane(ad_hoc_flat(X), k)

@@ -52,7 +52,7 @@ def random_subspace(rng, n, k):
     while True:
         M = matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)],
                    cols=n)
-        U = canonical_subspace(M)
+        U = canonical_subspace(M, n)
         if U.dim == k:
             return U
 
@@ -258,7 +258,7 @@ def test_verify_equivalence_failure_path():
 def test_classification_braid3_planes():
     arr = braid3()
     generic1 = span([[1, 0, 0], [0, 1, 0]], 3)
-    generic2 = kernel(matrix([[1, 1, 1]]))
+    generic2 = kernel(((1, 1, 1),), 3)
     inside = span([[1, 1, 0], [0, 0, 1]], 3)        # the hyperplane x1 = x2
     through = span([[1, 1, 1], [1, 0, 0]], 3)       # contains the center
     samples = [generic1, generic2, inside, through]
@@ -321,8 +321,8 @@ def test_lines_have_one_stratum_per_flat(name):
     for X in flats:
         pair = []
         for _ in range(2):
-            coeffs = [rng.randint(-10**6, 10**6) for _ in X.subspace.basis.entries]
-            v = [sum(c * row[j] for c, row in zip(coeffs, X.subspace.basis.entries))
+            coeffs = [rng.randint(-10**6, 10**6) for _ in X.subspace.basis]
+            v = [sum(c * row[j] for c, row in zip(coeffs, X.subspace.basis))
                  for j in range(n)]
             pair.append(label_encodings(arr, span([v], n)))
         assert pair[0] == pair[1], X.generators

@@ -3,15 +3,19 @@ over the compared fields only, hashing, pickling and constructor checks.
 Also that importing the command line loads none of dataclasses, inspect and
 typing, which cost a fresh process about 20 ms between them, and that
 running lattice and verify on integer files loads neither fractions nor
-the decimal module it imports."""
+the decimal module it imports.  CASES must list every value type the
+package defines."""
 
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import grasstrata
 from grasstrata.arrangement import (
     Arrangement,
     Flat,
@@ -19,14 +23,9 @@ from grasstrata.arrangement import (
     build_arrangement,
     intersection_lattice,
 )
-from grasstrata.exactlin import RationalMatrix, Subspace, full_space, span
+from grasstrata.exactlin import Subspace, Value, full_space, matrix, span
 from grasstrata.matroid import Matroid, RankedLattice
-from grasstrata.pluecker import (
-    AdjointHyperplane,
-    KSubsetIndex,
-    PlueckerVector,
-    k_subset_index,
-)
+from grasstrata.pluecker import AdjointHyperplane, PlueckerVector
 from grasstrata.strata import (
     AdjointLabel,
     MatroidLabel,
@@ -40,7 +39,6 @@ BRAID3 = intersection_lattice(build_arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 
 LINES = intersection_lattice(build_arrangement(2, [(1, 0), (0, 1), (1, 1)]))
 LINE = span([[1, 1, 1]], 3)
 FLAT = BRAID3.flats[1]
-IDX = k_subset_index(3, 1)
 
 
 def matroid(lattice=BRAID3, ranks=(0, 1, 1, 1, 2)):
@@ -50,8 +48,6 @@ def matroid(lattice=BRAID3, ranks=(0, 1, 1, 1, 2)):
 # (type, fields in signature order, one compared field changed,
 #  fields outside equality changed)
 CASES = [
-    (RationalMatrix, {"entries": ((1, 2), (3, 4)), "cols": 2},
-     {"entries": ((1, 2), (3, 5))}, {}),
     (Subspace, {"ambient_dim": 3, "basis": LINE.basis},
      {"basis": span([[1, 0, 0]], 3).basis}, {}),
     (Arrangement, {"ambient_dim": 2, "normals": ((1, 0), (0, 1))},
@@ -66,12 +62,9 @@ CASES = [
      {"ranks": (0, 1, 1, 1, 1)}, {"lattice": LINES}),
     (RankedLattice, {"ranks": (0, 1), "leq": (3, 2)},
      {"leq": (1, 2)}, {}),
-    (KSubsetIndex, {"n": 3, "k": 1, "subsets": IDX.subsets, "_pos": IDX._pos},
-     {"k": 2}, {"_pos": {}}),
-    (PlueckerVector, {"index": IDX, "coords": (1, 1, 1), "divisor": 1},
-     {"coords": (1, 0, 0)}, {"divisor": 2}),
-    (AdjointHyperplane, {"source": FLAT, "index": IDX, "coeffs": (1, -1, 0),
-                         "divisor": -1},
+    (PlueckerVector, {"n": 3, "k": 1, "coords": (1, 1, 1), "divisor": 1},
+     {"n": 4}, {"divisor": 2}),
+    (AdjointHyperplane, {"source": FLAT, "coeffs": (1, -1, 0), "divisor": -1},
      {"coeffs": (1, 0, -1)}, {"divisor": 3}),
     (MatroidLabel, {"matroid": matroid()},
      {"matroid": matroid(ranks=(0, 1, 1, 1, 1))}, {}),
@@ -115,11 +108,24 @@ def test_value_type(cls, fields, changed, ignored):
     assert len({by_keyword, by_position, copy, other}) == 2
 
 
+def test_cases_cover_every_value_type():
+    for module in pkgutil.iter_modules(grasstrata.__path__):
+        importlib.import_module(f"grasstrata.{module.name}")
+    found, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("grasstrata."):
+                found.add(sub)
+    assert {c[0] for c in CASES} == found
+    assert len(CASES) == len(found)
+
+
 def test_value_type_checks():
     with pytest.raises(ValueError):
-        RationalMatrix(((1, 2), (3,)), 2)  # row length
+        matrix(((1, 2), (3,)), 2)  # row length
     with pytest.raises(ValueError):
-        RationalMatrix((), -1)
+        Subspace(-1, ())
     with pytest.raises(ValueError):
         Subspace(2, full_space(3).basis)  # basis width
     with pytest.raises(ValueError):
