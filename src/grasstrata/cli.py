@@ -340,9 +340,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         encodings = [_encode_worker(t) for t in tasks]
 
-    eq = verify_equivalence(arr, args.k, subspaces, encodings)
-    cls = verify_restriction_classification(arr, args.k, subspaces, encodings)
-    witnesses = list(eq.witnesses) + list(cls.witnesses)
+    partitions, equivalence, witnesses = verify_equivalence(encodings)
+    classification, cls_witnesses = verify_restriction_classification(
+        arr, args.k, subspaces, encodings)
+    passed = all(equivalence.values()) and all(classification.values())
 
     for entry, U, enc in zip(manifest, subspaces, encodings):
         entry["basis"] = _basis_rows(U)
@@ -361,16 +362,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "format": REPORT_FORMAT,
         "arrangement_digest": arrangement_digest(arr),
         "samples": manifest,
-        "partitions": eq.partitions,
+        "partitions": partitions,
         "verdicts": {
-            "equivalence": eq.verdicts,
-            "classification": cls.verdicts,
-            "passed": eq.passed and cls.passed,
+            "equivalence": equivalence,
+            "classification": classification,
+            "passed": passed,
         },
-        "witnesses": witnesses,
+        "witnesses": witnesses + cls_witnesses,
     }
     _emit_json(payload, args.output)
-    return 0 if eq.passed and cls.passed else 2
+    return 0 if passed else 2
 
 
 _HANDLERS = {

@@ -19,6 +19,10 @@ every flat F (closure monotonicity; Oxley, Matroid Theory, 1.4).  The
 lattice of flats is geometric, so these local axioms imply the axioms for
 r(S) := r(closure of S) on all subsets, read through the closure table
 (Matroid.subset_rank).
+
+Being geometric, the lattice is atomistic: a flat is fixed by the atoms
+(hyperplanes) below it, so a restriction lattice is held as its atom sets
+(RankedLattice), and lattice_isomorphic maps atoms only.
 """
 
 from __future__ import annotations
@@ -141,97 +145,100 @@ def loops(mat: Matroid) -> frozenset[int]:
 
 
 class RankedLattice(Value):
-    """A graded lattice with opaque elements: ranks plus the order relation,
-    the latter as one bitmask per element (bit j set iff i <= j).  Nothing
-    checks that it is a lattice but lattice_isomorphic, which needs one."""
+    """A ranked atomistic lattice with opaque elements: atoms[x] is the
+    bitmask of the atoms below x, and x <= y iff atoms[x] is a subset of
+    atoms[y].  ValueError unless there is one atom set per rank, the sets
+    are distinct, and the empty set (the bottom) and the singleton of every
+    bit they use (the atoms) are among them.  Nothing checks that joins
+    exist: lattice_isomorphic does not need them."""
 
-    _fields = ("ranks", "leq")
+    _fields = ("ranks", "atoms")
 
-    def __init__(self, ranks: tuple[int, ...], leq: tuple[int, ...]) -> None:
-        self._set(ranks=ranks, leq=leq)
+    def __init__(self, ranks: tuple[int, ...], atoms: tuple[int, ...]) -> None:
+        if len(ranks) != len(atoms):
+            raise ValueError("need exactly one atom set per rank")
+        if len(set(atoms)) < len(atoms):
+            raise ValueError("two elements have the same atom set")
+        singletons = sum(m for m in atoms if m & (m - 1) == 0)
+        if 0 not in atoms or functools.reduce(int.__or__, atoms, 0) & ~singletons:
+            raise ValueError("need the empty atom set and every bit's singleton")
+        self._set(ranks=ranks, atoms=atoms)
 
     @property
     def size(self) -> int:
         return len(self.ranks)
 
     @functools.cached_property
-    def join_irreducibles(self) -> tuple | None:
-        """The join-irreducibles, the elements with one lower cover, and per
-        element x the bitmask J(x) of those below x; None unless x <= y iff
-        J(x) is a subset of J(y), as in every finite lattice: x = join J(x).
-
-        Made once per lattice, as the half of lattice_isomorphic that reads
-        one lattice: the sorted ranks and profiles (a join-irreducible's
-        rank and count of elements above it on each rank), each one's
-        profile, the join-irreducibles sorted by profile, finish (finish[t]
-        holds the rank of x and the positions in that order of J(x) for each
-        x whose J(x) ends at position t - 1) and the rank of each J(x)."""
-        ranks, leq, size = self.ranks, self.leq, self.size
-        down = [0] * size
-        for i, row in enumerate(leq):
-            while row:
-                down[(row & -row).bit_length() - 1] |= 1 << i
-                row &= row - 1
-        # one lower cover iff the elements strictly below have a greatest one
-        downs = set(down)
-        ji = [x for x, d in enumerate(down) if d & ~(1 << x) in downs]
-        J = [sum(1 << j for j in ji if d >> j & 1) for d in down]
-        above = [functools.reduce(int.__and__, [leq[j] for j in ji if m >> j & 1],
-                                  (1 << size) - 1) for m in J]
-        if len(set(J)) < size or above != list(leq):
-            return None
-        levels = [sum(1 << i for i, r in enumerate(ranks) if r == level)
-                  for level in sorted(set(ranks))]
-        profile = {j: (ranks[j],) + tuple((leq[j] & m).bit_count() for m in levels)
-                   for j in ji}
+    def search_data(self) -> tuple:
+        """What lattice_isomorphic reads of this lattice alone, made once:
+        the sorted ranks and atom profiles (the sorted ranks of the elements
+        above an atom), each atom's profile, the atoms sorted by profile,
+        finish (finish[t] holds the rank of x and the positions in that
+        order of x's atoms, for each x whose last atom is at position t - 1)
+        and the rank of each atom set."""
+        ranks, atoms = self.ranks, self.atoms
+        profile = {m.bit_length() - 1: sorted(r for r, a in zip(ranks, atoms) if a & m)
+                   for m in atoms if m.bit_count() == 1}
         order = sorted(profile, key=profile.get)
         finish: list[list] = [[] for _ in range(len(order) + 1)]
-        for x, m in enumerate(J):
-            ps = [t for t, a in enumerate(order) if m >> a & 1]
-            finish[max(ps, default=-1) + 1].append((ranks[x], ps))
+        for r, m in zip(ranks, atoms):
+            ps = [t for t, j in enumerate(order) if m >> j & 1]
+            finish[max(ps, default=-1) + 1].append((r, ps))
         return ((sorted(ranks), sorted(profile.values())), profile, order, finish,
-                {m: ranks[y] for y, m in enumerate(J)})
+                dict(zip(atoms, ranks)))
 
 
 def ranked_lattice(lat: IntersectionLattice) -> RankedLattice:
-    """Forget the geometry of an intersection lattice, keep order and rank."""
-    leq = tuple(sum(1 << j for j, h in enumerate(lat.gens) if g & ~h == 0)
-                for g in lat.gens)
-    return RankedLattice(tuple(f.rank for f in lat.flats), leq)
+    """Forget the geometry of an intersection lattice, keep order and rank:
+    a flat's atoms are its generators.  ValueError when two hyperplanes
+    coincide, which build_arrangement and restriction rule out."""
+    return RankedLattice(tuple(f.rank for f in lat.flats), lat.gens)
 
 
 def restriction_lattice(arr: Arrangement, U: Subspace) -> RankedLattice:
+    # restriction drops zero traces and merges equal ones, so each of its
+    # hyperplanes is an atom
     return ranked_lattice(intersection_lattice(restriction(arr, U)))
 
 
 def lattice_isomorphic(L1: RankedLattice, L2: RankedLattice) -> bool:
-    """Exact search for a rank-preserving order isomorphism of two lattices:
-    False if only one of them is a lattice, ValueError if neither is.
+    """Exact search for a rank-preserving order isomorphism.
 
-    x <= y iff J(x) is a subset of J(y), so an isomorphism is a bijection of
-    join-irreducibles that takes each J(x) to a J(y) of the rank of x.  The
-    search maps one join-irreducible per level, to one of the same rank and
-    counts above, and looks x's image up when the last of J(x) is mapped.
-    What it reads of one lattice alone is prepared once per lattice
-    (RankedLattice.join_irreducibles).  Restriction lattices are geometric:
-    their join-irreducibles are their atoms, at most one per hyperplane.  No
-    size cap; the worst case left is non-isomorphic lattices whose atoms
-    share all counts, where the search can backtrack exponentially in the
-    number of atoms."""
-    j1, j2 = L1.join_irreducibles, L2.join_irreducibles
-    if j1 is None and j2 is None:
-        raise ValueError("neither order is a lattice")
-    if j1 is None or j2 is None or j1[0] != j2[0]:
+    An isomorphism takes atoms to atoms, so it is a bijection of atoms that
+    takes each atom set of L1 to an atom set of L2 of the same rank.  The
+    search maps the atoms one at a time, each to an unused one of the same
+    profile, and looks x's image up when the last of x's atoms is mapped.
+    It keeps its choices on a stack, not in recursion, so any number of
+    atoms fits.  What it reads of one lattice alone is prepared once per
+    lattice (RankedLattice.search_data).  No size cap; the worst case left
+    is non-isomorphic lattices whose atoms share all counts, where the
+    search can backtrack exponentially in the number of atoms."""
+    d1, d2 = L1.search_data, L2.search_data
+    if d1[0] != d2[0]:
         return False
-    (_, p1, order, finish, _), (_, p2, _, _, rank_of) = j1, j2
+    (_, p1, order, finish, _), (_, p2, _, _, rank_of) = d1, d2
     candidates = [[1 << j for j in p2 if p2[j] == p1[a]] for a in order]
-
-    def extend(image: tuple[int, ...]) -> bool:
-        # image[t] is the bit of order[t]'s image in L2
-        t = len(image)
-        if any(rank_of.get(sum(image[p] for p in ps)) != r for r, ps in finish[t]):
+    image: list[int] = []  # image[t] is the bit of order[t]'s image in L2
+    used = 0  # the bits in image
+    untried: list = []  # untried[t] iterates over the images left for order[t]
+    while True:
+        if all(rank_of.get(sum(image[p] for p in ps)) == r
+               for r, ps in finish[len(image)]):
+            if len(image) == len(order):
+                return True
+            untried.append(iter(candidates[len(image)]))
+        elif image:
+            used ^= image.pop()
+        # the next unused image at the deepest open position, backtracking
+        # past each position whose images are used up
+        while untried:
+            bit = next((b for b in untried[-1] if not used & b), 0)
+            if bit:
+                break
+            untried.pop()
+            if image:
+                used ^= image.pop()
+        else:
             return False
-        return t == len(order) or any(extend(image + (bit,))
-                                      for bit in candidates[t] if bit not in image)
-
-    return extend(())
+        image.append(bit)
+        used |= bit

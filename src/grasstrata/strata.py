@@ -21,12 +21,14 @@ Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
 All three are supposed to cut the Grassmannian into the same pieces, and
 subspaces in one piece are supposed to have isomorphic restriction
 lattices.  verify_equivalence and verify_restriction_classification check
-exactly that on a given sample list and report witnesses when it fails.
+exactly that on the encodings of a given sample list, and return their
+verdicts plus a witness pair for each verdict that fails.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 
 from .arrangement import (
@@ -130,33 +132,13 @@ def label_encodings(arr: Arrangement, U: Subspace) -> dict[str, str]:
 KINDS = ("matroid", "adjoint", "schubert")
 
 
-class VerificationReport(Value):
-    """Outcome of one verifier run; everything inside is JSON friendly.
-    Reports compare and hash by identity."""
-
-    _fields = ("passed", "sample_count", "encodings", "partitions",
-               "verdicts", "witnesses")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, passed: bool, sample_count: int,
-                 encodings: tuple[dict, ...], partitions: dict,
-                 verdicts: dict, witnesses: tuple[dict, ...]) -> None:
-        self._set(passed=passed, sample_count=sample_count,
-                  encodings=encodings, partitions=partitions,
-                  verdicts=verdicts, witnesses=witnesses)
-
-
 def _partition_blocks(encs: Sequence[str]) -> list[list[int]]:
+    # canonical: members increase within a block and blocks are sorted by
+    # their first member, so == compares two partitions
     by_label: dict[str, list[int]] = {}
     for idx, e in enumerate(encs):
         by_label.setdefault(e, []).append(idx)
     return sorted(by_label.values(), key=lambda block: block[0])
-
-
-def partitions_equal(a: Sequence[Sequence[int]],
-                     b: Sequence[Sequence[int]]) -> bool:
-    return {frozenset(x) for x in a} == {frozenset(y) for y in b}
 
 
 def first_disagreement(enc_a: Sequence[str],
@@ -177,60 +159,46 @@ def _check_dims(k: int, subspaces: Sequence[Subspace]) -> None:
             raise ValueError(f"subspace {idx} has dimension {U.dim}, not {k}")
 
 
-def verify_equivalence(arr: Arrangement, k: int,
-                       subspaces: Sequence[Subspace],
-                       encodings: Sequence[dict] | None = None,
-                       ) -> VerificationReport:
-    """Label every subspace three ways and demand one common partition."""
-    _check_dims(k, subspaces)
-    if encodings is None:
-        encodings = [label_encodings(arr, U) for U in subspaces]
+def verify_equivalence(encodings: Sequence[dict]
+                       ) -> tuple[dict, dict, list[dict]]:
+    """Demand one common partition of the samples from the three labelings:
+    the partitions, one verdict per pair of labelings and a witness pair
+    for each verdict that fails."""
     parts = {kind: _partition_blocks([e[kind] for e in encodings])
              for kind in KINDS}
     verdicts = {}
     witnesses = []
-    for a in range(len(KINDS)):
-        for b in range(a + 1, len(KINDS)):
-            ka, kb = KINDS[a], KINDS[b]
-            same = partitions_equal(parts[ka], parts[kb])
-            verdicts[f"{ka}_vs_{kb}"] = same
-            if not same:
-                pair = first_disagreement([e[ka] for e in encodings],
-                                          [e[kb] for e in encodings])
-                witnesses.append({
-                    "type": "partition_mismatch",
-                    "labelings": [ka, kb],
-                    "pair": list(pair),
-                    "labels": {
-                        ka: [encodings[pair[0]][ka], encodings[pair[1]][ka]],
-                        kb: [encodings[pair[0]][kb], encodings[pair[1]][kb]],
-                    },
-                })
-    passed = all(verdicts.values())
-    return VerificationReport(
-        passed=passed,
-        sample_count=len(subspaces),
-        encodings=tuple(encodings),
-        partitions=parts,
-        verdicts=verdicts,
-        witnesses=tuple(witnesses),
-    )
+    for ka, kb in itertools.combinations(KINDS, 2):
+        same = parts[ka] == parts[kb]
+        verdicts[f"{ka}_vs_{kb}"] = same
+        if not same:
+            pair = first_disagreement([e[ka] for e in encodings],
+                                      [e[kb] for e in encodings])
+            witnesses.append({
+                "type": "partition_mismatch",
+                "labelings": [ka, kb],
+                "pair": list(pair),
+                "labels": {
+                    ka: [encodings[pair[0]][ka], encodings[pair[1]][ka]],
+                    kb: [encodings[pair[0]][kb], encodings[pair[1]][kb]],
+                },
+            })
+    return parts, verdicts, witnesses
 
 
 def verify_restriction_classification(arr: Arrangement, k: int,
                                       subspaces: Sequence[Subspace],
-                                      encodings: Sequence[dict] | None = None,
-                                      ) -> VerificationReport:
-    """Within every label class all restriction lattices must be isomorphic.
+                                      encodings: Sequence[dict],
+                                      ) -> tuple[dict, list[dict]]:
+    """Within every label class all restriction lattices must be isomorphic:
+    one verdict per class and a witness pair for each non-isomorphic member.
 
     Isomorphism is transitive, so comparing each member of a class with
-    the first, which lattice_of keeps with its join-irreducibles, settles
-    every pair.  For an essential arrangement the adjoint label cuts
-    classes too: the classification statement in its projective form.
+    the first, which lattice_of keeps with its search data, settles every
+    pair.  For an essential arrangement the adjoint label cuts classes too:
+    the classification statement in its projective form.
     """
     _check_dims(k, subspaces)
-    if encodings is None:
-        encodings = [label_encodings(arr, U) for U in subspaces]
 
     @functools.cache
     def lattice_of(idx: int):
@@ -238,41 +206,18 @@ def verify_restriction_classification(arr: Arrangement, k: int,
 
     verdicts = {}
     witnesses = []
-
-    def run_classes(kind: str) -> None:
+    for kind in ("matroid", "adjoint") if is_essential(arr) else ("matroid",):
         classes: dict[str, list[int]] = {}
         for idx, e in enumerate(encodings):
             classes.setdefault(e[kind], []).append(idx)
         for enc in sorted(classes):
-            block = classes[enc]
             key = f"{kind}:{enc}"
-            if k == 0:
-                verdicts[key] = True
-                continue
-            ok = True
-            first = block[0]
-            for other in block[1:]:
-                if not lattice_isomorphic(lattice_of(first), lattice_of(other)):
-                    ok = False
-                    witnesses.append({
-                        "type": "non_isomorphic_restriction",
-                        "class": key,
-                        "pair": [first, other],
-                    })
-            verdicts[key] = ok
-
-    run_classes("matroid")
-    if is_essential(arr):
-        run_classes("adjoint")
-
-    parts = {kind: _partition_blocks([e[kind] for e in encodings])
-             for kind in KINDS}
-    passed = all(verdicts.values())
-    return VerificationReport(
-        passed=passed,
-        sample_count=len(subspaces),
-        encodings=tuple(encodings),
-        partitions=parts,
-        verdicts=verdicts,
-        witnesses=tuple(witnesses),
-    )
+            first, *others = classes[enc]
+            # a 0-subspace has no restriction: every class passes
+            bad = [] if k == 0 else [
+                other for other in others
+                if not lattice_isomorphic(lattice_of(first), lattice_of(other))]
+            verdicts[key] = not bad
+            witnesses += [{"type": "non_isomorphic_restriction", "class": key,
+                           "pair": [first, other]} for other in bad]
+    return verdicts, witnesses

@@ -173,8 +173,9 @@ def is_direct_sum_full(U, V):
 
 
 def is_leq(L, i, j):
-    """Whether i <= j in the RankedLattice L."""
-    return bool(L.leq[i] >> j & 1)
+    """Whether i <= j in the RankedLattice L: the atoms below i all lie
+    below j."""
+    return L.atoms[i] & ~L.atoms[j] == 0
 
 
 def transpose(M):

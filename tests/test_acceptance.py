@@ -84,11 +84,11 @@ def test_criterion_1_labelings_agree(capsys):
     try:
         total = 0
         for name, arr, k, subs, encs in corpus_runs():
-            rep = verify_equivalence(arr, k, subs, encs)
+            _, verdicts, witnesses = verify_equivalence(encs)
             total += len(subs)
-            if not rep.passed:
+            if not all(verdicts.values()):
                 ok = False
-                detail = f"{name}: {rep.verdicts}, witness {rep.witnesses[:1]}"
+                detail = f"{name}: {verdicts}, witness {witnesses[:1]}"
                 break
         if ok:
             detail = (f"{len(CORPORA)} corpora, {total} subspaces, identical "
@@ -189,10 +189,10 @@ def test_criterion_5_restriction_classification(capsys):
     ok, detail = True, ""
     try:
         for name, arr, k, subs, encs in corpus_runs():
-            rep = verify_restriction_classification(arr, k, subs, encs)
-            if not rep.passed:
+            verdicts, witnesses = verify_restriction_classification(arr, k, subs, encs)
+            if not all(verdicts.values()):
                 ok = False
-                detail = f"{name}: witness {rep.witnesses[:1]}"
+                detail = f"{name}: witness {witnesses[:1]}"
                 break
         if ok:
             # the labels genuinely separate: braid3 planes in distinct

@@ -64,28 +64,16 @@ def random_subspace(rng, n, k):
             return U
 
 
-def permuted(L, perm):
-    """Relabel a RankedLattice by perm (element i becomes perm[i])."""
-    size = L.size
-    ranks = [0] * size
-    leq = [0] * size
-    for i in range(size):
-        ranks[perm[i]] = L.ranks[i]
-        bits = 0
-        for j in range(size):
-            if is_leq(L, i, j):
-                bits |= 1 << perm[j]
-        leq[perm[i]] = bits
-    return RankedLattice(tuple(ranks), tuple(leq))
-
-
-def from_covers(ranks, covers):
-    """The RankedLattice whose order is generated by covers, pairs i < j."""
-    up = [1 << i for i in range(len(ranks))]
-    for _ in ranks:
-        for i, j in covers:
-            up[i] |= up[j]
-    return RankedLattice(tuple(ranks), tuple(up))
+def permuted(L, rng):
+    """L with its elements and its atoms relabeled by random permutations."""
+    perm = rng.sample(range(L.size), L.size)
+    m = max(L.atoms).bit_length()
+    bit = rng.sample(range(m), m)
+    ranks, atoms = [0] * L.size, [0] * L.size
+    for i, (r, a) in enumerate(zip(L.ranks, L.atoms)):
+        ranks[perm[i]] = r
+        atoms[perm[i]] = sum(1 << bit[j] for j in range(m) if a >> j & 1)
+    return RankedLattice(tuple(ranks), tuple(atoms))
 
 
 # ---------------------------------------------------------------- matroids
@@ -268,10 +256,8 @@ def test_lattice_isomorphic_relabeling_invariance():
     assert big.size == 82
     for L in (ranked_lattice(intersection_lattice(braid3())),
               ranked_lattice(intersection_lattice(boolean(3))), big):
-        perm = list(range(L.size))
         for _ in range(5):
-            rng.shuffle(perm)
-            assert lattice_isomorphic(L, permuted(L, list(perm)))
+            assert lattice_isomorphic(L, permuted(L, rng))
 
 
 def test_lattice_isomorphic_symmetry():
@@ -281,41 +267,42 @@ def test_lattice_isomorphic_symmetry():
 
 
 def test_distinguishes_nonisomorphic_same_size():
-    # chain of length 3 vs a diamond with an extra top: same sizes, ranks kept
-    chain = RankedLattice((0, 1, 2), (0b111, 0b110, 0b100))
-    vee = RankedLattice((0, 1, 1), (0b111, 0b010, 0b100))
-    assert not lattice_isomorphic(chain, vee)
+    # one element of rank 2 above two of the three atoms or above all
+    # three: same sizes and ranks
+    ranks = (0, 1, 1, 1, 2)
+    line = RankedLattice(ranks, (0, 0b001, 0b010, 0b100, 0b011))
+    plane = RankedLattice(ranks, (0, 0b001, 0b010, 0b100, 0b111))
+    assert not lattice_isomorphic(line, plane)
+    assert lattice_isomorphic(line, line) and lattice_isomorphic(plane, plane)
 
 
 def test_lattice_isomorphic_on_1024_elements():
     # the lattice of the coordinate arrangement in Q^10, as large as the
-    # 1014-element restriction lattices verify --k 9 compares there: one
-    # level per atom, not per element, stays far from the recursion limit
+    # 1014-element restriction lattices verify --k 9 compares there, with
+    # one search level per atom
     L = ranked_lattice(intersection_lattice(boolean(10)))
     assert L.size == 1024
-    perm = list(range(L.size))
-    random.Random(73).shuffle(perm)
-    assert lattice_isomorphic(L, permuted(L, perm))
+    assert lattice_isomorphic(L, permuted(L, random.Random(73)))
+
+
+def test_lattice_isomorphic_on_1100_atoms():
+    # a search level per atom, on a stack: 1100 lines in the plane compare
+    # with a relabeling far beyond the recursion limit
+    m = 1100
+    L = RankedLattice((0,) + (1,) * m + (2,),
+                      (0,) + tuple(1 << j for j in range(m)) + ((1 << m) - 1,))
+    assert lattice_isomorphic(L, permuted(L, random.Random(83)))
 
 
 def test_lattice_isomorphic_beyond_atoms():
-    # lattices with join-irreducibles above rank 1, each against every
-    # other one and against relabelings, as brute force says
-    lattices = [
-        from_covers((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3)]),
-        from_covers((0, 1, 2, 1, 3), [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]),
-        from_covers((0, 1, 2, 2, 3), [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
-        from_covers([s.bit_count() for s in range(8)],
-                    [(s, s | 1 << b) for s in range(8) for b in range(3)
-                     if not s >> b & 1]),
-        # the product of two 3-chains, (i, j) as 3 i + j
-        from_covers([i + j for i in range(3) for j in range(3)],
-                    [(3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(2)]
-                    + [(3 * i + j, 3 * i + j + 3) for i in range(2) for j in range(3)]),
-    ]
+    # B_3, every element above rank 1 the join of its atoms, against its
+    # relabelings and against B_3 with the ranks of a coatom and the top
+    # swapped, as brute force says
+    cube = RankedLattice(tuple(s.bit_count() for s in range(8)), tuple(range(8)))
+    swapped = RankedLattice((0, 1, 1, 3, 1, 2, 2, 2), tuple(range(8)))
     rng = random.Random(79)
-    pool = lattices + [permuted(L, rng.sample(range(L.size), L.size))
-                       for L in lattices for _ in range(2)]
+    pool = [cube, swapped] + [permuted(L, rng) for L in (cube, swapped)
+                              for _ in range(2)]
     outcomes = set()
     for L1, L2 in itertools.product(pool, repeat=2):
         expected = brute_isomorphic(L1, L2)

@@ -33,8 +33,7 @@ EXPORTS = {
         "pluecker_vector"],
     "sampling": ["sample_subspace", "structured_subspaces"],
     "strata": [
-        "AdjointLabel", "MatroidLabel", "SchubertLabel", "VerificationReport",
-        "adjoint_label", "label_encodings", "labels", "matroid_label",
+        "AdjointLabel", "MatroidLabel", "SchubertLabel", "adjoint_label", "label_encodings", "labels", "matroid_label",
         "schubert_label", "verify_equivalence",
         "verify_restriction_classification"],
 }
@@ -88,7 +87,7 @@ def test_readme_library_snippet_runs():
     library = readme[readme.index("## Library"):]
     snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     lines = run_python(snippet).splitlines()
-    assert len(lines) == 2 and lines[1] == "2"
+    assert len(lines) == 3 and lines[1:] == ["True", "2"]
 
 
 # grasstrata.* modules a command loads: arguments, then modules beyond

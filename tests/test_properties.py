@@ -7,7 +7,6 @@ Random draws meet loops, parallel traces, non-essential centers, k = 0 and
 k = n now and then; each of these is also pinned by an explicit example.
 """
 
-import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import grasstrata.matroid
@@ -302,39 +301,28 @@ def test_lattice_isomorphic_agrees_with_brute_force(pair):
     assert lattice_isomorphic(L1, L2) == brute_isomorphic(L1, L2)
 
 
-def _atoms_and_coatoms(edges):
-    """Ranked poset: bottom 0, atoms 1-4, coatoms 5-8, top 9, and atom a
-    below coatom c for every (a, c) in edges."""
-    rel = set(edges) | {(i, i) for i in range(10)}
-    rel |= {(0, j) for j in range(10)} | {(i, 9) for i in range(10)}
-    leq = tuple(sum(1 << j for j in range(10) if (i, j) in rel)
-                for i in range(10))
-    return RankedLattice((0, 1, 1, 1, 1, 2, 2, 2, 2, 3), leq)
+def _coatoms_over(m, coatoms):
+    """Ranked lattice: bottom, the atoms 0..m-1, one coatom over the atoms
+    named by each string of digits, and the top."""
+    sets = tuple(sum(1 << int(c) for c in s) for s in coatoms.split())
+    return RankedLattice((0,) + (1,) * m + (2,) * len(sets) + (3,),
+                         (0,) + tuple(1 << j for j in range(m)) + sets + ((1 << m) - 1,))
 
 
 def test_lattice_isomorphic_on_equal_profiles():
-    # restriction lattices of at most 8 elements that are not isomorphic
-    # already differ in size or rank counts; an 8-cycle of atoms and coatoms
-    # and two 4-cycles do not, nor does any element's profile, so only the
+    # an 8-cycle of atoms and coatoms against a relabeling of it, and two
+    # lattices whose atoms share every count: two of the 2-atom coatoms of
+    # one share an atom, the other's three are disjoint, and only the
     # search tells them apart
-    cycle = _atoms_and_coatoms([(1, 5), (2, 5), (2, 6), (3, 6),
-                                (3, 7), (4, 7), (4, 8), (1, 8)])
-    two_cycles = _atoms_and_coatoms([(1, 5), (2, 5), (1, 6), (2, 6),
-                                     (3, 7), (4, 7), (3, 8), (4, 8)])
-    relabeled = _atoms_and_coatoms([(2, 7), (3, 7), (3, 5), (4, 5),
-                                    (4, 8), (1, 8), (1, 6), (2, 6)])
-    assert not brute_isomorphic(cycle, two_cycles)
-    assert not lattice_isomorphic(cycle, two_cycles)
+    cycle = _coatoms_over(4, "01 12 23 30")
+    relabeled = _coatoms_over(4, "20 01 13 32")
     assert brute_isomorphic(cycle, relabeled)
     assert lattice_isomorphic(cycle, relabeled)
-
-
-def test_lattice_isomorphic_refuses_two_non_lattices():
-    # atoms 1 and 2 lie below coatoms 5 and 6 and have no join
-    two_cycles = _atoms_and_coatoms([(1, 5), (2, 5), (1, 6), (2, 6),
-                                     (3, 7), (4, 7), (3, 8), (4, 8)])
-    with pytest.raises(ValueError):
-        lattice_isomorphic(two_cycles, two_cycles)
+    meeting = _coatoms_over(6, "01 02 34 135 245")
+    disjoint = _coatoms_over(6, "01 23 45 024 135")
+    assert meeting.search_data[0] == disjoint.search_data[0]
+    assert not brute_isomorphic(meeting, disjoint)
+    assert not lattice_isomorphic(meeting, disjoint)
 
 
 @st.composite

@@ -24,11 +24,12 @@ from grasstrata.matroid import loops, restriction_lattice, lattice_isomorphic
 from grasstrata.pluecker import defect_subspace
 from matrix_helpers import is_direct_sum_full
 from grasstrata.strata import (
+    KINDS,
+    _partition_blocks,
     adjoint_label,
     first_disagreement,
     label_encodings,
     matroid_label,
-    partitions_equal,
     schubert_label,
     verify_equivalence,
     verify_restriction_classification,
@@ -196,10 +197,14 @@ def test_schubert_tail_recovers_transverse_flats():
 
 
 def test_partition_helpers():
-    assert partitions_equal([[0, 1], [2]], [[2], [0, 1]])
-    assert not partitions_equal([[0, 1], [2]], [[0], [1, 2]])
+    # blocks in order of their first member, members increasing: == compares
+    assert _partition_blocks(["y", "x", "y", "z", "x"]) == [[0, 2], [1, 4], [3]]
     assert first_disagreement(["x", "x", "y"], ["u", "v", "v"]) == (0, 1)
     assert first_disagreement(["x", "y"], ["u", "v"]) is None
+
+
+def encode_all(arr, samples):
+    return [label_encodings(arr, U) for U in samples]
 
 
 def test_verify_equivalence_braid3_lines():
@@ -208,21 +213,21 @@ def test_verify_equivalence_braid3_lines():
     samples = [span([[1, 0, 0]], 3), span([[0, 1, 0]], 3),
                span([[0, 0, 1]], 3), center(arr), span([[1, 1, 2]], 3)]
     samples += [random_subspace(rng, 3, 1) for _ in range(200)]
-    report = verify_equivalence(arr, 1, samples)
-    assert report.passed
-    assert all(report.verdicts.values())
+    encodings = encode_all(arr, samples)
+    partitions, verdicts, witnesses = verify_equivalence(encodings)
+    assert all(verdicts.values()) and not witnesses
     # the generic stratum collects most of the random lines
-    biggest = max(report.partitions["adjoint"], key=len)
-    enc = report.encodings[biggest[0]]["adjoint"]
+    biggest = max(partitions["adjoint"], key=len)
+    enc = encodings[biggest[0]]["adjoint"]
     assert enc == "i0:"
     assert len(biggest) > 100
 
 
 def test_verify_equivalence_singleton():
-    arr = braid3()
-    report = verify_equivalence(arr, 1, [span([[1, 2, 3]], 3)])
-    assert report.passed
-    assert report.sample_count == 1
+    encodings = encode_all(braid3(), [span([[1, 2, 3]], 3)])
+    partitions, verdicts, witnesses = verify_equivalence(encodings)
+    assert all(verdicts.values()) and not witnesses
+    assert partitions == {kind: [[0]] for kind in KINDS}
 
 
 def test_verify_equivalence_boolean_planes():
@@ -232,27 +237,25 @@ def test_verify_equivalence_boolean_planes():
                span([[1, 0, 0], [0, 0, 1]], 3),
                span([[0, 1, 0], [0, 0, 1]], 3)]
     samples += [random_subspace(rng, 3, 2) for _ in range(60)]
-    report = verify_equivalence(arr, 2, samples)
-    assert report.passed
+    _, verdicts, witnesses = verify_equivalence(encode_all(arr, samples))
+    assert all(verdicts.values()) and not witnesses
 
 
-def test_verify_equivalence_rejects_wrong_dims():
+def test_classification_rejects_wrong_dims():
+    arr, line = braid3(), span([[1, 0, 0]], 3)
     with pytest.raises(ValueError):
-        verify_equivalence(braid3(), 2, [span([[1, 0, 0]], 3)])
+        verify_restriction_classification(arr, 2, [line], encode_all(arr, [line]))
 
 
 def test_verify_equivalence_failure_path():
     # synthetic encodings exercise the witness machinery; the real labelers
     # are not expected to produce this
-    arr = braid3()
-    samples = [span([[1, 0, 0]], 3), span([[0, 1, 0]], 3)]
     fake = [{"matroid": "a", "adjoint": "x", "schubert": "x"},
             {"matroid": "a", "adjoint": "y", "schubert": "y"}]
-    report = verify_equivalence(arr, 1, samples, encodings=fake)
-    assert not report.passed
-    assert not report.verdicts["matroid_vs_adjoint"]
-    assert report.verdicts["adjoint_vs_schubert"]
-    assert report.witnesses[0]["pair"] == [0, 1]
+    _, verdicts, witnesses = verify_equivalence(fake)
+    assert not verdicts["matroid_vs_adjoint"]
+    assert verdicts["adjoint_vs_schubert"]
+    assert witnesses[0]["pair"] == [0, 1]
 
 
 def test_classification_braid3_planes():
@@ -262,9 +265,10 @@ def test_classification_braid3_planes():
     inside = span([[1, 1, 0], [0, 0, 1]], 3)        # the hyperplane x1 = x2
     through = span([[1, 1, 1], [1, 0, 0]], 3)       # contains the center
     samples = [generic1, generic2, inside, through]
-    report = verify_restriction_classification(arr, 2, samples)
-    assert report.passed
-    encs = [e["matroid"] for e in report.encodings]
+    encodings = encode_all(arr, samples)
+    verdicts, witnesses = verify_restriction_classification(arr, 2, samples, encodings)
+    assert all(verdicts.values()) and not witnesses
+    encs = [e["matroid"] for e in encodings]
     assert encs[0] == encs[1]       # the generic pair shares a class
     assert encs[2] != encs[0]
     assert encs[3] != encs[0]
@@ -274,26 +278,40 @@ def test_classification_braid3_planes():
                                   restriction_lattice(arr, inside))
 
 
+def test_classification_failure_path():
+    # labels that put a generic plane and a hyperplane of braid n = 3 into
+    # one class: their real restriction lattices (3 lines against 1) differ
+    samples = [span([[1, 0, 0], [0, 1, 0]], 3), span([[1, 1, 0], [0, 0, 1]], 3)]
+    fake = [{"matroid": "a", "adjoint": "x", "schubert": "x"}] * 2
+    verdicts, witnesses = verify_restriction_classification(braid3(), 2, samples, fake)
+    # braid n = 3 is not essential, so the adjoint label cuts no classes
+    assert verdicts == {"matroid:a": False}
+    assert witnesses == [{"type": "non_isomorphic_restriction",
+                          "class": "matroid:a", "pair": [0, 1]}]
+
+
 def test_classification_boolean_lines():
     arr = boolean(3)
     rng = random.Random(101)
     samples = [span([[1, 0, 0]], 3), span([[0, 1, 0]], 3),
                span([[0, 0, 1]], 3)]
     samples += [random_subspace(rng, 3, 1) for _ in range(40)]
-    report = verify_restriction_classification(arr, 1, samples)
-    assert report.passed
+    encodings = encode_all(arr, samples)
+    verdicts, witnesses = verify_restriction_classification(arr, 1, samples, encodings)
+    assert all(verdicts.values()) and not witnesses
     # essential arrangement: the adjoint-class check ran as well
-    assert any(key.startswith("adjoint:") for key in report.verdicts)
+    assert any(key.startswith("adjoint:") for key in verdicts)
     # coordinate lines carry distinct labeled matroids
-    encs = [e["matroid"] for e in report.encodings]
+    encs = [e["matroid"] for e in encodings]
     assert len({encs[0], encs[1], encs[2]}) == 3
 
 
 def test_classification_k0_trivial():
     from grasstrata.exactlin import zero_subspace
-    report = verify_restriction_classification(
-        braid3(), 0, [zero_subspace(3), zero_subspace(3)])
-    assert report.passed
+    samples = [zero_subspace(3), zero_subspace(3)]
+    verdicts, witnesses = verify_restriction_classification(
+        braid3(), 0, samples, encode_all(braid3(), samples))
+    assert all(verdicts.values()) and not witnesses
 
 
 def test_labels_deterministic():

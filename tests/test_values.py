@@ -26,12 +26,7 @@ from grasstrata.arrangement import (
 from grasstrata.exactlin import Subspace, Value, full_space, matrix, span
 from grasstrata.matroid import Matroid, RankedLattice
 from grasstrata.pluecker import AdjointHyperplane, PlueckerVector
-from grasstrata.strata import (
-    AdjointLabel,
-    MatroidLabel,
-    SchubertLabel,
-    VerificationReport,
-)
+from grasstrata.strata import AdjointLabel, MatroidLabel, SchubertLabel
 
 # braid n = 3 and three lines in the plane: both lattices have the flats
 # bottom, three atoms and top, so one rank vector fits both
@@ -60,8 +55,8 @@ CASES = [
      {"covers": BRAID3.covers[1:]}, {"gens": (), "up": ()}),
     (Matroid, {"lattice": BRAID3, "ranks": (0, 1, 1, 1, 2)},
      {"ranks": (0, 1, 1, 1, 1)}, {"lattice": LINES}),
-    (RankedLattice, {"ranks": (0, 1), "leq": (3, 2)},
-     {"leq": (1, 2)}, {}),
+    (RankedLattice, {"ranks": (0, 1), "atoms": (0, 1)},
+     {"ranks": (0, 2)}, {}),
     (PlueckerVector, {"n": 3, "k": 1, "coords": (1, 1, 1), "divisor": 1},
      {"n": 4}, {"divisor": 2}),
     (AdjointHyperplane, {"source": FLAT, "coeffs": (1, -1, 0), "divisor": -1},
@@ -70,11 +65,6 @@ CASES = [
      {"matroid": matroid(ranks=(0, 1, 1, 1, 1))}, {}),
     (AdjointLabel, {"i": 0, "zero_set": (FLAT,)}, {"i": 1}, {}),
     (SchubertLabel, {"dims": (1, 1, 0)}, {"dims": (1, 0, 0)}, {}),
-    (VerificationReport, {"passed": True, "sample_count": 1,
-                          "encodings": ({"matroid": "m"},),
-                          "partitions": {"matroid": [[0]]},
-                          "verdicts": {"passed": True}, "witnesses": ()},
-     {"passed": False}, {}),
 ]
 
 
@@ -95,11 +85,6 @@ def test_value_type(cls, fields, changed, ignored):
     other = cls(**{**fields, **changed})
     copy = pickle.loads(pickle.dumps(by_keyword))
     assert type(copy) is cls and copy.__dict__ == by_keyword.__dict__
-    if cls is VerificationReport:
-        # reports hold dicts and compare by identity
-        assert by_keyword != by_position and by_keyword == by_keyword
-        assert copy != by_keyword
-        return
     assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
     assert other != by_keyword and by_keyword != tuple(fields.values())
     assert cls(**{**fields, **ignored}) == by_keyword
@@ -132,6 +117,14 @@ def test_value_type_checks():
         Matroid(BRAID3, (0, 1, 1, 1))  # one rank per flat
     with pytest.raises(ValueError):
         Matroid(BRAID3, (0, 1, 1, 1, 3))  # and the rank axioms
+    with pytest.raises(ValueError, match="one atom set per rank"):
+        RankedLattice((0, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match="same atom set"):
+        RankedLattice((0, 1, 1, 2), (0, 1, 1, 1))
+    with pytest.raises(ValueError, match="singleton"):
+        RankedLattice((0, 1, 2), (0, 1, 3))  # bit 1 is no atom
+    with pytest.raises(ValueError, match="empty atom set"):
+        RankedLattice((1, 1), (1, 2))  # no bottom
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
