@@ -7,6 +7,7 @@ Random draws meet loops, parallel traces, non-essential centers, k = 0 and
 k = n now and then; each of these is also pinned by an explicit example.
 """
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import grasstrata.matroid
@@ -323,6 +324,15 @@ def test_lattice_isomorphic_on_equal_profiles():
     assert meeting.search_data[0] == disjoint.search_data[0]
     assert not brute_isomorphic(meeting, disjoint)
     assert not lattice_isomorphic(meeting, disjoint)
+
+
+def test_lattice_isomorphic_refuses_two_non_lattices():
+    # atoms 0 and 1 lie below two coatoms and have no join: as atom sets
+    # those coatoms are one set twice, so no RankedLattice holds the order
+    # and lattice_isomorphic never meets it
+    with pytest.raises(ValueError, match="same atom set"):
+        two_cycles = _coatoms_over(4, "01 01 23 23")
+        lattice_isomorphic(two_cycles, two_cycles)
 
 
 @st.composite
