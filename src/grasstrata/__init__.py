@@ -21,9 +21,9 @@ _EXPORTS = {
     "pluecker": """AdjointHyperplane PlueckerVector adjoint_hyperplane
         defect_subspace eval_adjoint k_adjoint k_subsets pluecker_vector""",
     "sampling": "sample_subspace structured_subspaces",
-    "strata": """AdjointLabel MatroidLabel SchubertLabel adjoint_label
-        label_encodings labels matroid_label schubert_label
-        verify_equivalence verify_restriction_classification""",
+    "strata": """adjoint_label encode_labels label_encodings labels
+        matroid_label schubert_label verify_equivalence
+        verify_restriction_classification""",
 }
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in _EXPORTS.items()

@@ -24,7 +24,6 @@ from .exactlin import (
     full_space,
     kernel,
     primitive_vector,
-    vector,
 )
 
 class SelfCheckFailed(RuntimeError):
@@ -38,13 +37,33 @@ def self_check(ok: bool, message: str) -> None:
 
 
 class Arrangement(Value):
-    """Hyperplanes labeled 1..m by their position in the normals tuple."""
+    """Hyperplanes labeled 1..m by their position in the normals tuple.  A
+    normal that is not a new nonzero primitive tuple of ambient_dim ints
+    with a positive leading entry raises ValueError naming its position."""
 
     _fields = ("ambient_dim", "normals")
 
     def __init__(self, ambient_dim: int,
                  normals: tuple[tuple[int, ...], ...]) -> None:
-        self._set(ambient_dim=ambient_dim, normals=normals)
+        seen = set()
+        for pos, a in enumerate(normals, 1):
+            if type(a) is not tuple:
+                problem = f"{type(a).__name__}, not a tuple"
+            elif odd := [x for x in a if type(x) is not int]:
+                problem = f"entry {odd[0]!r} is not an int"
+            elif len(a) != ambient_dim:
+                problem = f"expected {ambient_dim} entries, got {len(a)}"
+            elif not any(a):
+                problem = "zero vector does not define a hyperplane"
+            elif gcd(*a) != 1 or next(x for x in a if x) < 0:
+                problem = "not primitive with a positive leading entry"
+            elif a in seen:
+                problem = "duplicate hyperplane"
+            else:
+                seen.add(a)
+                continue
+            raise ValueError(f"normal {pos}: {problem}")
+        super().__init__(ambient_dim, normals)
 
     @property
     def size(self) -> int:
@@ -58,25 +77,17 @@ class Arrangement(Value):
 
 
 def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
-    """Canonicalize the integer normals (coprime, positive leading entry) and
-    reject other entries, zero vectors, wrong lengths and duplicate
-    hyperplanes."""
+    """Canonicalize the integer normals (coprime, positive leading entry);
+    the Arrangement constructor rejects other entries, zero vectors, wrong
+    lengths and duplicate hyperplanes."""
     canon: list[tuple[int, ...]] = []
-    seen = set()
-    for pos, raw in enumerate(raw_normals, 1):
+    for raw in raw_normals:
+        v = tuple(raw)
         try:
-            v = vector(raw)
-        except ValueError as e:
-            raise ValueError(f"normal {pos}: {e}") from None
-        if len(v) != n:
-            raise ValueError(f"normal {pos}: expected {n} entries, got {len(v)}")
-        if all(x == 0 for x in v):
-            raise ValueError(f"normal {pos}: zero vector does not define a hyperplane")
-        w, _ = primitive_vector(v)
-        if w in seen:
-            raise ValueError(f"normal {pos}: duplicate hyperplane")
-        seen.add(w)
-        canon.append(w)
+            v, _ = primitive_vector(v)
+        except ValueError:  # not all ints, or zero: the constructor says which
+            pass
+        canon.append(v)
     return Arrangement(n, tuple(canon))
 
 
@@ -84,10 +95,6 @@ class Flat(Value):
     """An intersection of hyperplanes; generators is the full (closed) label set."""
 
     _fields = ("subspace", "rank", "generators")
-
-    def __init__(self, subspace: Subspace, rank: int,
-                 generators: frozenset[int]) -> None:
-        self._set(subspace=subspace, rank=rank, generators=generators)
 
     @property
     def dim(self) -> int:
@@ -111,12 +118,7 @@ class IntersectionLattice(Value):
     """
 
     _fields = ("ambient_dim", "flats", "covers")
-
-    def __init__(self, ambient_dim: int, flats: tuple[Flat, ...],
-                 covers: tuple[tuple[int, int], ...], gens: tuple[int, ...],
-                 up: tuple[tuple[int, ...], ...]) -> None:
-        self._set(ambient_dim=ambient_dim, flats=flats, covers=covers,
-                  gens=gens, up=up)
+    _extra = ("gens", "up")
 
     @property
     def rank(self) -> int:
@@ -130,15 +132,8 @@ class IntersectionLattice(Value):
     def by_rank(self, r: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.rank == r)
 
-    def bottom(self) -> Flat:
-        return self.flats[0]
-
     def top(self) -> Flat:
         return self.flats[-1]
-
-    def leq(self, a: int, b: int) -> bool:
-        """Reverse-inclusion order on flat indices: a <= b iff b is inside a."""
-        return self.gens[a] & ~self.gens[b] == 0
 
     @functools.cached_property
     def lower_cover(self) -> tuple[int, ...]:
@@ -186,10 +181,9 @@ class IntersectionLattice(Value):
                     out[c] = final
         return tuple(out)
 
-    def closure(self, mask: int, start: int = 0) -> int:
-        """Index of the smallest flat above flat start whose generators
-        include mask."""
-        a = start
+    def closure(self, mask: int) -> int:
+        """Index of the smallest flat whose generators include mask."""
+        a = 0
         for j in range(mask.bit_length()):
             if mask >> j & 1:
                 a = self.up[a][j]

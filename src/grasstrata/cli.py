@@ -136,10 +136,6 @@ def arrangement_digest(arr: Arrangement) -> str:
     return sha256(format_arrangement(arr).encode()).hexdigest()
 
 
-def _basis_rows(S: Subspace) -> list[list[int]]:
-    return [list(row) for row in S.basis]
-
-
 def _write(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
@@ -211,7 +207,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
             "rank": f.rank,
             "dim": f.dim,
             "generators": sorted(f.generators),
-            "basis": _basis_rows(f.subspace),
+            "basis": f.subspace.basis,
         } for f in lat.flats],
         "chain_count": chain_count(lat),
     }
@@ -230,11 +226,10 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
         "arrangement_digest": arrangement_digest(arr),
         "n": arr.ambient_dim,
         "k": args.k,
-        "subsets": [list(s) for s in
-                    (k_subsets(arr.ambient_dim, args.k) if hs else ())],
+        "subsets": k_subsets(arr.ambient_dim, args.k) if hs else (),
         "hyperplanes": [{
             "generators": sorted(h.source.generators),
-            "coeffs": list(h.coeffs),
+            "coeffs": h.coeffs,
         } for h in hs],
     }
     _emit_json(payload, args.output)
@@ -243,7 +238,7 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     from .matroid import loops
-    from .strata import labels
+    from .strata import encode_labels, labels
     arr = load_arrangement(args.arrangement)
     U = load_subspace(args.subspace)
     if U.ambient_dim != arr.ambient_dim:
@@ -252,30 +247,31 @@ def cmd_label(args: argparse.Namespace) -> int:
             f"arrangement in {arr.ambient_dim}")
     if U.dim != args.k:
         raise ValueError(f"subspace has dimension {U.dim}, --k said {args.k}")
-    ml, al, sl = labels(arr, U)
+    matroid, (i, zero_set), dims = labels(arr, U)
+    encodings = encode_labels(matroid, (i, zero_set), dims)
     payload = {
         "command": "label",
         "arrangement_digest": arrangement_digest(arr),
         "k": U.dim,
-        "subspace_basis": _basis_rows(U),
+        "subspace_basis": U.basis,
         "flats": [{
             "generators": sorted(f.generators),
             "trace_rank": r,
             "overlap_dim": d,
         } for f, r, d in zip(intersection_lattice(arr).flats,
-                             ml.matroid.ranks, sl.dims)],
+                             matroid.ranks, dims)],
         "labels": {
             "matroid": {
-                "encoding": ml.encode(),
-                "rank": ml.matroid.rank,
-                "loops": sorted(loops(ml.matroid)),
+                "encoding": encodings["matroid"],
+                "rank": matroid.rank,
+                "loops": sorted(loops(matroid)),
             },
             "adjoint": {
-                "encoding": al.encode(),
-                "i": al.i,
-                "zero_set": sorted(sorted(f.generators) for f in al.zero_set),
+                "encoding": encodings["adjoint"],
+                "i": i,
+                "zero_set": sorted(sorted(f.generators) for f in zero_set),
             },
-            "schubert": {"encoding": sl.encode()},
+            "schubert": {"encoding": encodings["schubert"]},
         },
     }
     _emit_json(payload, args.output)
@@ -346,7 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = all(equivalence.values()) and all(classification.values())
 
     for entry, U, enc in zip(manifest, subspaces, encodings):
-        entry["basis"] = _basis_rows(U)
+        entry["basis"] = U.basis
         entry["labels"] = enc
 
     payload = {

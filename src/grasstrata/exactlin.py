@@ -45,19 +45,28 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 class Value:
-    """Base of the package's immutable value types.  A subclass sets its
-    attributes once, in __init__, through _set; assigning or deleting one
-    later raises AttributeError.  Equality and hash go over the attributes
-    named in _fields, as a tuple, between instances of one class, and so
-    does repr.  Instances have a __dict__, so they pickle as they are."""
+    """Base of the package's immutable value types and their one constructor,
+    which sets the attributes named in _fields and then _extra, by position
+    or by keyword; a missing, repeated or unknown one raises TypeError.  A
+    type that checks its arguments does so in its own __init__, then calls
+    this one.  Assigning or deleting an attribute later raises
+    AttributeError.  Equality, hash and repr go over the _fields attributes,
+    as a tuple, between instances of one class; _extra ones are stored but
+    left out.  Instances have a __dict__, so they pickle as they are."""
 
     _fields: tuple[str, ...] = ()
+    _extra: tuple[str, ...] = ()
 
-    def _set(self, **values) -> None:
-        # attribute by attribute: reading __dict__ would give each instance
-        # a dict object of its own
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields + self._extra
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}, "
+                            "each once, by position or by keyword")
+        # attribute by attribute, in one order: reading __dict__ would give
+        # each instance a dict object of its own
+        for name in names:
+            object.__setattr__(self, name, values[name])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -160,7 +169,7 @@ class Subspace(Value):
             if len(row) != ambient_dim:
                 raise ValueError(
                     "basis width does not match the ambient dimension")
-        self._set(ambient_dim=ambient_dim, basis=basis)
+        super().__init__(ambient_dim, basis)
 
     @property
     def dim(self) -> int:

@@ -56,13 +56,14 @@ class Matroid(Value):
     """
 
     _fields = ("ranks",)
+    _extra = ("lattice",)
 
     def __init__(self, lattice: IntersectionLattice,
                  ranks: tuple[int, ...]) -> None:
         if len(ranks) != len(lattice.flats):
             raise ValueError("need exactly one rank per flat")
         _check_rank_axioms(lattice, ranks)
-        self._set(lattice=lattice, ranks=ranks)
+        super().__init__(ranks, lattice)
 
     @property
     def ground_size(self) -> int:
@@ -162,7 +163,7 @@ class RankedLattice(Value):
         singletons = sum(m for m in atoms if m & (m - 1) == 0)
         if 0 not in atoms or functools.reduce(int.__or__, atoms, 0) & ~singletons:
             raise ValueError("need the empty atom set and every bit's singleton")
-        self._set(ranks=ranks, atoms=atoms)
+        super().__init__(ranks, atoms)
 
     @property
     def size(self) -> int:
@@ -190,8 +191,8 @@ class RankedLattice(Value):
 
 def ranked_lattice(lat: IntersectionLattice) -> RankedLattice:
     """Forget the geometry of an intersection lattice, keep order and rank:
-    a flat's atoms are its generators.  ValueError when two hyperplanes
-    coincide, which build_arrangement and restriction rule out."""
+    a flat's atoms are its generators.  Each hyperplane is an atom, as the
+    Arrangement constructor refuses zero and repeated normals."""
     return RankedLattice(tuple(f.rank for f in lat.flats), lat.gens)
 
 

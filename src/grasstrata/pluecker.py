@@ -59,10 +59,7 @@ class PlueckerVector(Value):
     coordinates (1)."""
 
     _fields = ("n", "k", "coords")
-
-    def __init__(self, n: int, k: int, coords: tuple[int, ...],
-                 divisor: int) -> None:
-        self._set(n=n, k=k, coords=coords, divisor=divisor)
+    _extra = ("divisor",)
 
 
 def pluecker_vector(U: Subspace) -> PlueckerVector:
@@ -80,10 +77,7 @@ class AdjointHyperplane(Value):
     the argument lies on the hyperplane.  divisor stays out of equality."""
 
     _fields = ("source", "coeffs")
-
-    def __init__(self, source: Flat, coeffs: tuple[int, ...],
-                 divisor: int) -> None:
-        self._set(source=source, coeffs=coeffs, divisor=divisor)
+    _extra = ("divisor",)
 
 
 def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:

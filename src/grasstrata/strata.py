@@ -2,14 +2,15 @@
 
 Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
 
-  * matroid label: the labeled matroid of the traces of the normals on U,
-    one trace rank per flat of the intersection lattice;
-  * adjoint label: i = dim(U meet center) together with the set of rank
-    (k - i) flats whose adjoint hyperplane contains the Pluecker vector of
-    the defect subspace of U;
-  * Schubert label: i together with dim(U meet X) for every flat X, which
-    fixes where dim(U meet chain flat) jumps along every maximal chain,
-    since every flat lies on one.  Neither per-flat label reads the
+  * matroid label: the Matroid of the traces of the normals on U, one
+    trace rank per flat of the intersection lattice;
+  * adjoint label: the pair (i, zero set), i = dim(U meet center) and the
+    tuple of rank (k - i) flats whose adjoint hyperplane contains the
+    Pluecker vector of the defect subspace of U;
+  * Schubert label: the tuple of dim(U meet X) for every flat X, in flat
+    order, whose last entry, at the center, is i.  It fixes where
+    dim(U meet chain flat) jumps along every maximal chain, since every
+    flat lies on one.  Neither per-flat label reads the
     other: trace ranks on one side, intersection dimensions on the
     other.  Each is taken in lattice order and stops where its answer
     is forced: above a flat of trace rank dim U every rank is dim U, and
@@ -17,6 +18,7 @@ Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
     elimination.  labels, which the label and verify commands go through,
     computes all three and checks rank = dim U - overlap on every flat;
     where both values were filled in, that compares two inferences.
+    encode_labels writes the three as the strings verify compares.
 
 All three are supposed to cut the Grassmannian into the same pieces, and
 subspaces in one piece are supposed to have isomorphic restriction
@@ -38,69 +40,26 @@ from .arrangement import (
     is_essential,
     self_check,
 )
-from .exactlin import Subspace, Value, intersection_dim
+from .exactlin import Subspace, intersection_dim
 from .matroid import Matroid, matroid_from, restriction_lattice, lattice_isomorphic
 from .pluecker import defect_subspace, eval_adjoint, k_adjoint, pluecker_vector
 
 
-class MatroidLabel(Value):
-    _fields = ("matroid",)
-
-    def __init__(self, matroid: Matroid) -> None:
-        self._set(matroid=matroid)
-
-    def encode(self) -> str:
-        return (f"m{self.matroid.ground_size}:"
-                + ",".join(str(r) for r in self.matroid.ranks))
+def matroid_label(arr: Arrangement, U: Subspace) -> Matroid:
+    return matroid_from(arr, U)
 
 
-class AdjointLabel(Value):
-    """i = dim(U meet center); zero_set = the rank (k-i) flats whose adjoint
-    hyperplane annihilates the defect's Pluecker vector."""
-
-    _fields = ("i", "zero_set")
-
-    def __init__(self, i: int, zero_set: tuple[Flat, ...]) -> None:
-        self._set(i=i, zero_set=zero_set)
-
-    def encode(self) -> str:
-        gens = sorted(tuple(sorted(f.generators)) for f in self.zero_set)
-        body = "|".join("{" + ",".join(str(g) for g in gs) + "}" for gs in gens)
-        return f"i{self.i}:{body}"
-
-
-class SchubertLabel(Value):
-    """dim(U meet X) for every flat X, in the lattice's flat order; i is the
-    last one, at the center."""
-
-    _fields = ("dims",)
-
-    def __init__(self, dims: tuple[int, ...]) -> None:
-        self._set(dims=dims)
-
-    @property
-    def i(self) -> int:
-        return self.dims[-1]
-
-    def encode(self) -> str:
-        return f"i{self.i}:" + ",".join(str(d) for d in self.dims)
-
-
-def matroid_label(arr: Arrangement, U: Subspace) -> MatroidLabel:
-    return MatroidLabel(matroid_from(arr, U))
-
-
-def adjoint_label(arr: Arrangement, U: Subspace) -> AdjointLabel:
+def adjoint_label(arr: Arrangement, U: Subspace) -> tuple[int, tuple[Flat, ...]]:
     V = defect_subspace(arr, U)
     # defect_subspace has checked dim V = dim U - dim(U meet center)
     i = U.dim - V.dim
     p = pluecker_vector(V)
     zero = tuple(h.source for h in k_adjoint(arr, V.dim)
                  if eval_adjoint(h, p) == 0)
-    return AdjointLabel(i, zero)
+    return i, zero
 
 
-def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
+def schubert_label(arr: Arrangement, U: Subspace) -> tuple[int, ...]:
     lat = intersection_lattice(arr)
     # a flat above one of overlap 0 lies inside it, so its overlap is 0 too
     dims = lat.fill_up(lambda b, a: intersection_dim(U, lat.flats[b].subspace), 0)
@@ -109,24 +68,36 @@ def schubert_label(arr: Arrangement, U: Subspace) -> SchubertLabel:
     self_check(dims[0] == U.dim
                and {dims[a] - dims[b] for a, b in lat.covers} <= {0, 1},
                "overlap dimensions do not step down by 0 or 1 from dim U")
-    return SchubertLabel(dims)
+    return dims
 
 
-def labels(arr: Arrangement,
-           U: Subspace) -> tuple[MatroidLabel, AdjointLabel, SchubertLabel]:
+def labels(arr: Arrangement, U: Subspace
+           ) -> tuple[Matroid, tuple[int, tuple[Flat, ...]], tuple[int, ...]]:
     """The three labels of U; the finished matroid and Schubert vectors are
     compared on every flat, and neither label reads the other."""
     ml, al, sl = matroid_label(arr, U), adjoint_label(arr, U), schubert_label(arr, U)
     k = U.dim
     bad = [sorted(f.generators) for f, r, d in zip(
-        intersection_lattice(arr).flats, ml.matroid.ranks, sl.dims)
+        intersection_lattice(arr).flats, ml.ranks, sl)
         if r + d != k]
     self_check(not bad, f"trace ranks and flat ranks disagree on {bad}")
     return ml, al, sl
 
 
+def encode_labels(matroid: Matroid, adjoint: tuple[int, tuple[Flat, ...]],
+                  dims: tuple[int, ...]) -> dict[str, str]:
+    """The three labels as the strings that verify compares and reports,
+    keyed by KINDS."""
+    i, zero_set = adjoint
+    gens = sorted(tuple(sorted(f.generators)) for f in zero_set)
+    body = "|".join("{" + ",".join(map(str, gs)) + "}" for gs in gens)
+    return {"matroid": f"m{matroid.ground_size}:" + ",".join(map(str, matroid.ranks)),
+            "adjoint": f"i{i}:{body}",
+            "schubert": f"i{dims[-1]}:" + ",".join(map(str, dims))}
+
+
 def label_encodings(arr: Arrangement, U: Subspace) -> dict[str, str]:
-    return {kind: label.encode() for kind, label in zip(KINDS, labels(arr, U))}
+    return encode_labels(*labels(arr, U))
 
 
 KINDS = ("matroid", "adjoint", "schubert")

@@ -141,7 +141,7 @@ def check_pairwise_axioms(lat, r):
         common = gens[a] & gens[b]
         if common == gens[a] or common == gens[b]:
             continue
-        if r[lat.closure(gens[b], a)] + r[index[common]] > r[a] + r[b]:
+        if r[lat.closure(gens[a] | gens[b])] + r[index[common]] > r[a] + r[b]:
             raise ValueError(f"submodularity fails for flats {a} and {b}")
 
 
@@ -173,11 +173,11 @@ def walked_jumps(arr, U):
     return tuple(out)
 
 
-def label_jumps(arr, label):
+def label_jumps(arr, dims):
     """Per maximal chain, in maximal_chains order, the positions where the
-    overlap dimension goes up, read off label.dims."""
+    overlap dimension goes up, read off the Schubert label dims."""
     lat = intersection_lattice(arr)
-    dim_at = dict(zip(lat.flats, label.dims))
+    dim_at = dict(zip(lat.flats, dims))
     return tuple(tuple(l for l in range(1, len(ch))
                        if dim_at[ch[l]] > dim_at[ch[l - 1]])
                  for ch in maximal_chains(lat))

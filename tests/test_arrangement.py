@@ -93,6 +93,27 @@ def test_build_rejects_bad_input():
         build_arrangement(2, [(1, 0), (0.5, 1)])
 
 
+def test_arrangement_checks_its_normals():
+    # built by hand, not through build_arrangement: a zero normal, a normal
+    # longer than the ambient dimension and a repeated normal are refused
+    # before any lattice is built
+    for normals, problem in [(((0, 0), (1, 0)), "normal 1: zero vector"),
+                             (((1, 0, 0),), "normal 1: expected 2 entries, got 3"),
+                             (((1, 0), (1, 0)), "normal 2: duplicate hyperplane"),
+                             (((2, 0),), "normal 1: not primitive"),
+                             (((0, -1),), "normal 1: not primitive"),
+                             (((1, 0), [0, 1]), "normal 2: list, not a tuple"),
+                             (((1, True),), "normal 1: entry True is not an int")]:
+        with pytest.raises(ValueError, match=problem):
+            intersection_lattice(Arrangement(2, normals))
+    # build_arrangement canonicalizes first and keeps its messages
+    assert build_arrangement(2, [[-2, 0], [0, 3]]) == Arrangement(2, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="normal 2: zero vector"):
+        build_arrangement(2, [(1, 0), (0, 0)])
+    with pytest.raises(ValueError, match="normal 1: expected 2 entries, got 3"):
+        build_arrangement(2, [(1, 0, 0), (0.5, 1)])
+
+
 def test_hyperplane_subspaces():
     arr = boolean(2)
     assert arr.hyperplane(1) == span([[0, 1]], 2)
@@ -107,7 +128,7 @@ def test_braid3_lattice():
     assert len(lat.flats) == 5
     assert [f.rank for f in lat.flats] == [0, 1, 1, 1, 2]
     assert lat.rank == 2
-    assert lat.bottom().subspace == full_space(3)
+    assert lat.flats[0].subspace == full_space(3)
     assert lat.top().subspace == span([[1, 1, 1]], 3)
     assert lat.top().generators == frozenset({1, 2, 3})
 
@@ -222,7 +243,7 @@ def test_braid3_chains():
     for ch in chains:
         assert len(ch) == 3
         assert ch[0] == lat.top()
-        assert ch[-1] == lat.bottom()
+        assert ch[-1] == lat.flats[0]
         middles.add(ch[1].generators)
     assert middles == {frozenset({1}), frozenset({2}), frozenset({3})}
 
@@ -267,9 +288,9 @@ def test_intersection_lattice_against_subspaces():
             X = kernel(matrix(rows, cols=arr.ambient_dim), arr.ambient_dim)
             assert flats[t.closure(mask)].subspace == X
         for a, b in itertools.combinations(range(len(flats)), 2):
-            if t.leq(a, b) or t.leq(b, a):
+            if t.gens[a] & ~t.gens[b] == 0 or t.gens[b] & ~t.gens[a] == 0:
                 continue
-            assert flats[t.closure(t.gens[b], a)].subspace == intersect(
+            assert flats[t.closure(t.gens[a] | t.gens[b])].subspace == intersect(
                 flats[a].subspace, flats[b].subspace)
 
 

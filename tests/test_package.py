@@ -1,7 +1,8 @@
-"""The package namespace resolves its names lazily, and each command loads
-only the modules it runs."""
+"""The package namespace resolves its names lazily, each command loads
+only the modules it runs, and the bench tracer finds every name it binds."""
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -33,7 +34,7 @@ EXPORTS = {
         "pluecker_vector"],
     "sampling": ["sample_subspace", "structured_subspaces"],
     "strata": [
-        "AdjointLabel", "MatroidLabel", "SchubertLabel", "adjoint_label", "label_encodings", "labels", "matroid_label",
+        "adjoint_label", "encode_labels", "label_encodings", "labels", "matroid_label",
         "schubert_label", "verify_equivalence",
         "verify_restriction_classification"],
 }
@@ -111,3 +112,20 @@ def test_command_loads_only_its_modules(command):
               "sorted(m for m in sys.modules if m.startswith('grasstrata.')))")
     modules = sorted(f"grasstrata.{m}" for m in ["arrangement", "cli", "exactlin"] + extra)
     assert run_python(script, "-S").strip() == f"0 {modules}"
+
+
+def test_bench_tracer_binds_every_name(tmp_path):
+    # bench/trace.py wraps package functions by name and reads their caches;
+    # a deleted or renamed one fails here, not first in a benchmark run
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        wanted = {m["name"] for m in json.load(fh)["per_layer"]}
+    wanted -= {"trace.wall_s", "trace.overhead_s"}  # bench/run.py adds these
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "bench", "trace.py"),
+         str(tmp_path / "trace.json"), "verify", "data/braid3.txt", "--k", "1",
+         "--samples", "2", "-o", str(tmp_path / "report.json")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert wanted <= set(result["metrics"])

@@ -300,9 +300,9 @@ def test_defect_sees_what_the_arrangement_sees(name):
             assert V.dim == U.dim - i
             assert matroid_from(arr, U).ranks == matroid_from(arr, V).ranks
             assert full_dims(arr, U) == tuple(d + i for d in full_dims(arr, V))
-            label_u, label_v = adjoint_label(arr, U), adjoint_label(arr, V)
-            assert (label_u.i, label_v.i) == (i, 0)
-            assert label_u.zero_set == label_v.zero_set
+            (i_u, zero_u), (i_v, zero_v) = adjoint_label(arr, U), adjoint_label(arr, V)
+            assert (i_u, i_v) == (i, 0)
+            assert zero_u == zero_v
 
 
 def classes(keys):
@@ -349,10 +349,9 @@ def test_labels_factor_through_the_essentialization(name):
             assert matroid_from(arr, U).ranks == tuple(ranks[j] for j in match)
             dims = full_dims(ess, W)
             assert full_dims(arr, U) == tuple(dims[j] + i for j in match)
-            label_u, label_w = adjoint_label(arr, U), adjoint_label(ess, W)
-            assert (label_u.i, label_w.i) == (i, 0)
-            assert ({f.generators for f in label_u.zero_set}
-                    == {f.generators for f in label_w.zero_set})
+            (i_u, zero_u), (i_w, zero_w) = adjoint_label(arr, U), adjoint_label(ess, W)
+            assert (i_u, i_w) == (i, 0)
+            assert {f.generators for f in zero_u} == {f.generators for f in zero_w}
             on_arr.append(label_encodings(arr, U))
             on_ess.append((i, label_encodings(ess, W)))
         for kind in KINDS:

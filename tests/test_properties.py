@@ -159,7 +159,7 @@ def test_flat_labels_equal_full_elimination(case):
     # elimination per flat
     arr, U = case
     assert matroid_from(arr, U).ranks == full_ranks(arr, U)
-    assert schubert_label(arr, U).dims == full_dims(arr, U)
+    assert schubert_label(arr, U) == full_dims(arr, U)
 
 
 def _above(lat, a):

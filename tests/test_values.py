@@ -26,7 +26,6 @@ from grasstrata.arrangement import (
 from grasstrata.exactlin import Subspace, Value, full_space, matrix, span
 from grasstrata.matroid import Matroid, RankedLattice
 from grasstrata.pluecker import AdjointHyperplane, PlueckerVector
-from grasstrata.strata import AdjointLabel, MatroidLabel, SchubertLabel
 
 # braid n = 3 and three lines in the plane: both lattices have the flats
 # bottom, three atoms and top, so one rank vector fits both
@@ -34,10 +33,6 @@ BRAID3 = intersection_lattice(build_arrangement(3, [(1, -1, 0), (1, 0, -1), (0, 
 LINES = intersection_lattice(build_arrangement(2, [(1, 0), (0, 1), (1, 1)]))
 LINE = span([[1, 1, 1]], 3)
 FLAT = BRAID3.flats[1]
-
-
-def matroid(lattice=BRAID3, ranks=(0, 1, 1, 1, 2)):
-    return Matroid(lattice, ranks)
 
 
 # (type, fields in signature order, one compared field changed,
@@ -61,10 +56,6 @@ CASES = [
      {"n": 4}, {"divisor": 2}),
     (AdjointHyperplane, {"source": FLAT, "coeffs": (1, -1, 0), "divisor": -1},
      {"coeffs": (1, 0, -1)}, {"divisor": 3}),
-    (MatroidLabel, {"matroid": matroid()},
-     {"matroid": matroid(ranks=(0, 1, 1, 1, 1))}, {}),
-    (AdjointLabel, {"i": 0, "zero_set": (FLAT,)}, {"i": 1}, {}),
-    (SchubertLabel, {"dims": (1, 1, 0)}, {"dims": (1, 0, 0)}, {}),
 ]
 
 
@@ -107,6 +98,16 @@ def test_cases_cover_every_value_type():
 
 
 def test_value_type_checks():
+    # the one constructor: every field and extra exactly once
+    fields = {"n": 3, "k": 1, "coords": (1, 1, 1), "divisor": 1}
+    for args, kwargs in [((3, 1, (1, 1, 1)), {}),  # divisor missing
+                         ((3, 1, (1, 1, 1), 1, 0), {}),  # one too many
+                         ((3,), fields),  # n twice
+                         ((), {**fields, "m": 0})]:  # unknown
+        with pytest.raises(TypeError, match="PlueckerVector takes n, k, coords, divisor"):
+            PlueckerVector(*args, **kwargs)
+    with pytest.raises(TypeError, match="Flat takes subspace, rank, generators"):
+        Flat(LINE, 2)
     with pytest.raises(ValueError):
         matrix(((1, 2), (3,)), 2)  # row length
     with pytest.raises(ValueError):
