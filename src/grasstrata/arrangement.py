@@ -212,9 +212,12 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     gens(X) plus the group of j whose primitive traces are equal, and only
     a new Y needs a basis: for the first p with t_p != 0, the rows
     t_p B_i - t_i B_p (i != p) span Y, and one canonical_subspace of them
-    gives its canonical basis.
+    gives its canonical basis.  A flat one dimension above the center is
+    cut down to the center by every hyperplane outside it, so it takes no
+    traces: its one group is all of them, and its cover is the top.
     """
     n, m = arr.ambient_dim, arr.size
+    top = center(arr)
     basis = {0: full_space(n)}
     up: dict[int, list[int]] = {}
     frontier = [0]
@@ -223,16 +226,19 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
         for g in frontier:
             B = basis[g].basis
             groups: dict[tuple[int, ...], int] = {}
-            for j in range(m):
-                if not g >> j & 1:
-                    t = _primitive_trace(B, arr.normals[j])
-                    groups[t] = groups.get(t, 0) | 1 << j
+            if len(B) == top.dim + 1:  # a coatom: the top is its one cover
+                groups[()] = (1 << m) - 1 & ~g
+            else:
+                for j in range(m):
+                    if not g >> j & 1:
+                        t = _primitive_trace(B, arr.normals[j])
+                        groups[t] = groups.get(t, 0) | 1 << j
             row = up[g] = [g] * m
             for t, group in groups.items():
                 h = g | group
                 if h not in basis:
-                    p = next(i for i, x in enumerate(t) if x)
-                    basis[h] = canonical_subspace(
+                    p = next((i for i, x in enumerate(t) if x), None)
+                    basis[h] = top if p is None else canonical_subspace(
                         [[t[p] * x - t[i] * y for x, y in zip(B[i], B[p])]
                          for i in range(len(B)) if i != p], n)
                     nxt.append(h)

@@ -3,8 +3,8 @@
 Commands read an arrangement file and write JSON (or, for restrict, another
 arrangement file) to stdout or --output.  All output is a pure function of
 the inputs: reports are byte identical across runs and worker counts.
-Handlers read the parsed argparse namespace, so every option and its
-default lives in _build_parser alone.
+Every option and its default lives in one place, the command table
+_COMMANDS; _parse reads argv against it as argparse did, and -h prints it.
 Module scope imports only what parsing, lattice and restrict need; every
 other handler imports its own modules as its first statement, so a process
 loads (and, without cached bytecode, compiles) only what its command runs.
@@ -19,9 +19,9 @@ lattices of any size.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
+from types import SimpleNamespace
 
 from .arrangement import (
     Arrangement,
@@ -50,54 +50,113 @@ except ImportError:
 REPORT_FORMAT = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors, which collides with the
-    counterexample exit code; raise instead and let main map it to 1."""
+# The command table, the one place the options and their defaults live.
+# Per command: a summary and the options (name, type, default, help) that
+# follow the arrangement file and _OUTPUT.  Default ... means required.
+_HELP = ("--help", bool, None, "show this help")
+_OUTPUT = ("--output", str, None, "write output here instead of stdout")
+_K = ("--k", int, ..., "dimension of the subspaces")
+_SUBSPACE = ("--subspace", str, ..., "subspace file")
+_COMMANDS = {
+    "lattice": ("flats by rank and the chain count", ()),
+    "adjoint": ("coefficient table of the k-adjoint", (_K,)),
+    "label": ("all three labels of one subspace", (_K, _SUBSPACE)),
+    "restrict": ("restriction to a subspace, as an arrangement file",
+                 (_SUBSPACE,)),
+    "verify": ("sample subspaces and verify that the three labelings agree", (
+        _K, ("--samples", int, 100, "random subspaces to draw"),
+        ("--bound", int, 5, "entry bound of the random bases"),
+        ("--seed", int, 0, "picks the stream of random subspaces"),
+        ("--include-flats", bool, False,
+         "inject flats and other structured subspaces"),
+        ("--jobs", int, 1, "label samples on this many worker processes"))),
+}
 
-    def error(self, message):
-        raise ValueError(message)
+
+def _help(command: str | None) -> None:
+    """Print the -h/--help text: the commands, or the options of one."""
+    rows = [] if command else [(c, s) for c, (s, _) in _COMMANDS.items()]
+    options = (_OUTPUT, *_COMMANDS[command][1]) if command else ()
+    for name, kind, default, about in options:
+        note = (" (required)" if default is ... else
+                f" (default {default})" if kind is int else "")
+        rows.append(("-o, " * (name == "--output") + name
+                     + {int: " INT", str: " PATH"}.get(kind, ""), about + note))
+    rows.append(("-h, --help", _HELP[3]))
+    sys.stdout.write(f"usage: grasstrata {command or 'COMMAND'} ARRANGEMENT [options]"
+                     "\n\n" + "".join(f"  {a:<20}{b}\n" for a, b in rows))
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="grasstrata",
-                     description="stratum labels for subspaces relative to "
-                                 "a rational hyperplane arrangement")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(tok: str, names: Collection[str]) -> tuple[str, str | None] | None:
+    """None if tok is a value, else the option it names (tok itself if none)
+    and the value given in tok, after = or after -o."""
+    if tok[:1] != "-" or tok == "-" or (  # a negative number is a value
+            tok[1:].replace(".", "", 1).isdecimal() and tok[-1] != "."):
+        return None
+    if tok[:2] in ("-h", "-o"):  # -h; -o PATH, -oPATH, -o=PATH
+        rest = tok[2:]
+        return "--output" if tok[1] == "o" else "--help", (
+            rest[1:] if rest[:1] == "=" else rest or None)
+    name, eq, value = tok.partition("=")
+    hits = [name] if name in names else [o for o in names if o.startswith(name)]
+    if tok[1] != "-" or not hits:
+        return None if " " in tok else (tok, None)
+    if len(hits) > 1:
+        raise ValueError(f"ambiguous option: {tok} could match {', '.join(hits)}")
+    return hits[0], value if eq else None
 
-    def common(p):
-        p.add_argument("arrangement", help="arrangement file")
-        p.add_argument("-o", "--output", default=None,
-                       help="write output here instead of stdout")
 
-    p = sub.add_parser("lattice", help="flats by rank and the chain count")
-    common(p)
-
-    p = sub.add_parser("adjoint", help="coefficient table of the k-adjoint")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("label", help="all three labels of one subspace")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--subspace", required=True, help="subspace file")
-
-    p = sub.add_parser("restrict", help="restriction to a subspace, as an "
-                                        "arrangement file")
-    common(p)
-    p.add_argument("--subspace", required=True, help="subspace file")
-
-    p = sub.add_parser("verify", help="sample subspaces and verify that the "
-                                      "three labelings agree")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--include-flats", action="store_true",
-                   help="inject flats and other structured subspaces")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="label samples on this many worker processes")
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse built from argv for the handlers; None
+    once -h or --help has printed usage."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv[:1] and argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
+            return _help(None)
+        raise ValueError(f"argument command: invalid choice: {argv[0]!r} (choose "
+                         f"from {', '.join(map(repr, _COMMANDS))})" if argv
+                         else "the following arguments are required: command")
+    options = {o[0]: o for o in (_HELP, _OUTPUT, *_COMMANDS[argv[0]][1])}
+    values = {name: o[2] for name, o in options.items()}
+    args = argv[1:]
+    cut = args.index("--") if "--" in args else len(args)
+    # each token as _option reads it; the -- (or the end) takes no value,
+    # and every token after it is a value
+    reads = [_option(t, options) for t in args[:cut]]
+    reads += [("--", None)] + [None] * (len(args) - cut - 1)
+    file, extras = None, []
+    at = iter(range(len(args)))
+    for i in at:
+        name, given = reads[i] or (None, None)
+        kind = options[name][1] if name in options else None
+        if name is None and file is None:
+            file = i
+        elif kind is None:  # argparse drops the first -- only next to the file
+            if name != "--" or file not in (None, i - 1):
+                extras.append(args[i])
+        elif kind is bool and given is not None:
+            raise ValueError(f"argument {name}: ignored explicit argument {given!r}")
+        elif name == "--help":
+            return _help(argv[0])
+        elif kind is bool:
+            values[name] = True
+        elif given is None and reads[i + 1] is not None:
+            raise ValueError(f"argument {name}: expected one argument")
+        else:
+            if given is None:
+                given = args[next(at)]
+            try:
+                values[name] = kind(given)
+            except ValueError:
+                raise ValueError(
+                    f"argument {name}: invalid int value: {given!r}") from None
+    del values["--help"]
+    missing = ["arrangement"] * (file is None) + [n for n, v in values.items()
+                                                  if v is ...]
+    if missing or extras:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}"
+                         if missing else f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=argv[0], arrangement=args[file], **{
+        name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 # ------------------------------------------------------------------- io
@@ -193,7 +252,7 @@ def _emit_json(payload: dict, output_path: str | None) -> None:
 # ------------------------------------------------------------- commands
 
 
-def cmd_lattice(args: argparse.Namespace) -> int:
+def cmd_lattice(args: SimpleNamespace) -> int:
     arr = load_arrangement(args.arrangement)
     lat = intersection_lattice(arr)
     payload = {
@@ -215,7 +274,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_adjoint(args: argparse.Namespace) -> int:
+def cmd_adjoint(args: SimpleNamespace) -> int:
     from .pluecker import k_adjoint, k_subsets
     arr = load_arrangement(args.arrangement)
     if not 0 <= args.k <= arr.ambient_dim:
@@ -236,7 +295,7 @@ def cmd_adjoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_label(args: argparse.Namespace) -> int:
+def cmd_label(args: SimpleNamespace) -> int:
     from .matroid import loops
     from .strata import encode_labels, labels
     arr = load_arrangement(args.arrangement)
@@ -278,7 +337,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_restrict(args: argparse.Namespace) -> int:
+def cmd_restrict(args: SimpleNamespace) -> int:
     arr = load_arrangement(args.arrangement)
     U = load_subspace(args.subspace)
     res = restriction(arr, U)
@@ -296,7 +355,7 @@ def _encode_worker(task: tuple[Callable, Arrangement, Subspace]
     return encode(arr, U)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .sampling import sample_subspace, structured_subspaces
     from .strata import (
         label_encodings,
@@ -309,6 +368,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be between 0 and {n}")
     if args.samples < 0:
         raise ValueError("--samples must be nonnegative")
+    if args.bound < 0:
+        raise ValueError("--bound must be nonnegative")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
 
@@ -380,10 +441,9 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
+        return 0 if args is None else _HANDLERS[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

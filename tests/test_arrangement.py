@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import grasstrata.arrangement
 from grasstrata.arrangement import (
     Arrangement,
     build_arrangement,
@@ -298,6 +299,30 @@ def moment4(m):
     # the normals (1, t, t^2, t^3) for t = 1..m: every four independent
     return build_arrangement(4, [[t ** e for e in range(4)]
                                  for t in range(1, m + 1)])
+
+
+def test_coatoms_take_the_center_without_traces(monkeypatch):
+    # a flat one dimension above the center is covered by the center alone:
+    # above a nonzero center (braid5, nonessential3), on 60 lines in Q^2,
+    # where every line is a coatom, and where the bottom is one
+    traces = []
+    trace = grasstrata.arrangement._primitive_trace
+    monkeypatch.setattr(grasstrata.arrangement, "_primitive_trace",
+                        lambda B, a: traces.append(a) or trace(B, a))
+    lines = build_arrangement(2, [(1, t) for t in range(1, 61)])
+    assert len(intersection_lattice.__wrapped__(lines).flats) == 62
+    assert len(traces) == 60  # the bottom's, one per line
+    for arr in (load_arrangement(DATA / "braid5.txt"),
+                load_arrangement(DATA / "nonessential3.txt"),
+                lines, build_arrangement(3, [(1, 2, 3)])):
+        lat = intersection_lattice(arr)
+        flats, covers = reference_lattice(arr)
+        assert (lat.flats, lat.covers) == (flats, covers)
+        assert lat.top().subspace == center(arr)
+        index = {f.subspace: a for a, f in enumerate(flats)}
+        assert lat.up == tuple(
+            tuple(index[intersect(f.subspace, arr.hyperplane(j))]
+                  for j in range(1, arr.size + 1)) for f in flats)
 
 
 def test_lattice_equals_reference_on_larger_lattices():

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_parser import _build_parser, parse as reference_parse
 
 import grasstrata.matroid
 import grasstrata.sampling
 import grasstrata.strata
 from grasstrata.cli import (
     _json_text,
+    _parse,
     arrangement_digest,
     main,
     parse_subspace,
@@ -629,6 +631,153 @@ def test_usage_error_is_exit_1(capsys):
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_verify_refuses_a_negative_bound_with_no_samples(capsys):
+    # the bound used to be checked only as a sample was drawn, so with
+    # --samples 0 it went unchecked into the report's config
+    assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "0",
+                 "--bound", "-4", "--include-flats"]) == 1
+    captured = capsys.readouterr()
+    assert "--bound must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
+# ------------------------------------------------------------ command line
+
+
+def _outcome(parse, argv):
+    """The values parse read from argv, or "refused"."""
+    try:
+        values = parse(argv)
+    except ValueError:
+        return "refused"
+    return values if type(values) is dict else vars(values)
+
+
+# The oracle's vocabulary: the long options in exact and prefix spellings
+# (unique in one command, ambiguous or unknown in another), each bare,
+# with a value and with =; -o in its three forms; values that are numbers,
+# negative numbers or junk; junk tokens, a second file and --.  Left out,
+# as argparse reads them differently across its 3.10-3.13 releases: a
+# value "--" given with = or after -o (an empty list before 3.13), a --
+# before the command or after the file and an option, and negative
+# numbers that are not decimals, such as -1e3 and -1_0.  Also left out,
+# as _parse refuses them where argparse printed help: -h compounds such
+# as -ho and -hx.
+_REFERENCE = next(a for a in _build_parser()._actions if a.choices).choices
+_LONG = sorted({o for p in _REFERENCE.values() for a in p._actions
+                for o in a.option_strings if o[:2] == "--" and o != "--help"})
+_VALUES = st.one_of(st.sampled_from(["3", "0", "-2", "f.txt"]), st.sampled_from(
+    ["-17", "-3.5", "+4", " 5", "x", "", "-", "-x", "-x y"]))
+
+
+def _pieces(names):
+    spellings = st.sampled_from([o[:n] for o in names for n in range(3, len(o) + 1)])
+    return st.one_of(
+        st.tuples(spellings, _VALUES).map(list),
+        st.tuples(spellings, _VALUES).map(lambda p: ["=".join(p)]),
+        spellings.map(lambda o: [o]),
+        _VALUES.map(lambda v: ["-o", v]),
+        _VALUES.map(lambda v: ["-o" + v]),
+        _VALUES.map(lambda v: ["-o=" + v]))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*_REFERENCE] * 3 + ["junk", None]))
+    actions = _REFERENCE[command]._actions if command in _REFERENCE else []
+    own = [o for a in actions for o in a.option_strings
+           if o[:2] == "--" and o != "--help"] or _LONG
+    junk = st.sampled_from(["--bogus", "-x", "junk", "--chain-cap", "--s=4"])
+    pieces = draw(st.lists(st.one_of(
+        _pieces(own), _pieces(own), _pieces(_LONG), junk.map(lambda t: [t])),
+        max_size=4))
+    if draw(st.integers(0, 3)):  # the required options
+        pieces[:0] = [[a.option_strings[0], "2"] for a in actions
+                      if a.required and a.option_strings]
+    file = draw(st.sampled_from(["among", "among", "after --", "none"]))
+    if file == "among":
+        pieces.insert(draw(st.integers(0, len(pieces))), ["f.txt"])
+    elif file == "after --":
+        pieces.append(["--", "f.txt"] + draw(st.sampled_from(
+            [[], ["g.txt"], ["-x"], ["--k", "2"]])))
+    return [command] * (command is not None) + sum(pieces, [])
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argvs())
+def test_parser_reads_argv_as_argparse_did(argv):
+    assert _outcome(_parse, argv) == _outcome(reference_parse, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "f", "--k", "2", "--sam", "3"],  # a unique prefix
+    ["verify", "f", "--k", "2", "--s", "3"],  # an ambiguous one
+    ["label", "f", "--k", "2", "--s", "3"],  # unique in label
+    ["verify", "f", "--k=2", "--seed=-3", "--inc"],
+    ["lattice", "f", "-o", "out"],
+    ["lattice", "-oout", "f"],
+    ["lattice", "f", "-o=out"],
+    ["lattice", "f", "--output", "out"],
+    ["verify", "--k", "2", "f", "--k", "3", "--jobs", "2"],  # the last wins
+    ["verify", "f", "--k", "2", "--seed", "-3"],
+    ["verify", "f", "--k", "2", "--seed", "-x"],  # not a value
+    ["verify", "f", "--k", "2", "--include-flats=yes"],
+    ["lattice", "--", "-f"],
+    ["lattice", "f", "--"],
+    ["lattice", "-o", "out", "--", "f", "g"],
+    ["verify", "f", "--k", "2", "--"],  # argparse kept this -- as an extra
+    ["verify", "f", "--k", "x"],
+    ["verify", "f", "--k", "-1.5"],
+    ["verify", "f"],
+    ["lattice", "f", "g", "--chain-cap", "5"],
+    ["lattice"],
+    ["frobnicate", "f"],
+    [],
+])
+def test_parser_examples_match_argparse(argv):
+    assert _outcome(_parse, argv) == _outcome(reference_parse, argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "f", "--k", "x"], "argument --k: invalid int value: 'x'"),
+    (["label", "--s", "u"], "the following arguments are required: "
+                             "arrangement, --k"),
+    (["lattice", "f", "g", "--chain-cap", "5"],
+     "unrecognized arguments: g --chain-cap 5"),
+])
+def test_parser_keeps_the_argparse_messages(argv, message):
+    with pytest.raises(ValueError) as ours:
+        _parse(argv)
+    with pytest.raises(ValueError) as theirs:
+        reference_parse(argv)
+    assert str(ours.value) == str(theirs.value) == message
+
+
+def test_help_is_built_from_the_table(capsys):
+    for top in (["-h"], ["--help"], ["--he"]):
+        assert main(top) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: grasstrata COMMAND ARRANGEMENT")
+        assert all(f"\n  {c} " in out for c in _REFERENCE)
+    for command, parser in _REFERENCE.items():
+        for flag in ("-h", "--help"):
+            assert main([command, "--k", "1", flag, "--bogus"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"usage: grasstrata {command} ARRANGEMENT")
+            # every option of the old parser, with its default or required
+            words = [line.split() for line in out.splitlines()[2:]]
+            rows = {w[w[0].endswith(",")]: " ".join(w) for w in words}
+            rows.pop("--help")
+            names = {o for a in parser._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+            assert set(rows) == names
+            for a in parser._actions:
+                if a.type is int:
+                    line = rows[a.option_strings[0]]
+                    assert line.endswith("(required)" if a.required
+                                         else f"(default {a.default})")
 
 
 def test_digest_stable():

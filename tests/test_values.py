@@ -142,7 +142,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
     assert proc.stdout.strip() == "[]"
     # integer files never reach fractions (which imports decimal); a
     # rational entry does, through the parser's lazy branch.  No command
-    # loads hashlib, OpenSSL's _hashlib or json
+    # loads hashlib, OpenSSL's _hashlib or json, nor argparse and what it
+    # imports: re, gettext with locale, and shutil with the compressors
     braid5 = os.path.join(os.path.dirname(__file__), os.pardir, "data", "braid5.txt")
     plane = tmp_path / "plane.txt"
     plane.write_text("5 2\n1 0 0 0 0\n0 1 1 0 0\n")
@@ -158,7 +159,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
         f"         main(['verify', {braid5!r}, '--k', '2', '--samples', '3',\n"
         "               '--include-flats'] + out)]\n"
         "print(codes, sorted({'fractions', 'decimal', 'hashlib', '_hashlib',\n"
-        "                     'json'} & set(sys.modules)))\n"
+        "                     'json', 'argparse', 'gettext', 'locale', 're',\n"
+        "                     'shutil', 'zlib', 'bz2', 'lzma'} & set(sys.modules)))\n"
         f"print(main(['lattice', {str(twin)!r}] + out), 'fractions' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
