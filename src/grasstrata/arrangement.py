@@ -6,8 +6,8 @@ intersections is graded by rank (codimension) with the whole space at the
 bottom and the common intersection, the center, at the top.  It is built
 once per arrangement, rank by rank: the covers of a flat X are the
 hyperplanes of the restriction to X, so grouping the traces of the
-hyperplanes on X gives X's covers, their generator sets and the one-step
-closure table together.  IntersectionLattice holds all of its order data.
+hyperplanes on X gives X's covers together with the hyperplanes that
+lead to each.  IntersectionLattice holds all of its order data.
 """
 
 from __future__ import annotations
@@ -111,14 +111,15 @@ class IntersectionLattice(Value):
     flats are sorted by (rank, canonical basis), covers holds index pairs
     (a, b) where flat b covers flat a, i.e. rank(b) = rank(a) + 1 and b is
     contained in a as a set.  gens[a] is flat a's generator set as a bitmask
-    (bit j is hyperplane j + 1).  up[a][j] is the closure of flat a and
-    hyperplane j + 1: a itself when the hyperplane contains it, else the one
-    cover of a that lies in it.  gens and up follow from the rest and stay
+    (bit j is hyperplane j + 1).  cover_groups[a] holds a pair (c, mask) per
+    flat c covering a, in increasing c, where mask has bit j set iff
+    hyperplane j + 1 meets flat a in flat c; the masks split the hyperplanes
+    outside gens[a].  gens and cover_groups follow from the rest and stay
     out of equality.
     """
 
     _fields = ("ambient_dim", "flats", "covers")
-    _extra = ("gens", "up")
+    _extra = ("gens", "cover_groups")
 
     @property
     def rank(self) -> int:
@@ -126,8 +127,8 @@ class IntersectionLattice(Value):
 
     @property
     def ground_size(self) -> int:
-        """The number of hyperplanes."""
-        return len(self.up[0])
+        """The number of hyperplanes: every one contains the top."""
+        return self.gens[-1].bit_length()
 
     def by_rank(self, r: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.rank == r)
@@ -151,42 +152,33 @@ class IntersectionLattice(Value):
         return tuple(tuple(j for j in range(g.bit_length()) if (g & ~gens[a]) >> j & 1)
                      for g, a in zip(gens, self.lower_cover))
 
-    @functools.cached_property
-    def cover_groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each flat a, a pair (c, mask) per flat c covering a, where
-        mask has bit j set iff up[a][j] == c."""
-        out = []
-        for a, row in enumerate(self.up):
-            groups: dict[int, int] = {}
-            for j, c in enumerate(row):
-                if c != a:
-                    groups[c] = groups.get(c, 0) | 1 << j
-            out.append(tuple(groups.items()))
-        return tuple(out)
-
     def fill_up(self, value: Callable[[int, int], int], final: int) -> tuple[int, ...]:
         """value(b, a) for every flat index b, in flat order, for a value
         that moves one way along the order and stops at final: above a flat
         where it is final, the flat gets final without a call.  Flat order
-        lists every cover after the flat it covers, so marking the one-step
-        closures of each final flat reaches every flat above it.  Below a
-        flat that gets a call, every flat got one, so value(b, a) can build
-        on the call for a = lower_cover[b]."""
+        lists every cover after the flat it covers, so marking the covers of
+        each final flat reaches every flat above it.  Below a flat that gets
+        a call, every flat got one, so value(b, a) can build on the call for
+        a = lower_cover[b]."""
         out: list[int | None] = [None] * len(self.flats)
         for b, a in enumerate(self.lower_cover):
             if out[b] is None:
                 out[b] = value(b, a)
             if out[b] == final:
-                for c in self.up[b]:
+                for c, _ in self.cover_groups[b]:
                     out[c] = final
         return tuple(out)
 
     def closure(self, mask: int) -> int:
-        """Index of the smallest flat whose generators include mask."""
+        """Index of the smallest flat whose generators include mask, found
+        from the bottom one rank at a time: each step goes to the cover that
+        a hyperplane of mask still missing leads to.  ValueError when mask
+        has a bit outside the ground set."""
+        if mask >> self.ground_size:
+            raise ValueError("mask has a bit outside the ground set")
         a = 0
-        for j in range(mask.bit_length()):
-            if mask >> j & 1:
-                a = self.up[a][j]
+        while rest := mask & ~self.gens[a]:
+            a = next(c for c, group in self.cover_groups[a] if group & rest)
         return a
 
 
@@ -219,7 +211,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
     n, m = arr.ambient_dim, arr.size
     top = center(arr)
     basis = {0: full_space(n)}
-    up: dict[int, list[int]] = {}
+    grouped: dict[int, tuple[int, ...]] = {}  # g: one group per cover of g
     frontier = [0]
     while frontier:
         nxt = []
@@ -233,7 +225,7 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                     if not g >> j & 1:
                         t = _primitive_trace(B, arr.normals[j])
                         groups[t] = groups.get(t, 0) | 1 << j
-            row = up[g] = [g] * m
+            grouped[g] = tuple(groups.values())
             for t, group in groups.items():
                 h = g | group
                 if h not in basis:
@@ -242,18 +234,16 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                         [[t[p] * x - t[i] * y for x, y in zip(B[i], B[p])]
                          for i in range(len(B)) if i != p], n)
                     nxt.append(h)
-                for j in range(m):
-                    if group >> j & 1:
-                        row[j] = h
         frontier = nxt
     flats = sorted((Flat(S, n - S.dim, frozenset(
         j + 1 for j in range(m) if g >> j & 1)) for g, S in basis.items()),
         key=_flat_key)
     gens = tuple(sum(1 << (j - 1) for j in f.generators) for f in flats)
     index = {g: a for a, g in enumerate(gens)}
-    ups = tuple(tuple(index[h] for h in up[g]) for g in gens)
-    covers = sorted({(a, b) for a, row in enumerate(ups) for b in row if b != a})
-    return IntersectionLattice(n, tuple(flats), tuple(covers), gens, ups)
+    cover_groups = tuple(tuple(sorted((index[g | group], group)
+                                      for group in grouped[g])) for g in gens)
+    covers = tuple((a, c) for a, groups in enumerate(cover_groups) for c, _ in groups)
+    return IntersectionLattice(n, tuple(flats), covers, gens, cover_groups)
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ r(F join j) = r(F), read off the lattice's cover groups.  Given unit steps,
 that is r(G join G') + r(F) <= r(G) + r(G') for every two covers G, G' of
 every flat F (closure monotonicity; Oxley, Matroid Theory, 1.4).  The
 lattice of flats is geometric, so these local axioms imply the axioms for
-r(S) := r(closure of S) on all subsets, read through the closure table
-(Matroid.subset_rank).
+r(S) := r(closure of S) on all subsets, with the closure found through
+the cover groups (Matroid.subset_rank).
 
 Being geometric, the lattice is atomistic: a flat is fixed by the atoms
 (hyperplanes) below it, so a restriction lattice is held as its atom sets
@@ -85,7 +85,7 @@ class Matroid(Value):
 def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
     if r[0] != 0:
         raise ValueError("the bottom flat must have rank 0")
-    gens, up = lat.gens, lat.up
+    gens = lat.gens
     for a, b in lat.covers:
         if not r[a] <= r[b] <= r[a] + 1:
             raise ValueError(f"unit increase fails from flat {_mask_labels(gens[a])}"
@@ -101,8 +101,8 @@ def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
         keep.append(mask)
     for a, b in lat.covers:
         lost = keep[a] & ~keep[b]
-        if lost:
-            c = up[a][lost.bit_length() - 1]
+        if lost:  # name the cover of a inside the highest lost hyperplane
+            c = lat.closure(gens[a] | 1 << lost.bit_length() - 1)
             raise ValueError(f"submodularity fails for flats {_mask_labels(gens[b])}"
                              f" and {_mask_labels(gens[c])}")
 
@@ -218,7 +218,11 @@ def lattice_isomorphic(L1: RankedLattice, L2: RankedLattice) -> bool:
     if d1[0] != d2[0]:
         return False
     (_, p1, order, finish, _), (_, p2, _, _, rank_of) = d1, d2
-    candidates = [[1 << j for j in p2 if p2[j] == p1[a]] for a in order]
+    # one list of images per profile, shared by the atoms of that profile
+    same: dict[tuple[int, ...], list[int]] = {}
+    for j, p in p2.items():
+        same.setdefault(tuple(p), []).append(1 << j)
+    candidates = [same[tuple(p1[a])] for a in order]
     image: list[int] = []  # image[t] is the bit of order[t]'s image in L2
     used = 0  # the bits in image
     untried: list = []  # untried[t] iterates over the images left for order[t]

@@ -288,6 +288,9 @@ def test_intersection_lattice_against_subspaces():
             rows = [arr.normals[i] for i in range(arr.size) if mask >> i & 1]
             X = kernel(matrix(rows, cols=arr.ambient_dim), arr.ambient_dim)
             assert flats[t.closure(mask)].subspace == X
+        for mask in (1 << arr.size, -1):  # a bit outside the ground set
+            with pytest.raises(ValueError):
+                t.closure(mask)
         for a, b in itertools.combinations(range(len(flats)), 2):
             if t.gens[a] & ~t.gens[b] == 0 or t.gens[b] & ~t.gens[a] == 0:
                 continue
@@ -299,6 +302,17 @@ def moment4(m):
     # the normals (1, t, t^2, t^3) for t = 1..m: every four independent
     return build_arrangement(4, [[t ** e for e in range(4)]
                                  for t in range(1, m + 1)])
+
+
+def check_cover_groups(arr, lat):
+    # flat a meets hyperplane j + 1 in flat c, for every (c, mask) in
+    # cover_groups[a] and every bit j of mask
+    for a, groups in enumerate(lat.cover_groups):
+        for c, mask in groups:
+            for j in range(mask.bit_length()):
+                if mask >> j & 1:
+                    assert intersect(lat.flats[a].subspace, arr.hyperplane(j + 1)) \
+                        == lat.flats[c].subspace
 
 
 def test_coatoms_take_the_center_without_traces(monkeypatch):
@@ -319,10 +333,7 @@ def test_coatoms_take_the_center_without_traces(monkeypatch):
         flats, covers = reference_lattice(arr)
         assert (lat.flats, lat.covers) == (flats, covers)
         assert lat.top().subspace == center(arr)
-        index = {f.subspace: a for a, f in enumerate(flats)}
-        assert lat.up == tuple(
-            tuple(index[intersect(f.subspace, arr.hyperplane(j))]
-                  for j in range(1, arr.size + 1)) for f in flats)
+        check_cover_groups(arr, lat)
 
 
 def test_lattice_equals_reference_on_larger_lattices():
@@ -336,10 +347,7 @@ def test_lattice_equals_reference_on_larger_lattices():
         assert lat.covers == covers
         assert lat.gens == tuple(sum(1 << (i - 1) for i in f.generators)
                                  for f in flats)
-        index = {f.subspace: a for a, f in enumerate(flats)}
-        assert lat.up == tuple(
-            tuple(index[intersect(f.subspace, arr.hyperplane(j))]
-                  for j in range(1, arr.size + 1)) for f in flats)
+        check_cover_groups(arr, lat)
         n = arr.ambient_dim
         for k in range(1, n):
             U = sample_subspace(n, k, 2, seed=11, index=k)
@@ -350,13 +358,16 @@ def test_lattice_equals_reference_on_larger_lattices():
 
 def test_walk_tables_match_their_definitions():
     # added[b]: the hyperplanes of b outside its lower cover; cover_groups[a]:
-    # the hyperplanes outside gens[a], grouped by the cover up[a] takes them to
-    arrs = data_arrangements() + [braid(6), boolean(6), moment4(7)]
+    # the hyperplanes outside gens[a], one group per cover of a, in order;
+    # ground_size: the number of hyperplanes
+    arrs = data_arrangements() + [braid(6), boolean(6), moment4(7),
+                                  build_arrangement(2, [])]
     arrs.append(restriction(braid(5), span([[1, 2, 0, 0, 0], [0, 0, 1, 3, 5],
                                             [0, 1, 0, 0, 1]], 5)))
     for arr in arrs:
         lat = intersection_lattice(arr)
-        m, gens, up = arr.size, lat.gens, lat.up
+        m, gens = arr.size, lat.gens
+        assert lat.ground_size == m
         assert lat.added == tuple(
             tuple(j for j in range(m)
                   if gens[b] >> j & 1 and not gens[lat.lower_cover[b]] >> j & 1)
@@ -367,11 +378,9 @@ def test_walk_tables_match_their_definitions():
             masks = [mask for _, mask in groups]
             assert sum(mask.bit_count() for mask in masks) == outside.bit_count()
             assert functools.reduce(int.__or__, masks, 0) == outside
-            assert sorted(c for c, _ in groups) == sorted(
+            assert all(masks)
+            assert [c for c, _ in groups] == sorted(
                 b for x, b in lat.covers if x == a)
-            for c, mask in groups:
-                assert mask and all(up[a][j] == c for j in range(m)
-                                    if mask >> j & 1)
 
 
 def test_chain_order_deterministic():

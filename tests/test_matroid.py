@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -292,6 +293,23 @@ def test_lattice_isomorphic_on_1100_atoms():
     L = RankedLattice((0,) + (1,) * m + (2,),
                       (0,) + tuple(1 << j for j in range(m)) + ((1 << m) - 1,))
     assert lattice_isomorphic(L, permuted(L, random.Random(83)))
+
+
+def test_lattice_isomorphic_memory_stays_bounded():
+    # two restriction lattices of 300 lines in the plane, whose atoms share
+    # one profile: the atoms share one list of candidate images, where one
+    # list per atom would hold 90,000 big ints
+    lines = [build_arrangement(2, [(1, s * t) for t in range(1, 301)])
+             for s in (1, -1)]
+    L1, L2 = (restriction_lattice(arr, full_space(2)) for arr in lines)
+    L1.search_data, L2.search_data  # made once per lattice, outside the trace
+    tracemalloc.start()
+    try:
+        assert lattice_isomorphic(L1, L2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lattice_isomorphic_beyond_atoms():

@@ -46,8 +46,8 @@ CASES = [
      {"rank": 1}, {}),
     (IntersectionLattice, {"ambient_dim": 3, "flats": BRAID3.flats,
                            "covers": BRAID3.covers, "gens": BRAID3.gens,
-                           "up": BRAID3.up},
-     {"covers": BRAID3.covers[1:]}, {"gens": (), "up": ()}),
+                           "cover_groups": BRAID3.cover_groups},
+     {"covers": BRAID3.covers[1:]}, {"gens": (), "cover_groups": ()}),
     (Matroid, {"lattice": BRAID3, "ranks": (0, 1, 1, 1, 2)},
      {"ranks": (0, 1, 1, 1, 1)}, {"lattice": LINES}),
     (RankedLattice, {"ranks": (0, 1), "atoms": (0, 1)},
