@@ -13,7 +13,7 @@ lead to each.  IntersectionLattice holds all of its order data.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import gcd, lcm
 from operator import mul
 
@@ -91,6 +91,14 @@ def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
     return Arrangement(n, tuple(canon))
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, lowest first, one step per bit."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Flat(Value):
     """An intersection of hyperplanes; generators is the full (closed) label set."""
 
@@ -99,10 +107,6 @@ class Flat(Value):
     @property
     def dim(self) -> int:
         return self.subspace.dim
-
-
-def _flat_key(f: Flat):
-    return (f.rank, f.subspace.basis)
 
 
 class IntersectionLattice(Value):
@@ -149,7 +153,7 @@ class IntersectionLattice(Value):
         """The hyperplanes j (bit j of a mask) that each flat's generators
         add to its lower cover's, in increasing order."""
         gens = self.gens
-        return tuple(tuple(j for j in range(g.bit_length()) if (g & ~gens[a]) >> j & 1)
+        return tuple(tuple(set_bits(g & ~gens[a]))
                      for g, a in zip(gens, self.lower_cover))
 
     def fill_up(self, value: Callable[[int, int], int], final: int) -> tuple[int, ...]:
@@ -235,15 +239,14 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
                          for i in range(len(B)) if i != p], n)
                     nxt.append(h)
         frontier = nxt
-    flats = sorted((Flat(S, n - S.dim, frozenset(
-        j + 1 for j in range(m) if g >> j & 1)) for g, S in basis.items()),
-        key=_flat_key)
-    gens = tuple(sum(1 << (j - 1) for j in f.generators) for f in flats)
+    gens = tuple(sorted(basis, key=lambda g: (n - basis[g].dim, basis[g].basis)))
+    flats = tuple(Flat(basis[g], n - basis[g].dim,
+                       frozenset(j + 1 for j in set_bits(g))) for g in gens)
     index = {g: a for a, g in enumerate(gens)}
     cover_groups = tuple(tuple(sorted((index[g | group], group)
                                       for group in grouped[g])) for g in gens)
     covers = tuple((a, c) for a, groups in enumerate(cover_groups) for c, _ in groups)
-    return IntersectionLattice(n, tuple(flats), covers, gens, cover_groups)
+    return IntersectionLattice(n, flats, covers, gens, cover_groups)
 
 
 @functools.lru_cache(maxsize=None)

@@ -39,12 +39,13 @@ from .arrangement import (
     intersection_lattice,
     restriction,
     self_check,
+    set_bits,
 )
 from .exactlin import Subspace, Value, echelon_extend, intersection_dim
 
 
 def _mask_labels(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    return tuple(i + 1 for i in set_bits(mask))
 
 
 class Matroid(Value):
@@ -178,12 +179,18 @@ class RankedLattice(Value):
         order of x's atoms, for each x whose last atom is at position t - 1)
         and the rank of each atom set."""
         ranks, atoms = self.ranks, self.atoms
-        profile = {m.bit_length() - 1: sorted(r for r, a in zip(ranks, atoms) if a & m)
-                   for m in atoms if m.bit_count() == 1}
+        bits = [tuple(set_bits(m)) for m in atoms]
+        profile = {js[0]: [] for js in bits if len(js) == 1}
+        for r, js in zip(ranks, bits):
+            for j in js:
+                profile[j].append(r)
+        for p in profile.values():
+            p.sort()
         order = sorted(profile, key=profile.get)
+        position = {j: t for t, j in enumerate(order)}
         finish: list[list] = [[] for _ in range(len(order) + 1)]
-        for r, m in zip(ranks, atoms):
-            ps = [t for t, j in enumerate(order) if m >> j & 1]
+        for r, js in zip(ranks, bits):
+            ps = sorted(position[j] for j in js)
             finish[max(ps, default=-1) + 1].append((r, ps))
         return ((sorted(ranks), sorted(profile.values())), profile, order, finish,
                 dict(zip(atoms, ranks)))

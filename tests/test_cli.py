@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -859,3 +860,84 @@ def test_reports_on_an_odd_path_are_what_json_writes(tmp_path, capsys):
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         if argv[0] == "verify":
             assert json.loads(out)["config"]["arrangement"] == path
+
+
+# ---------------------------------------------------------------- launcher
+
+
+def launch(args, prelude=""):
+    """Run args through the launcher in a fresh process: python -m
+    grasstrata, or, after the statements prelude, the same module through
+    runpy.  Returns the exit code, the stdout bytes and the stderr text."""
+    if prelude:
+        argv = [sys.executable, "-c", f"import runpy, sys\n{prelude}\n"
+                f"sys.argv[1:] = {args!r}\n"
+                "runpy.run_module('grasstrata', run_name='__main__', alter_sys=True)\n"]
+    else:
+        argv = [sys.executable, "-m", "grasstrata", *args]
+    proc = subprocess.run(argv, env=package_env(), capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("args, patch, code", [
+    (["lattice", data("braid3.txt")], None, 0),
+    (["verify", data("braid3.txt"), "--k", "9"], None, 1),
+    (["verify", data("braid3.txt"), "--k", "2", "--samples", "20",
+      "--include-flats", "--seed", "3"],
+     ("strata", "lattice_isomorphic", "lambda L1, L2: False"), 2),
+    (LABEL_E1, ("matroid", "echelon_extend", "lambda rows, vectors: []"), 3),
+])
+def test_launcher_exit_codes_and_bytes(args, patch, code, monkeypatch, capsys,
+                                       uncached_matroids):
+    # the same code, stdout bytes and stderr text as main in this process
+    prelude = ""
+    if patch:
+        module, name, source = patch
+        prelude = f"import grasstrata.{module}\ngrasstrata.{module}.{name} = {source}"
+        monkeypatch.setattr(getattr(grasstrata, module), name, eval(source))
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert launch(args, prelude) == (code, captured.out.encode(), captured.err)
+
+
+def test_launcher_writes_a_long_stdout_whole_to_a_pipe(tmp_path, capsys):
+    path = write_arrangement(tmp_path / "braid6", 6, braid_rows(6))
+    code, out, err = launch(["lattice", path])
+    assert (code, err) == (0, "")
+    assert len(out) > 1 << 16  # more than a pipe buffer holds
+    assert main(["lattice", path]) == 0
+    assert out == capsys.readouterr().out.encode()
+    assert json.loads(out)["flats"]
+
+
+def test_launcher_runs_atexit_handlers(capsys):
+    # os._exit in place of the freeze would skip the handler and the flush
+    # of what it writes
+    args = ["lattice", data("braid3.txt")]
+    code, out, err = launch(args, "import atexit\n"
+                            "atexit.register(lambda: print('atexit ran'))")
+    assert main(args) == 0
+    assert (code, out, err) == (0, capsys.readouterr().out.encode() + b"atexit ran\n", "")
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(capsys):
+    # only the launcher freezes: callers that run main many times in one
+    # process would otherwise keep all of their garbage
+    assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "3"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_launcher_leaves_no_worker_behind(tmp_path):
+    # the handler runs before multiprocessing's own exit handler, which
+    # would end leftover workers; a worker that outlived the process would
+    # also hold the stdout pipe open past the timeout
+    prelude = ("import atexit, multiprocessing.util\n"
+               "atexit.register(lambda: print('children:',"
+               " len(multiprocessing.active_children()), file=sys.stderr))")
+    args = ["verify", data("braid3.txt"), "--k", "2", "--samples", "6",
+            "--include-flats", "--seed", "3"]
+    one, two = tmp_path / "1.json", tmp_path / "2.json"
+    assert main(args + ["--jobs", "1", "-o", str(one)]) == 0
+    code, out, err = launch(args + ["--jobs", "2", "-o", str(two)], prelude)
+    assert (code, out, err) == (0, b"", "children: 0\n")
+    assert one.read_bytes() == two.read_bytes()
