@@ -3,8 +3,11 @@
 Commands read an arrangement file and write JSON (or, for restrict, another
 arrangement file) to stdout or --output.  All output is a pure function of
 the inputs: reports are byte identical across runs and worker counts.
-Every option and its default lives in one place, the command table
-_COMMANDS; _parse reads argv against it as argparse did, and -h prints it.
+Every command lives in one place, the command table _COMMANDS, with its
+options, their defaults and its handler; _parse reads argv against it as
+argparse did, and -h prints it.  main loads the arrangement, runs the
+handler for a payload and an exit code, and writes the payload once,
+adding "command" and "arrangement_digest" to a JSON one.
 Module scope imports only what parsing, lattice and restrict need; every
 other handler imports its own modules as its first statement, so a process
 loads (and, without cached bytecode, compiles) only what its command runs.
@@ -50,32 +53,9 @@ except ImportError:
 REPORT_FORMAT = 2
 
 
-# The command table, the one place the options and their defaults live.
-# Per command: a summary and the options (name, type, default, help) that
-# follow the arrangement file and _OUTPUT.  Default ... means required.
-_HELP = ("--help", bool, None, "show this help")
-_OUTPUT = ("--output", str, None, "write output here instead of stdout")
-_K = ("--k", int, ..., "dimension of the subspaces")
-_SUBSPACE = ("--subspace", str, ..., "subspace file")
-_COMMANDS = {
-    "lattice": ("flats by rank and the chain count", ()),
-    "adjoint": ("coefficient table of the k-adjoint", (_K,)),
-    "label": ("all three labels of one subspace", (_K, _SUBSPACE)),
-    "restrict": ("restriction to a subspace, as an arrangement file",
-                 (_SUBSPACE,)),
-    "verify": ("sample subspaces and verify that the three labelings agree", (
-        _K, ("--samples", int, 100, "random subspaces to draw"),
-        ("--bound", int, 5, "entry bound of the random bases"),
-        ("--seed", int, 0, "picks the stream of random subspaces"),
-        ("--include-flats", bool, False,
-         "inject flats and other structured subspaces"),
-        ("--jobs", int, 1, "label samples on this many worker processes"))),
-}
-
-
 def _help(command: str | None) -> None:
     """Print the -h/--help text: the commands, or the options of one."""
-    rows = [] if command else [(c, s) for c, (s, _) in _COMMANDS.items()]
+    rows = [] if command else [(c, s) for c, (s, *_) in _COMMANDS.items()]
     options = (_OUTPUT, *_COMMANDS[command][1]) if command else ()
     for name, kind, default, about in options:
         note = (" (required)" if default is ... else
@@ -252,12 +232,9 @@ def _emit_json(payload: dict, output_path: str | None) -> None:
 # ------------------------------------------------------------- commands
 
 
-def cmd_lattice(args: SimpleNamespace) -> int:
-    arr = load_arrangement(args.arrangement)
+def cmd_lattice(args: SimpleNamespace, arr: Arrangement) -> tuple[dict, int]:
     lat = intersection_lattice(arr)
-    payload = {
-        "command": "lattice",
-        "arrangement_digest": arrangement_digest(arr),
+    return {
         "ambient_dim": arr.ambient_dim,
         "hyperplanes": arr.size,
         "rank": lat.rank,
@@ -269,20 +246,15 @@ def cmd_lattice(args: SimpleNamespace) -> int:
             "basis": f.subspace.basis,
         } for f in lat.flats],
         "chain_count": chain_count(lat),
-    }
-    _emit_json(payload, args.output)
-    return 0
+    }, 0
 
 
-def cmd_adjoint(args: SimpleNamespace) -> int:
+def cmd_adjoint(args: SimpleNamespace, arr: Arrangement) -> tuple[dict, int]:
     from .pluecker import k_adjoint, k_subsets
-    arr = load_arrangement(args.arrangement)
     if not 0 <= args.k <= arr.ambient_dim:
         raise ValueError(f"--k must be between 0 and {arr.ambient_dim}")
     hs = k_adjoint(arr, args.k)
-    payload = {
-        "command": "adjoint",
-        "arrangement_digest": arrangement_digest(arr),
+    return {
         "n": arr.ambient_dim,
         "k": args.k,
         "subsets": k_subsets(arr.ambient_dim, args.k) if hs else (),
@@ -290,15 +262,12 @@ def cmd_adjoint(args: SimpleNamespace) -> int:
             "generators": sorted(h.source.generators),
             "coeffs": h.coeffs,
         } for h in hs],
-    }
-    _emit_json(payload, args.output)
-    return 0
+    }, 0
 
 
-def cmd_label(args: SimpleNamespace) -> int:
+def cmd_label(args: SimpleNamespace, arr: Arrangement) -> tuple[dict, int]:
     from .matroid import loops
     from .strata import encode_labels, labels
-    arr = load_arrangement(args.arrangement)
     U = load_subspace(args.subspace)
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError(
@@ -308,9 +277,7 @@ def cmd_label(args: SimpleNamespace) -> int:
         raise ValueError(f"subspace has dimension {U.dim}, --k said {args.k}")
     matroid, (i, zero_set), dims = labels(arr, U)
     encodings = encode_labels(matroid, (i, zero_set), dims)
-    payload = {
-        "command": "label",
-        "arrangement_digest": arrangement_digest(arr),
+    return {
         "k": U.dim,
         "subspace_basis": U.basis,
         "flats": [{
@@ -332,19 +299,14 @@ def cmd_label(args: SimpleNamespace) -> int:
             },
             "schubert": {"encoding": encodings["schubert"]},
         },
-    }
-    _emit_json(payload, args.output)
-    return 0
+    }, 0
 
 
-def cmd_restrict(args: SimpleNamespace) -> int:
-    arr = load_arrangement(args.arrangement)
+def cmd_restrict(args: SimpleNamespace, arr: Arrangement) -> tuple[str, int]:
     U = load_subspace(args.subspace)
     res = restriction(arr, U)
-    text = (f"# restriction of {arrangement_digest(arr)[:12]} "
-            f"to a {U.dim}-subspace\n" + format_arrangement(res))
-    _write(text, args.output)
-    return 0
+    return (f"# restriction of {arrangement_digest(arr)[:12]} "
+            f"to a {U.dim}-subspace\n" + format_arrangement(res)), 0
 
 
 def _encode_worker(task: tuple[Callable, Arrangement, Subspace]
@@ -355,14 +317,13 @@ def _encode_worker(task: tuple[Callable, Arrangement, Subspace]
     return encode(arr, U)
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace, arr: Arrangement) -> tuple[dict, int]:
     from .sampling import sample_subspace, structured_subspaces
     from .strata import (
         label_encodings,
         verify_equivalence,
         verify_restriction_classification,
     )
-    arr = load_arrangement(args.arrangement)
     n = arr.ambient_dim
     if not 0 <= args.k <= n:
         raise ValueError(f"--k must be between 0 and {n}")
@@ -373,16 +334,10 @@ def cmd_verify(args: SimpleNamespace) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
 
-    subspaces: list[Subspace] = []
-    manifest: list[dict] = []
-    for i in range(args.samples):
-        U = sample_subspace(n, args.k, args.bound, args.seed, i)
-        subspaces.append(U)
-        manifest.append({"index": i, "source": "random"})
+    subspaces = [sample_subspace(n, args.k, args.bound, args.seed, i)
+                 for i in range(args.samples)]
     if args.include_flats:
-        for U in structured_subspaces(arr, args.k, args.seed):
-            manifest.append({"index": len(subspaces), "source": "structured"})
-            subspaces.append(U)
+        subspaces += structured_subspaces(arr, args.k, args.seed)
     if not subspaces:
         raise ValueError("nothing to verify: zero samples and no injections")
 
@@ -401,13 +356,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     classification, cls_witnesses = verify_restriction_classification(
         arr, args.k, subspaces, encodings)
     passed = all(equivalence.values()) and all(classification.values())
-
-    for entry, U, enc in zip(manifest, subspaces, encodings):
-        entry["basis"] = U.basis
-        entry["labels"] = enc
-
-    payload = {
-        "command": "verify",
+    return {
         "config": {
             "arrangement": args.arrangement,
             "k": args.k,
@@ -417,8 +366,12 @@ def cmd_verify(args: SimpleNamespace) -> int:
             "include_flats": args.include_flats,
         },
         "format": REPORT_FORMAT,
-        "arrangement_digest": arrangement_digest(arr),
-        "samples": manifest,
+        "samples": [{
+            "index": i,
+            "source": "random" if i < args.samples else "structured",
+            "basis": U.basis,
+            "labels": enc,
+        } for i, (U, enc) in enumerate(zip(subspaces, encodings))],
         "partitions": partitions,
         "verdicts": {
             "equivalence": equivalence,
@@ -426,24 +379,47 @@ def cmd_verify(args: SimpleNamespace) -> int:
             "passed": passed,
         },
         "witnesses": witnesses + cls_witnesses,
-    }
-    _emit_json(payload, args.output)
-    return 0 if passed else 2
+    }, 0 if passed else 2
 
 
-_HANDLERS = {
-    "lattice": cmd_lattice,
-    "adjoint": cmd_adjoint,
-    "label": cmd_label,
-    "restrict": cmd_restrict,
-    "verify": cmd_verify,
+# The command table: per command a summary, the options (name, type,
+# default, help) that follow the arrangement file and _OUTPUT, and the
+# handler.  Default ... means required.
+_HELP = ("--help", bool, None, "show this help")
+_OUTPUT = ("--output", str, None, "write output here instead of stdout")
+_K = ("--k", int, ..., "dimension of the subspaces")
+_SUBSPACE = ("--subspace", str, ..., "subspace file")
+_COMMANDS = {
+    "lattice": ("flats by rank and the chain count", (), cmd_lattice),
+    "adjoint": ("coefficient table of the k-adjoint", (_K,), cmd_adjoint),
+    "label": ("all three labels of one subspace", (_K, _SUBSPACE), cmd_label),
+    "restrict": ("restriction to a subspace, as an arrangement file",
+                 (_SUBSPACE,), cmd_restrict),
+    "verify": ("sample subspaces and verify that the three labelings agree", (
+        _K, ("--samples", int, 100, "random subspaces to draw"),
+        ("--bound", int, 5, "entry bound of the random bases"),
+        ("--seed", int, 0, "picks the stream of random subspaces"),
+        ("--include-flats", bool, False,
+         "inject flats and other structured subspaces"),
+        ("--jobs", int, 1, "label samples on this many worker processes")),
+        cmd_verify),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse(list(sys.argv[1:] if argv is None else argv))
-        return 0 if args is None else _HANDLERS[args.command](args)
+        if args is None:
+            return 0
+        arr = load_arrangement(args.arrangement)
+        payload, code = _COMMANDS[args.command][2](args, arr)
+        if isinstance(payload, str):
+            _write(payload, args.output)
+        else:
+            _emit_json({"command": args.command,
+                        "arrangement_digest": arrangement_digest(arr),
+                        **payload}, args.output)
+        return code
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -86,12 +86,11 @@ def adjoint_hyperplane(X: Flat, k: int) -> AdjointHyperplane:
         raise ValueError(f"flat has rank {X.rank}, expected {k}")
     minors = maximal_minors(X.subspace.basis)
     half = (k * (k + 1)) // 2
-    raw = []
-    for I in k_subsets(n, k):
-        comp = tuple(j for j in range(1, n + 1) if j not in I)
-        sign = -1 if (half + sum(I)) % 2 else 1
-        raw.append(sign * minors[comp])
-    coeffs, g = primitive_vector(raw)
+    # in order, the complements of the k-subsets are the (n - k)-subsets,
+    # which minors holds in order, reversed
+    coeffs, g = primitive_vector([
+        -m if (half + sum(I)) % 2 else m
+        for I, m in zip(k_subsets(n, k), reversed(minors.values()), strict=True)])
     return AdjointHyperplane(X, coeffs, g)
 
 

@@ -92,14 +92,13 @@ def structured_subspaces(arr: Arrangement, k: int,
                 push(leading(flat.subspace))
 
         g = stream(seed, 0xF1A7)
-        pool = [f for f in lat.flats if f.dim >= 1]
-        if pool:
-            for _ in range(FLAT_PAIRS):
-                a = pool[next(g) % len(pool)]
-                b = pool[next(g) % len(pool)]
-                W = subspace_sum(a.subspace, b.subspace)
-                if W.dim >= k:
-                    push(leading(W))
+        pool = [f for f in lat.flats if f.dim >= 1]  # Q^n at least
+        for _ in range(FLAT_PAIRS):
+            a = pool[next(g) % len(pool)]
+            b = pool[next(g) % len(pool)]
+            W = subspace_sum(a.subspace, b.subspace)
+            if W.dim >= k:
+                push(leading(W))
 
         for flat in lat.flats:
             if flat.dim != k:

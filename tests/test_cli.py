@@ -397,6 +397,59 @@ def test_restrict_command_plane(tmp_path, capsys):
     assert res.size == 3
 
 
+# sha256 of adjoint and restrict output; "plane" is the subspace file of
+# test_restrict_command_plane
+ADJOINT_RESTRICT_DIGESTS = {
+    "adjoint braid3.txt --k 1":
+        "f2359a8260ddb335a8ca4f88f890c02916f34b2a03370da77454d6ceb874b5a1",
+    "adjoint braid3.txt --k 2":
+        "a7eec0a04748b112683f2da17449f95eede08e499c9afefb0af04f427b9df81a",
+    "adjoint boolean4.txt --k 1":
+        "77c8335326f9404fe059935134a658732e2d90280a80b2783138407ee3176651",
+    "adjoint boolean4.txt --k 2":
+        "6910fffb7c4e7a577091798af13948a7ca2a901a13fd1ab03bd84e51ff810f6a",
+    "adjoint boolean4.txt --k 3":
+        "c793c01c280ff1dd916c00f09705c4da049d5e8b656b641bca8ff2534706b427",
+    "adjoint generic5_4.txt --k 1":
+        "aca063d98b47ecb7de0876122fb0d01d5d9559e254be72f8adf9a4214cde9e93",
+    "adjoint generic5_4.txt --k 2":
+        "31167b71980c9ca4d5f5b9356b4e15ae2020f28638983880254af9cb2d14e67c",
+    "adjoint generic5_4.txt --k 3":
+        "36774ba9b02635ba0f96631ec62330c829a8ec54f6768d46a03c45b47f2fcb77",
+    "adjoint braid5.txt --k 1":
+        "39a14fd5cab998613b98870fe8b0151a4e2a52ba88c83d3cebef9dff6b0a7639",
+    "adjoint braid5.txt --k 2":
+        "80a736e9acc2701838e1ba00ffdf1fb3a98b5526ed6642bfed0d40b74a37c302",
+    "adjoint braid5.txt --k 3":
+        "2e01a7a0873565f1c884d1631506b26af78b3034f052d6cb34ef1dc57747e902",
+    "adjoint braid5.txt --k 4":
+        "fb69f45bcbb0e0f4069a6f2282b8d540d532b65d810cff33e4eb13a60da599fa",
+    "restrict braid3.txt --subspace line_e1.txt":
+        "2c81fe7bbf86d56a30065f409793b6a25b5224974e9ccea149e260449446301b",
+    "restrict braid3.txt --subspace plane":
+        "5e3d8aecbf55b223179b7b37db5e52c6a95bfc3d2b40df5500abd97f0ac82372",
+    "restrict boolean3.txt --subspace line_e1.txt":
+        "6e1db38a8f411bbff1dda37d14219449068d6ae16f37827a002d08f743e3b92e",
+    "restrict boolean3.txt --subspace plane":
+        "9b202d8138676dc0d41afa7a8a601c562894288a9f5da5d067cd8d09043de79a",
+    "restrict nonessential3.txt --subspace line_e1.txt":
+        "8c4ff8be600e037439cdaf50581bc121689c133fdc8237ba59f9f69b0df6862e",
+    "restrict nonessential3.txt --subspace plane":
+        "c654144543edbfcb1ad524ea5afb52e059e6fb4c34ccac70a8ae1a04423c825e",
+}
+
+
+def test_adjoint_and_restrict_digests(tmp_path, capsys):
+    plane = tmp_path / "plane"
+    plane.write_text("3 2\n1 0 -1\n0 1 -1\n")
+    for command, digest in ADJOINT_RESTRICT_DIGESTS.items():
+        name, *argv = command.split()
+        assert main([name] + [str(plane) if t == "plane" else data(t)
+                              if t.endswith(".txt") else t for t in argv]) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
 def test_verify_command_braid3(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", data("braid3.txt"), "--k", "1", "--samples", "40",

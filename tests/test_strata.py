@@ -15,14 +15,21 @@ from grasstrata.arrangement import (
 )
 from grasstrata.exactlin import (
     canonical_subspace,
+    full_space,
     kernel,
     matrix,
+    orth_complement,
     span,
     subspace_sum,
 )
 from grasstrata.matroid import loops, restriction_lattice, lattice_isomorphic
 from grasstrata.pluecker import defect_subspace
-from matrix_helpers import is_direct_sum_full
+from matrix_helpers import (
+    contains_vector,
+    intersect,
+    is_direct_sum_full,
+    is_subspace_of,
+)
 from grasstrata.strata import (
     KINDS,
     _partition_blocks,
@@ -342,3 +349,48 @@ def test_lines_have_one_stratum_per_flat(name):
         encodings.append(pair[0])
     for kind in ("matroid", "adjoint", "schubert"):
         assert len({e[kind] for e in encodings}) == len(flats), kind
+
+
+# |L - {0}|, for L the intersections of the subspaces X-perp over the flats
+# X, with Q^n (the empty intersection) included
+HYPERPLANE_STRATA = {
+    "boolean3.txt": 7,
+    "boolean4.txt": 15,
+    "braid3.txt": 5,
+    "braid5.txt": 117,
+    "generic5_4.txt": 51,
+    "nonessential3.txt": 4,
+}
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_FILES)
+def test_hyperplanes_have_one_stratum_per_perp_intersection(name):
+    """k = n - 1 closed form: for U = a-perp, dim(U meet X) = dim X - 1 +
+    [a in X-perp] for every flat X, so U's stratum is fixed by the smallest
+    member of L that contains a, and the strata of G(n - 1, n) are the
+    nonzero members of L.  Two generic vectors of each member must get the
+    same three encodings, and each labeling must give exactly one encoding
+    per member: fewer means it merges strata."""
+    arr = load_arrangement(os.path.join(DATA, name))
+    n = arr.ambient_dim
+    rng = random.Random(name)
+    members = {full_space(n)}
+    for X in intersection_lattice(arr).flats:
+        perp = orth_complement(X.subspace)
+        members |= {intersect(W, perp) for W in members}
+    members = sorted((W for W in members if W.dim), key=lambda W: W.basis)
+    assert len(members) == HYPERPLANE_STRATA[name]
+    encodings = []
+    for W in members:
+        smaller = [V for V in members if V.dim < W.dim and is_subspace_of(V, W)]
+        pair = []
+        while len(pair) < 2:  # redraw a until no smaller member holds it
+            coeffs = [rng.randint(-10**6, 10**6) for _ in W.basis]
+            a = [sum(c * row[j] for c, row in zip(coeffs, W.basis))
+                 for j in range(n)]
+            if any(a) and not any(contains_vector(V, a) for V in smaller):
+                pair.append(label_encodings(arr, kernel([a], n)))
+        assert pair[0] == pair[1], W.basis
+        encodings.append(pair[0])
+    for kind in ("matroid", "adjoint", "schubert"):
+        assert len({e[kind] for e in encodings}) == len(members), kind
