@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .exactlin import (
@@ -23,6 +23,7 @@ from .exactlin import (
     canonical_subspace,
     full_space,
     kernel,
+    primitive,
     primitive_vector,
 )
 
@@ -44,7 +45,7 @@ class Arrangement(Value):
     _fields = ("ambient_dim", "normals")
 
     def __init__(self, ambient_dim: int,
-                 normals: tuple[tuple[int, ...], ...]) -> None:
+                 normals: tuple[tuple[int, ...], ...], /) -> None:
         seen = set()
         for pos, a in enumerate(normals, 1):
             if type(a) is not tuple:
@@ -55,7 +56,7 @@ class Arrangement(Value):
                 problem = f"expected {ambient_dim} entries, got {len(a)}"
             elif not any(a):
                 problem = "zero vector does not define a hyperplane"
-            elif gcd(*a) != 1 or next(x for x in a if x) < 0:
+            elif primitive(a)[0] != a:
                 problem = "not primitive with a positive leading entry"
             elif a in seen:
                 problem = "duplicate hyperplane"
@@ -68,12 +69,6 @@ class Arrangement(Value):
     @property
     def size(self) -> int:
         return len(self.normals)
-
-    def normal(self, label: int) -> tuple[int, ...]:
-        return self.normals[label - 1]
-
-    def hyperplane(self, label: int) -> Subspace:
-        return kernel([self.normal(label)], self.ambient_dim)
 
 
 def build_arrangement(n: int, raw_normals: Iterable[Sequence]) -> Arrangement:
@@ -141,20 +136,15 @@ class IntersectionLattice(Value):
         return self.flats[-1]
 
     @functools.cached_property
-    def lower_cover(self) -> tuple[int, ...]:
-        """One lower cover of each flat, by index; the bottom's is itself."""
-        below = [0] * len(self.flats)
-        for a, b in self.covers:
-            below[b] = a
-        return tuple(below)
-
-    @functools.cached_property
-    def added(self) -> tuple[tuple[int, ...], ...]:
-        """The hyperplanes j (bit j of a mask) that each flat's generators
-        add to its lower cover's, in increasing order."""
-        gens = self.gens
-        return tuple(tuple(set_bits(g & ~gens[a]))
-                     for g, a in zip(gens, self.lower_cover))
+    def lower_steps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(a, added) for each flat b: a is b's last lower cover, and added
+        the hyperplanes j (bit j of a mask) of the group leading from a to b
+        in cover_groups[a], in increasing order.  The bottom gets (0, ())."""
+        step = [(0, 0)] * len(self.flats)
+        for a, groups in enumerate(self.cover_groups):
+            for c, group in groups:
+                step[c] = a, group
+        return tuple([(a, tuple(set_bits(group))) for a, group in step])
 
     def fill_up(self, value: Callable[[int, int], int], final: int) -> tuple[int, ...]:
         """value(b, a) for every flat index b, in flat order, for a value
@@ -163,9 +153,9 @@ class IntersectionLattice(Value):
         lists every cover after the flat it covers, so marking the covers of
         each final flat reaches every flat above it.  Below a flat that gets
         a call, every flat got one, so value(b, a) can build on the call for
-        a = lower_cover[b]."""
+        b's lower cover a in lower_steps."""
         out: list[int | None] = [None] * len(self.flats)
-        for b, a in enumerate(self.lower_cover):
+        for b, (a, _) in enumerate(self.lower_steps):
             if out[b] is None:
                 out[b] = value(b, a)
             if out[b] == final:
@@ -189,13 +179,8 @@ class IntersectionLattice(Value):
 def _primitive_trace(rows: Sequence[Sequence[int]],
                      a: Sequence[int]) -> tuple[int, ...]:
     """The trace B a of an integer normal on integer rows B, by plain dot
-    products, divided by the gcd of its entries and signed so that its
-    first nonzero entry is positive; all zeros when B a = 0."""
-    t = [sum(map(mul, row, a)) for row in rows]
-    g = gcd(*t)
-    if g and next(x for x in t if x) < 0:
-        g = -g
-    return tuple(x // g for x in t) if g else tuple(t)
+    products, made primitive; all zeros when B a = 0."""
+    return primitive([sum(map(mul, row, a)) for row in rows])[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -47,26 +47,25 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 class Value:
     """Base of the package's immutable value types and their one constructor,
     which sets the attributes named in _fields and then _extra, by position
-    or by keyword; a missing, repeated or unknown one raises TypeError.  A
-    type that checks its arguments does so in its own __init__, then calls
-    this one.  Assigning or deleting an attribute later raises
-    AttributeError.  Equality, hash and repr go over the _fields attributes,
-    as a tuple, between instances of one class; _extra ones are stored but
-    left out.  Instances have a __dict__, so they pickle as they are."""
+    only; a wrong count raises TypeError, and so does a keyword.  A type
+    that checks its arguments does so in its own __init__, then calls this
+    one.  Assigning or deleting an attribute later raises AttributeError.
+    Equality, hash and repr go over the _fields attributes, as a tuple,
+    between instances of one class; _extra ones are stored but left out.
+    Instances have a __dict__, so they pickle as they are."""
 
     _fields: tuple[str, ...] = ()
     _extra: tuple[str, ...] = ()
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *values) -> None:
         names = self._fields + self._extra
-        values = dict(zip(names, args), **kwargs)
-        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+        if len(values) != len(names):
             raise TypeError(f"{type(self).__name__} takes {', '.join(names)}, "
-                            "each once, by position or by keyword")
+                            "by position")
         # attribute by attribute, in one order: reading __dict__ would give
         # each instance a dict object of its own
-        for name in names:
-            object.__setattr__(self, name, values[name])
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -139,17 +138,22 @@ def rank(M: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(M)[1])
 
 
+def primitive(v: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(w, g) with v = g * w, for w the integer vector v divided by the gcd
+    of its entries, signed so that its first nonzero entry is positive; the
+    zero vector gives (v, 0).  Unchecked: v must hold ints."""
+    g = gcd(*v)
+    if g and next(x for x in v if x) < 0:
+        g = -g
+    return (tuple([x // g for x in v]) if g else tuple(v)), g
+
+
 def primitive_vector(v: Sequence) -> tuple[tuple[int, ...], int]:
-    """Divide a nonzero integer vector down to coprime entries with a
-    positive first nonzero entry.  Returns (w, g) with v = g * w, g the
-    signed gcd of v."""
-    w = vector(v)
-    g = gcd(*w)
+    """primitive(v) for a nonzero vector of ints; ValueError otherwise."""
+    w, g = primitive(vector(v))
     if not g:
         raise ValueError("cannot rescale the zero vector")
-    if next(x for x in w if x) < 0:
-        g = -g
-    return tuple([x // g for x in w]), g
+    return w, g
 
 
 class Subspace(Value):
@@ -162,7 +166,7 @@ class Subspace(Value):
     _fields = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int,
-                 basis: tuple[tuple[int, ...], ...]) -> None:
+                 basis: tuple[tuple[int, ...], ...], /) -> None:
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
         for row in basis:
@@ -188,13 +192,10 @@ def canonical_subspace(M: Sequence[Sequence[int]], n: int) -> Subspace:
     coprime integers).
 
     The eliminated rows are d times the RREF rows, whose pivots are 1, so
-    dividing by the row gcd with the sign of d gives the coprime rows."""
-    rows, pivots, d, _ = _eliminate(M)
-    basis = []
-    for row in rows[:len(pivots)]:
-        g = gcd(*row) if d > 0 else -gcd(*row)
-        basis.append(tuple(x // g for x in row))
-    return Subspace(n, tuple(basis))
+    each row's first nonzero entry is d, and primitive gives the coprime
+    rows."""
+    rows, pivots, _, _ = _eliminate(M)
+    return Subspace(n, tuple([primitive(row)[0] for row in rows[:len(pivots)]]))
 
 
 def span(vectors: Iterable[Iterable], ambient_dim: int) -> Subspace:
@@ -231,8 +232,7 @@ def kernel(M: Sequence[Sequence[int]], n: int) -> Subspace:
         v[f] = d
         for i, p in enumerate(pivots):
             v[p] = -R[i][f]
-        g = gcd(*v) if d > 0 else -gcd(*v)
-        basis.append(tuple([x // g for x in reversed(v)]))
+        basis.append(primitive(v[::-1])[0])
     return Subspace(n, tuple(basis))
 
 

@@ -8,7 +8,7 @@ dim U - dim(U meet X_I), so it only depends on the flat X_I: a matroid is
 stored with the intersection lattice as one rank per flat, checked against
 the second description at the top flat (strata.labels checks every flat).
 Ranks are taken in lattice order, each from a lower cover's echelon rows
-and the traces the flat adds (IntersectionLattice.added), and a flat above
+and the traces the flat adds (IntersectionLattice.lower_steps), and a flat above
 a flat of rank dim U gets rank dim U without a reduction, so the checks
 below see constant ranks there.  The axioms are checked on the lattice:
 rank 0 at the bottom, a step of 0 or 1 on every cover, and keep(F) inside
@@ -60,7 +60,7 @@ class Matroid(Value):
     _extra = ("lattice",)
 
     def __init__(self, lattice: IntersectionLattice,
-                 ranks: tuple[int, ...]) -> None:
+                 ranks: tuple[int, ...], /) -> None:
         if len(ranks) != len(lattice.flats):
             raise ValueError("need exactly one rank per flat")
         _check_rank_axioms(lattice, ranks)
@@ -121,14 +121,14 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     # through the module, so a traced run books this lattice as the
     # arrangement's own and restriction_lattice's calls as restrictions
     lat = arrangement.intersection_lattice(arr)
-    added, B = lat.added, U.basis
+    steps, B = lat.lower_steps, U.basis
     traces = [[sum(map(mul, row, a)) for row in B] for a in arr.normals]
     rows: dict[int, list] = {0: []}
 
     def rank(b: int, a: int) -> int:
         # the echelon rows (at most dim U) of flat b's traces: those of its
         # lower cover a, extended by the traces of the hyperplanes b adds
-        rows[b] = echelon_extend(rows[a], [traces[j] for j in added[b]])
+        rows[b] = echelon_extend(rows[a], [traces[j] for j in steps[b][1]])
         return len(rows[b])
 
     # a flat above one of full trace rank dim U has rank dim U too
@@ -156,7 +156,7 @@ class RankedLattice(Value):
 
     _fields = ("ranks", "atoms")
 
-    def __init__(self, ranks: tuple[int, ...], atoms: tuple[int, ...]) -> None:
+    def __init__(self, ranks: tuple[int, ...], atoms: tuple[int, ...], /) -> None:
         if len(ranks) != len(atoms):
             raise ValueError("need exactly one atom set per rank")
         if len(set(atoms)) < len(atoms):
@@ -216,41 +216,41 @@ def lattice_isomorphic(L1: RankedLattice, L2: RankedLattice) -> bool:
     takes each atom set of L1 to an atom set of L2 of the same rank.  The
     search maps the atoms one at a time, each to an unused one of the same
     profile, and looks x's image up when the last of x's atoms is mapped.
-    It keeps its choices on a stack, not in recursion, so any number of
-    atoms fits.  What it reads of one lattice alone is prepared once per
-    lattice (RankedLattice.search_data).  No size cap; the worst case left
-    is non-isomorphic lattices whose atoms share all counts, where the
-    search can backtrack exponentially in the number of atoms."""
+    The unused images of a profile form one pool: taking pool[i] swaps it
+    to the end and pops it, giving it back pushes it and swaps it home, so
+    each step is O(1).  The choices sit on a stack, not in recursion, so any
+    number of atoms fits.  What it reads of one lattice alone is prepared
+    once per lattice (RankedLattice.search_data).  No size cap; the worst
+    case left is non-isomorphic lattices whose atoms share all counts, where
+    the search can backtrack exponentially in the number of atoms."""
     d1, d2 = L1.search_data, L2.search_data
     if d1[0] != d2[0]:
         return False
     (_, p1, order, finish, _), (_, p2, _, _, rank_of) = d1, d2
-    # one list of images per profile, shared by the atoms of that profile
-    same: dict[tuple[int, ...], list[int]] = {}
+    pools: dict[tuple[int, ...], list[int]] = {}
     for j, p in p2.items():
-        same.setdefault(tuple(p), []).append(1 << j)
-    candidates = [same[tuple(p1[a])] for a in order]
+        pools.setdefault(tuple(p), []).append(1 << j)
+    pool_of = [pools[tuple(p1[a])] for a in order]
     image: list[int] = []  # image[t] is the bit of order[t]'s image in L2
-    used = 0  # the bits in image
-    untried: list = []  # untried[t] iterates over the images left for order[t]
+    tried: list[int] = []  # tried[t] counts the images tried for order[t]
     while True:
         if all(rank_of.get(sum(image[p] for p in ps)) == r
                for r, ps in finish[len(image)]):
             if len(image) == len(order):
                 return True
-            untried.append(iter(candidates[len(image)]))
-        elif image:
-            used ^= image.pop()
-        # the next unused image at the deepest open position, backtracking
-        # past each position whose images are used up
-        while untried:
-            bit = next((b for b in untried[-1] if not used & b), 0)
-            if bit:
+            tried.append(0)
+        # the next image at the deepest open position, giving back the one
+        # it holds, and backtracking past each position whose pool is spent
+        while tried:
+            pool, i = pool_of[len(tried) - 1], tried[-1]
+            if len(image) == len(tried):
+                pool.append(image.pop())
+                pool[i - 1], pool[-1] = pool[-1], pool[i - 1]
+            if i < len(pool):
                 break
-            untried.pop()
-            if image:
-                used ^= image.pop()
+            tried.pop()
         else:
             return False
-        image.append(bit)
-        used |= bit
+        pool[i], pool[-1] = pool[-1], pool[i]
+        image.append(pool.pop())
+        tried[-1] = i + 1

@@ -43,6 +43,7 @@ from matrix_helpers import (
     canonical_reference,
     cleared,
     gram_coordinates,
+    hyperplane,
     intersect,
     is_leq,
     project_reference,
@@ -61,7 +62,7 @@ def reference_lattice(arr):
         nxt = []
         for X in frontier:
             for i in range(1, arr.size + 1):
-                Y = intersect(X, arr.hyperplane(i))
+                Y = intersect(X, hyperplane(arr, i))
                 if Y not in seen:
                     seen.add(Y)
                     nxt.append(Y)
@@ -69,7 +70,7 @@ def reference_lattice(arr):
     flats = sorted(
         (Flat(S, n - S.dim, frozenset(
             i for i in range(1, arr.size + 1)
-            if all(dot(row, arr.normal(i)) == 0 for row in S.basis)))
+            if all(dot(row, arr.normals[i - 1]) == 0 for row in S.basis)))
          for S in seen),
         key=lambda f: (f.rank, f.subspace.basis))
     covers = tuple(

@@ -8,8 +8,8 @@ rows the package takes, and row_lcms gives the factors that clearing
 multiplied each row by.  The rest are package-side conveniences that only
 tests use: reduced row echelon form from the package's own elimination,
 membership and containment tests, intersections and direct sums, products
-and transposes, and the order relation of a RankedLattice.  A matrix is a
-tuple of int rows, as in the package.
+and transposes, an arrangement's hyperplanes, and the order relation of a
+RankedLattice.  A matrix is a tuple of int rows, as in the package.
 """
 
 from fractions import Fraction
@@ -154,6 +154,11 @@ def is_subspace_of(U, V):
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
     return all(contains_vector(V, row) for row in U.basis)
+
+
+def hyperplane(arr, label):
+    """The hyperplane of an arrangement's normal number label (from 1)."""
+    return kernel([arr.normals[label - 1]], arr.ambient_dim)
 
 
 def intersect(U, V):

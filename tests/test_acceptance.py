@@ -130,13 +130,13 @@ def test_criterion_3_rank_function_two_ways(capsys):
             n, m = arr.ambient_dim, arr.size
             flats = {}
             for mask in range(1 << m):
-                rows = [arr.normal(i + 1) for i in range(m) if mask >> i & 1]
+                rows = [arr.normals[i] for i in range(m) if mask >> i & 1]
                 flats[mask] = kernel(matrix(rows, cols=n), n)
             # all structured injections plus a batch of the random draws
             for U in subs[:50] + subs[SAMPLES:]:
                 mat = matroid_from(arr, U)
                 # each projection times its lcm: the ranks stay the same
-                projs = cleared([project(U, arr.normal(i + 1)) for i in range(m)])
+                projs = cleared([project(U, arr.normals[i]) for i in range(m)])
                 for mask in range(1 << m):
                     labels = [i + 1 for i in range(m) if mask >> i & 1]
                     lhs = rank(matrix([projs[i - 1] for i in labels], cols=n))
@@ -171,7 +171,7 @@ def test_criterion_4_basis_characterizations(capsys):
                 for I in itertools.combinations(range(1, m + 1), t):
                     s1 = frozenset(I) in B
                     s2 = rank(matrix([projs[i] for i in I], cols=n)) == t
-                    flat = kernel(matrix([arr.normal(i) for i in I], cols=n), n)
+                    flat = kernel(matrix([arr.normals[i - 1] for i in I], cols=n), n)
                     s3 = is_direct_sum_full(V, flat)
                     checks += 1
                     if not s1 == s2 == s3:

@@ -31,7 +31,7 @@ from grasstrata.exactlin import (
 from grasstrata.sampling import sample_subspace
 
 from brute_force import reference_lattice
-from matrix_helpers import intersect, is_subspace_of
+from matrix_helpers import hyperplane, intersect, is_subspace_of
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -116,9 +116,12 @@ def test_arrangement_checks_its_normals():
 
 
 def test_hyperplane_subspaces():
+    # the atoms of the lattice are the hyperplanes, each generated by its own
     arr = boolean(2)
-    assert arr.hyperplane(1) == span([[0, 1]], 2)
-    assert arr.hyperplane(2) == span([[1, 0]], 2)
+    assert hyperplane(arr, 1) == span([[0, 1]], 2)
+    assert hyperplane(arr, 2) == span([[1, 0]], 2)
+    assert [(f.subspace, f.generators) for f in intersection_lattice(arr).by_rank(1)] \
+        == [(hyperplane(arr, 1), {1}), (hyperplane(arr, 2), {2})]
 
 
 # ---------------------------------------------------------------- lattice
@@ -173,7 +176,7 @@ def test_lattice_closed_under_hyperplane_intersection():
         subs = {f.subspace for f in lat.flats}
         for f in lat.flats:
             for i in range(1, arr.size + 1):
-                assert intersect(f.subspace, arr.hyperplane(i)) in subs
+                assert intersect(f.subspace, hyperplane(arr, i)) in subs
 
 
 def test_covers_are_adjacent_rank_inclusions():
@@ -311,7 +314,7 @@ def check_cover_groups(arr, lat):
         for c, mask in groups:
             for j in range(mask.bit_length()):
                 if mask >> j & 1:
-                    assert intersect(lat.flats[a].subspace, arr.hyperplane(j + 1)) \
+                    assert intersect(lat.flats[a].subspace, hyperplane(arr, j + 1)) \
                         == lat.flats[c].subspace
 
 
@@ -357,9 +360,9 @@ def test_lattice_equals_reference_on_larger_lattices():
 
 
 def test_walk_tables_match_their_definitions():
-    # added[b]: the hyperplanes of b outside its lower cover; cover_groups[a]:
-    # the hyperplanes outside gens[a], one group per cover of a, in order;
-    # ground_size: the number of hyperplanes
+    # lower_steps[b]: b's last lower cover a, and the hyperplanes of b
+    # outside a; cover_groups[a]: the hyperplanes outside gens[a], one group
+    # per cover of a, in order; ground_size: the number of hyperplanes
     arrs = data_arrangements() + [braid(6), boolean(6), moment4(7),
                                   build_arrangement(2, [])]
     arrs.append(restriction(braid(5), span([[1, 2, 0, 0, 0], [0, 0, 1, 3, 5],
@@ -368,11 +371,14 @@ def test_walk_tables_match_their_definitions():
         lat = intersection_lattice(arr)
         m, gens = arr.size, lat.gens
         assert lat.ground_size == m
-        assert lat.added == tuple(
-            tuple(j for j in range(m)
-                  if gens[b] >> j & 1 and not gens[lat.lower_cover[b]] >> j & 1)
+        below = [0] * len(gens)
+        for a, b in lat.covers:
+            below[b] = a
+        assert lat.lower_steps == tuple(
+            (below[b], tuple(j for j in range(m)
+                             if gens[b] >> j & 1 and not gens[below[b]] >> j & 1))
             for b in range(len(gens)))
-        assert all(lat.added[b] for b in range(1, len(gens)))
+        assert all(added for _, added in lat.lower_steps[1:])
         for a, groups in enumerate(lat.cover_groups):
             outside = (1 << m) - 1 & ~gens[a]
             masks = [mask for _, mask in groups]

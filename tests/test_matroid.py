@@ -174,9 +174,9 @@ def test_rank_table_has_both_descriptions():
             mat = matroid_from(arr, U)
             for size in range(arr.size + 1):
                 for I in itertools.combinations(range(1, arr.size + 1), size):
-                    betas = cleared([project(U, arr.normal(i)) for i in I])
+                    betas = cleared([project(U, arr.normals[i - 1]) for i in I])
                     lhs = rank(matrix(betas, cols=n))
-                    flat = kernel(matrix([arr.normal(i) for i in I], cols=n), n)
+                    flat = kernel(matrix([arr.normals[i - 1] for i in I], cols=n), n)
                     rhs = U.dim - intersect(U, flat).dim
                     assert mat.subset_rank(I) == lhs == rhs
 
@@ -199,10 +199,10 @@ def test_basis_triple_equivalence():
                     for I in itertools.combinations(range(1, arr.size + 1),
                                                     size):
                         s1 = frozenset(I) in B
-                        betas = cleared([project(U, arr.normal(i)) for i in I])
+                        betas = cleared([project(U, arr.normals[i - 1]) for i in I])
                         s2 = size == target and rank(
                             matrix(betas, cols=n)) == size
-                        flat = kernel(matrix([arr.normal(i) for i in I],
+                        flat = kernel(matrix([arr.normals[i - 1] for i in I],
                                              cols=n), n)
                         s3 = size == target and is_direct_sum_full(V, flat)
                         assert s1 == s2 == s3

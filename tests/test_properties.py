@@ -7,9 +7,12 @@ Random draws meet loops, parallel traces, non-essential centers, k = 0 and
 k = n now and then; each of these is also pinned by an explicit example.
 """
 
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import grasstrata.arrangement
 import grasstrata.matroid
 import grasstrata.strata
 from brute_force import (
@@ -35,6 +38,7 @@ from grasstrata.exactlin import (
     full_space,
     kernel,
     matrix,
+    primitive,
     primitive_vector,
     rank,
     span,
@@ -48,7 +52,7 @@ from grasstrata.matroid import (
     restriction_lattice,
 )
 from grasstrata.strata import schubert_label
-from matrix_helpers import awkward_matrix, cleared, kernel_reference
+from matrix_helpers import awkward_matrix, cleared, hyperplane, kernel_reference
 
 SMALL = st.integers(-2, 2)
 
@@ -73,7 +77,7 @@ def subspaces(draw, arr, k):
     if arr.size and k < n and draw(st.booleans()):
         # inside a hyperplane, so that hyperplane is a loop
         label = draw(st.integers(1, arr.size))
-        span_rows = arr.hyperplane(label).basis
+        span_rows = hyperplane(arr, label).basis
     coeffs = draw(st.lists(st.lists(SMALL, min_size=len(span_rows),
                                     max_size=len(span_rows)),
                            min_size=k, max_size=k))
@@ -368,3 +372,21 @@ def test_kernel_in_one_elimination_is_canonical(case):
     assert K == canonical_subspace(forward, cols)
     assert all(dot(row, v) == 0 for row in M for v in K.basis)
     assert K.dim == cols - rank(M)
+
+
+@example(v=[-4, 8, 0])
+@example(v=[0, 0, -3])
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.integers(-60, 60), min_size=1, max_size=6).filter(any))
+def test_primitive_vectors_follow_one_rule(v):
+    # the helper, its checked form, the lattice's traces and the rows of
+    # canonical_subspace and kernel all scale a nonzero integer vector to
+    # one representative: coprime entries, the first nonzero one positive
+    n = len(v)
+    g = math.gcd(*v) if next(x for x in v if x) > 0 else -math.gcd(*v)
+    w = tuple(x // g for x in v)
+    assert primitive(v) == primitive_vector(v) == (w, g)
+    assert grasstrata.arrangement._primitive_trace(full_space(n).basis, v) == w
+    assert canonical_subspace([v, [-3 * x for x in v]], n).basis == (w,)
+    assert kernel(kernel([v], n).basis, n).basis == (w,)
+    assert primitive([0] * n) == ((0,) * n, 0)

@@ -36,7 +36,7 @@ FLAT = BRAID3.flats[1]
 
 
 # (type, fields in signature order, one compared field changed,
-#  fields outside equality changed)
+#  fields outside equality changed); the names only label the values
 CASES = [
     (Subspace, {"ambient_dim": 3, "basis": LINE.basis},
      {"basis": span([[1, 0, 0]], 3).basis}, {}),
@@ -62,26 +62,29 @@ CASES = [
 @pytest.mark.parametrize("cls, fields, changed, ignored", CASES,
                          ids=[c[0].__name__ for c in CASES])
 def test_value_type(cls, fields, changed, ignored):
-    by_keyword = cls(**fields)
-    by_position = cls(*fields.values())
-    for value in (by_keyword, by_position):
-        for name, field in fields.items():
-            assert getattr(value, name) is field
+    # fields go by position only: a keyword raises TypeError
+    value = cls(*fields.values())
+    twin = cls(*fields.values())
+    for name, field in fields.items():
+        assert getattr(value, name) is field
+    with pytest.raises(TypeError):
+        cls(**fields)
     name = next(iter(fields))
     with pytest.raises(AttributeError):
-        setattr(by_keyword, name, fields[name])
+        setattr(value, name, fields[name])
     with pytest.raises(AttributeError):
-        delattr(by_keyword, name)
-    assert getattr(by_keyword, name) is fields[name]
-    other = cls(**{**fields, **changed})
-    copy = pickle.loads(pickle.dumps(by_keyword))
-    assert type(copy) is cls and copy.__dict__ == by_keyword.__dict__
-    assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
-    assert other != by_keyword and by_keyword != tuple(fields.values())
-    assert cls(**{**fields, **ignored}) == by_keyword
-    assert hash(cls(**{**fields, **ignored})) == hash(by_keyword)
-    assert copy == by_keyword and hash(copy) == hash(by_keyword)
-    assert len({by_keyword, by_position, copy, other}) == 2
+        delattr(value, name)
+    assert getattr(value, name) is fields[name]
+    # merging keeps the signature order of fields
+    other = cls(*{**fields, **changed}.values())
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy.__dict__ == value.__dict__
+    assert value == twin and hash(value) == hash(twin)
+    assert other != value and value != tuple(fields.values())
+    assert cls(*{**fields, **ignored}.values()) == value
+    assert hash(cls(*{**fields, **ignored}.values())) == hash(value)
+    assert copy == value and hash(copy) == hash(value)
+    assert len({value, twin, copy, other}) == 2
 
 
 def test_cases_cover_every_value_type():
@@ -98,16 +101,15 @@ def test_cases_cover_every_value_type():
 
 
 def test_value_type_checks():
-    # the one constructor: every field and extra exactly once
-    fields = {"n": 3, "k": 1, "coords": (1, 1, 1), "divisor": 1}
-    for args, kwargs in [((3, 1, (1, 1, 1)), {}),  # divisor missing
-                         ((3, 1, (1, 1, 1), 1, 0), {}),  # one too many
-                         ((3,), fields),  # n twice
-                         ((), {**fields, "m": 0})]:  # unknown
+    # the one constructor: every field and extra, by position
+    for args in [(3, 1, (1, 1, 1)),  # divisor missing
+                 (3, 1, (1, 1, 1), 1, 0)]:  # one too many
         with pytest.raises(TypeError, match="PlueckerVector takes n, k, coords, divisor"):
-            PlueckerVector(*args, **kwargs)
+            PlueckerVector(*args)
     with pytest.raises(TypeError, match="Flat takes subspace, rank, generators"):
         Flat(LINE, 2)
+    with pytest.raises(TypeError):  # even with the rest by position
+        Flat(LINE, 2, generators=frozenset({1, 2, 3}))
     with pytest.raises(ValueError):
         matrix(((1, 2), (3,)), 2)  # row length
     with pytest.raises(ValueError):
