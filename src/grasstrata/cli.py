@@ -17,7 +17,7 @@ _json_text writes json.dumps(payload, indent=2, sort_keys=True) itself.
 Exit codes: 0 success, 1 bad input, 2 a verification run found a
 counterexample, 3 an internal self-check failed.  No command has a size
 cap: label and verify label on flats, and verify compares restriction
-lattices of any size.
+lattices as labeled values, so no command runs an isomorphism search.
 """
 
 from __future__ import annotations

@@ -294,46 +294,35 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     return canonical_subspace(U.basis + V.basis, U.ambient_dim)
 
 
-def _append_residuals(fixed: Sequence, vectors: Iterable[Sequence],
-                      out: list) -> None:
-    """Reduce each vector fraction-free against the (pivot column, row)
-    pairs of fixed, then of out, each row zero at the pivots before it, and
-    append its residual to out unless it is 0, i.e. in the rows' span."""
+def echelon_extend(pivot_rows: list, vectors: Iterable[Sequence]) -> list:
+    """pivot_rows, (pivot column, row) pairs of which each row vanishes at
+    the pivots before it, then the nonzero residuals of vectors, each
+    reduced fraction-free against the rows so far; a vector in their span
+    leaves residual 0 and adds nothing.  The input list is not changed."""
+    out = list(pivot_rows)
     for u in vectors:
-        for rows in (fixed, out):
-            for p, row in rows:
-                f = u[p]
-                if f:
-                    c = row[p]
-                    u = [c * a - f * b for a, b in zip(u, row)]
+        for p, row in out:
+            f = u[p]
+            if f:
+                c = row[p]
+                u = [c * a - f * b for a, b in zip(u, row)]
         for p, x in enumerate(u):
             if x:
                 out.append((p, u))
                 break
-
-
-def echelon_extend(pivot_rows: list, vectors: Iterable[Sequence]) -> list:
-    """pivot_rows, (pivot column, row) pairs of which each row vanishes at
-    the pivots before it, then the nonzero residuals of vectors, each
-    reduced fraction-free against the rows so far.  The input list is not
-    changed."""
-    out = list(pivot_rows)
-    _append_residuals((), vectors, out)
     return out
 
 
 def intersection_dim(U: Subspace, V: Subspace) -> int:
-    """dim of the intersection, without building it.
+    """dim of the intersection, without building it: dim U + dim V minus
+    dim(U + V), the echelon rows of V's pivot rows extended by U's rows.
 
     Needs V's basis in row echelon form, as every canonical_subspace and
-    zero_subspace value is: U's rows are reduced against V's pivot rows and
-    the residuals so far, and each nonzero residual is one dimension less.
-    V's pivots are cached on V, so a flat's are found once per run."""
+    zero_subspace value is.  V's pivots are cached on V, so a flat's are
+    found once per run."""
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    found: list = []
-    _append_residuals(V.pivot_rows, U.basis, found)
-    return U.dim - len(found)
+    return U.dim + V.dim - len(echelon_extend(V.pivot_rows, U.basis))
 
 
 def projector(U: Subspace) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -22,7 +22,10 @@ the cover groups (Matroid.subset_rank).
 
 Being geometric, the lattice is atomistic: a flat is fixed by the atoms
 (hyperplanes) below it, so a restriction lattice is held as its atom sets
-(RankedLattice), and lattice_isomorphic maps atoms only.
+(RankedLattice).  It is the lattice of flats of the trace matroid, so with
+its atoms named by hyperplanes of the arrangement, subspaces of one matroid
+label have equal restriction lattices, not just isomorphic ones.
+lattice_isomorphic, a search that maps atoms only, is on no command's path.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .arrangement import (
     Arrangement,
     IntersectionLattice,
     SelfCheckFailed,
+    _primitive_trace,
     intersection_lattice,
     restriction,
     self_check,
@@ -196,17 +200,22 @@ class RankedLattice(Value):
                 dict(zip(atoms, ranks)))
 
 
-def ranked_lattice(lat: IntersectionLattice) -> RankedLattice:
-    """Forget the geometry of an intersection lattice, keep order and rank:
-    a flat's atoms are its generators.  Each hyperplane is an atom, as the
-    Arrangement constructor refuses zero and repeated normals."""
-    return RankedLattice(tuple(f.rank for f in lat.flats), lat.gens)
-
-
 def restriction_lattice(arr: Arrangement, U: Subspace) -> RankedLattice:
-    # restriction drops zero traces and merges equal ones, so each of its
-    # hyperplanes is an atom
-    return ranked_lattice(intersection_lattice(restriction(arr, U)))
+    """The intersection lattice of the restriction of arr to U, labeled by
+    arr: each restricted hyperplane is the class of hyperplanes of arr with
+    one nonzero primitive trace on U, and its atom is the bit of the first
+    of them.  Elements come in (rank, atoms) order.  So two subspaces with
+    one matroid label, whose traces have the same loops, parallel classes
+    and flats, get equal values."""
+    R = restriction(arr, U)
+    first: dict[tuple[int, ...], int] = {}
+    for j, a in enumerate(arr.normals):
+        first.setdefault(_primitive_trace(U.basis, a), j)
+    names = [first[t] for t in R.normals]
+    lat = intersection_lattice(R)
+    elements = sorted((f.rank, sum(1 << names[i] for i in set_bits(g)))
+                      for f, g in zip(lat.flats, lat.gens))
+    return RankedLattice(*map(tuple, zip(*elements)))
 
 
 def lattice_isomorphic(L1: RankedLattice, L2: RankedLattice) -> bool:

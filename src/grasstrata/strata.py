@@ -22,9 +22,12 @@ Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
 
 All three are supposed to cut the Grassmannian into the same pieces, and
 subspaces in one piece are supposed to have isomorphic restriction
-lattices.  verify_equivalence and verify_restriction_classification check
-exactly that on the encodings of a given sample list, and return their
-verdicts plus a witness pair for each verdict that fails.
+lattices; within one matroid class they are even equal as labeled
+lattices, with atoms named by hyperplanes of A, so a comparison of values
+checks it and no isomorphism search runs.  verify_equivalence and
+verify_restriction_classification check this on the encodings of a given
+sample list, and return their verdicts plus a witness pair for each
+verdict that fails.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .arrangement import (
     self_check,
 )
 from .exactlin import Subspace, intersection_dim
-from .matroid import Matroid, matroid_from, restriction_lattice, lattice_isomorphic
+from .matroid import Matroid, matroid_from, restriction_lattice
 from .pluecker import defect_subspace, eval_adjoint, k_adjoint, pluecker_vector
 
 
@@ -161,13 +164,11 @@ def verify_restriction_classification(arr: Arrangement, k: int,
                                       subspaces: Sequence[Subspace],
                                       encodings: Sequence[dict],
                                       ) -> tuple[dict, list[dict]]:
-    """Within every label class all restriction lattices must be isomorphic:
-    one verdict per class and a witness pair for each non-isomorphic member.
-
-    Isomorphism is transitive, so comparing each member of a class with
-    the first, which lattice_of keeps with its search data, settles every
-    pair.  For an essential arrangement the adjoint label cuts classes too:
-    the classification statement in its projective form.
+    """Within every label class all restriction lattices must be equal as
+    labeled lattices (restriction_lattice): one verdict per class and a
+    witness pair for each member whose lattice differs from the first's,
+    which lattice_of keeps.  For an essential arrangement the adjoint label
+    cuts classes too: the classification statement in its projective form.
     """
     _check_dims(k, subspaces)
 
@@ -187,8 +188,8 @@ def verify_restriction_classification(arr: Arrangement, k: int,
             # a 0-subspace has no restriction: every class passes
             bad = [] if k == 0 else [
                 other for other in others
-                if not lattice_isomorphic(lattice_of(first), lattice_of(other))]
+                if lattice_of(first) != lattice_of(other)]
             verdicts[key] = not bad
-            witnesses += [{"type": "non_isomorphic_restriction", "class": key,
+            witnesses += [{"type": "restriction_mismatch", "class": key,
                            "pair": [first, other]} for other in bad]
     return verdicts, witnesses

@@ -575,8 +575,10 @@ def test_verify_and_label_digests(monkeypatch, capsys):
 
 
 def test_non_isomorphic_class_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setattr(grasstrata.strata, "lattice_isomorphic",
-                        lambda L1, L2: False)
+    # each sample's own subspace in place of its restriction lattice: two
+    # distinct members of one class no longer compare equal
+    monkeypatch.setattr(grasstrata.strata, "restriction_lattice",
+                        lambda arr, U: U)
     out = tmp_path / "report.json"
     args = ["verify", data("braid3.txt"), "--k", "2", "--samples", "20",
             "--include-flats", "--seed", "3", "-o", str(out)]
@@ -585,12 +587,12 @@ def test_non_isomorphic_class_exits_2(tmp_path, monkeypatch):
     assert report["verdicts"]["passed"] is False
     assert False in report["verdicts"]["classification"].values()
     assert report["witnesses"]
-    assert {w["type"] for w in report["witnesses"]} == {"non_isomorphic_restriction"}
+    assert {w["type"] for w in report["witnesses"]} == {"restriction_mismatch"}
 
 
 def test_verify_braid6_k3_passes(tmp_path):
     # random 3-subspaces restrict braid n = 6 to lattices of 76 to 82
-    # elements, which lattice isomorphism compares without a size cap
+    # elements, which verify compares as labeled values, with no search
     path = write_arrangement(tmp_path / "braid6", 6, braid_rows(6))
     out = tmp_path / "report.json"
     assert main(["verify", path, "--k", "3", "--samples", "5",
@@ -937,7 +939,7 @@ def launch(args, prelude=""):
     (["verify", data("braid3.txt"), "--k", "9"], None, 1),
     (["verify", data("braid3.txt"), "--k", "2", "--samples", "20",
       "--include-flats", "--seed", "3"],
-     ("strata", "lattice_isomorphic", "lambda L1, L2: False"), 2),
+     ("strata", "restriction_lattice", "lambda arr, U: U"), 2),
     (LABEL_E1, ("matroid", "echelon_extend", "lambda rows, vectors: []"), 3),
 ])
 def test_launcher_exit_codes_and_bytes(args, patch, code, monkeypatch, capsys,

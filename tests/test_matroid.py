@@ -30,7 +30,6 @@ from grasstrata.matroid import (
     lattice_isomorphic,
     loops,
     matroid_from,
-    ranked_lattice,
     restriction_lattice,
 )
 from grasstrata.pluecker import defect_subspace
@@ -63,6 +62,13 @@ def random_subspace(rng, n, k):
         U = canonical_subspace(M, n)
         if U.dim == k:
             return U
+
+
+def lattice_order(arr):
+    """The intersection lattice of arr as a RankedLattice: a flat's atoms
+    are its generators."""
+    lat = intersection_lattice(arr)
+    return RankedLattice(tuple(f.rank for f in lat.flats), lat.gens)
 
 
 def permuted(L, rng):
@@ -227,8 +233,18 @@ def test_restriction_lattice_examples():
     assert sorted(L3.ranks) == [0, 1]
 
 
+def test_restriction_lattice_names_atoms_by_hyperplanes():
+    # the line x1 = x2 lies in hyperplane 1 (a loop) and meets hyperplanes
+    # 2 and 3 in one point, so its one atom is named by hyperplane 2
+    assert restriction_lattice(braid3(), span([[1, 1, 0]], 3)) == \
+        RankedLattice((0, 1), (0, 0b010))
+    # a generic plane: three atoms, in (rank, atoms) order
+    assert restriction_lattice(braid3(), kernel(((1, 1, 1),), 3)) == \
+        RankedLattice((0, 1, 1, 1, 2), (0, 0b001, 0b010, 0b100, 0b111))
+
+
 def test_ranked_lattice_order():
-    L = ranked_lattice(intersection_lattice(braid3()))
+    L = lattice_order(braid3())
     bottom = L.ranks.index(0)
     top = L.ranks.index(2)
     for j in range(L.size):
@@ -245,8 +261,7 @@ def test_lattice_isomorphic_basics():
     other = restriction_lattice(arr, span([[1, 0, 0], [0, 1, 0]], 3))
     assert lattice_isomorphic(generic, other)
 
-    two_atoms = ranked_lattice(intersection_lattice(
-        build_arrangement(2, [(1, 0), (0, 1)])))
+    two_atoms = lattice_order(build_arrangement(2, [(1, 0), (0, 1)]))
     assert not lattice_isomorphic(generic, two_atoms)
 
 
@@ -255,8 +270,8 @@ def test_lattice_isomorphic_relabeling_invariance():
     # the last is the 82-element restriction of braid n = 6 to a 3-subspace
     big = restriction_lattice(braid(6), sample_subspace(6, 3, 5, 0, 0))
     assert big.size == 82
-    for L in (ranked_lattice(intersection_lattice(braid3())),
-              ranked_lattice(intersection_lattice(boolean(3))), big):
+    for L in (lattice_order(braid3()),
+              lattice_order(boolean(3)), big):
         for _ in range(5):
             assert lattice_isomorphic(L, permuted(L, rng))
 
@@ -281,7 +296,7 @@ def test_lattice_isomorphic_on_1024_elements():
     # the lattice of the coordinate arrangement in Q^10, as large as the
     # 1014-element restriction lattices verify --k 9 compares there, with
     # one search level per atom
-    L = ranked_lattice(intersection_lattice(boolean(10)))
+    L = lattice_order(boolean(10))
     assert L.size == 1024
     assert lattice_isomorphic(L, permuted(L, random.Random(73)))
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 
@@ -22,8 +24,9 @@ from grasstrata.exactlin import (
     span,
     subspace_sum,
 )
-from grasstrata.matroid import loops, restriction_lattice, lattice_isomorphic
+from grasstrata.matroid import lattice_isomorphic, loops, restriction_lattice
 from grasstrata.pluecker import defect_subspace
+from grasstrata.sampling import sample_subspace, structured_subspaces
 from matrix_helpers import (
     contains_vector,
     intersect,
@@ -50,6 +53,11 @@ def braid3():
 def boolean(n):
     return build_arrangement(n, [[1 if j == i else 0 for j in range(n)]
                                  for i in range(n)])
+
+
+def braid(n):
+    return build_arrangement(n, [[(j == a) - (j == b) for j in range(n)]
+                                 for a, b in itertools.combinations(range(n), 2)])
 
 
 def nonessential3():
@@ -288,7 +296,24 @@ def test_classification_failure_path():
     verdicts, witnesses = verify_restriction_classification(braid3(), 2, samples, fake)
     # braid n = 3 is not essential, so the adjoint label cuts no classes
     assert verdicts == {"matroid:a": False}
-    assert witnesses == [{"type": "non_isomorphic_restriction",
+    assert witnesses == [{"type": "restriction_mismatch",
+                          "class": "matroid:a", "pair": [0, 1]}]
+
+
+def test_classification_fails_on_isomorphic_but_relabeled_lattices():
+    # a braid n = 6 plane and its cyclic coordinate shift, an automorphism of
+    # the arrangement: their restriction lattices are isomorphic, but the
+    # shift renames the hyperplanes, so as labeled lattices they differ,
+    # and a class that holds both fails
+    arr = braid(6)
+    U = sample_subspace(6, 2, 5, 0, 0)
+    W = span([row[-1:] + row[:-1] for row in U.basis], 6)
+    LU, LW = restriction_lattice(arr, U), restriction_lattice(arr, W)
+    assert lattice_isomorphic(LU, LW) and LU != LW
+    fake = [{"matroid": "a", "adjoint": "x", "schubert": "x"}] * 2
+    verdicts, witnesses = verify_restriction_classification(arr, 2, [U, W], fake)
+    assert verdicts == {"matroid:a": False}
+    assert witnesses == [{"type": "restriction_mismatch",
                           "class": "matroid:a", "pair": [0, 1]}]
 
 
@@ -339,12 +364,14 @@ def test_lines_have_one_stratum_per_flat(name):
     flats = [X for X in intersection_lattice(arr).flats if X.dim > 0]
     encodings = []
     for X in flats:
+        outside = [a for j, a in enumerate(arr.normals, 1) if j not in X.generators]
         pair = []
-        for _ in range(2):
+        while len(pair) < 2:  # redraw v until no hyperplane outside X holds it
             coeffs = [rng.randint(-10**6, 10**6) for _ in X.subspace.basis]
             v = [sum(c * row[j] for c, row in zip(coeffs, X.subspace.basis))
                  for j in range(n)]
-            pair.append(label_encodings(arr, span([v], n)))
+            if all(sum(x * y for x, y in zip(a, v)) for a in outside):
+                pair.append(label_encodings(arr, span([v], n)))
         assert pair[0] == pair[1], X.generators
         encodings.append(pair[0])
     for kind in ("matroid", "adjoint", "schubert"):
@@ -394,3 +421,58 @@ def test_hyperplanes_have_one_stratum_per_perp_intersection(name):
         encodings.append(pair[0])
     for kind in ("matroid", "adjoint", "schubert"):
         assert len({e[kind] for e in encodings}) == len(members), kind
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_FILES)
+def test_zero_and_whole_space_are_one_stratum_each(name):
+    """G(0, n) and G(n, n) are single points: every labeling gives one
+    encoding there, whatever the draw."""
+    arr = load_arrangement(os.path.join(DATA, name))
+    n = arr.ambient_dim
+    for k in (0, n):
+        samples = [sample_subspace(n, k, 3, 0, i) for i in range(3)]
+        encodings = [label_encodings(arr, U)
+                     for U in samples + structured_subspaces(arr, k)]
+        for kind in KINDS:
+            assert len({e[kind] for e in encodings}) == 1, (k, kind)
+
+
+def test_coordinate_planes_in_q4_have_the_ggms_count():
+    """k = 2 closed form on the coordinate arrangement: a plane's matroid is
+    its j loops and a partition of the other n - j coordinates into at
+    least two parallel classes, so there are sum_j C(n, j) (B_{n-j} - 1)
+    strata, B the Bell numbers: 36 in Q^4.  The planes spanned by two rows
+    with entries in {-1, 0, 1} reach all of them, and each labeling must
+    give exactly one encoding per stratum."""
+    n = 4
+    bell = (1, 1, 2, 5, 15)
+    count = sum(math.comb(n, j) * (bell[n - j] - 1) for j in range(n + 1))
+    assert count == 36
+    rows = itertools.product((-1, 0, 1), repeat=n)
+    planes = {canonical_subspace(pair, n) for pair in itertools.product(rows, repeat=2)}
+    planes = [U for U in planes if U.dim == 2]
+    assert len(planes) == 362
+    encodings = [label_encodings(boolean(n), U) for U in planes]
+    for kind in KINDS:
+        assert len({e[kind] for e in encodings}) == count, kind
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_FILES + ["braid6", "boolean6"])
+def test_one_matroid_class_has_one_labeled_restriction_lattice(name):
+    """Within a matroid class the restriction lattices are equal as labeled
+    lattices, not just isomorphic, at every k >= 1: on random draws at
+    bound 1, which often share a class, and on the structured subspaces."""
+    arr = (braid(6) if name == "braid6" else boolean(6) if name == "boolean6"
+           else load_arrangement(os.path.join(DATA, name)))
+    n = arr.ambient_dim
+    shared = 0
+    for k in range(1, n + 1):
+        samples = [sample_subspace(n, k, 1, 0, i) for i in range(10)]
+        classes = {}
+        for U in samples + structured_subspaces(arr, k):
+            classes.setdefault(matroid_label(arr, U), []).append(U)
+        for first, *others in classes.values():
+            L = restriction_lattice(arr, first)
+            assert all(restriction_lattice(arr, W) == L for W in others), k
+            shared += bool(others)
+    assert shared
