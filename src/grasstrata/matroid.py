@@ -8,17 +8,18 @@ dim U - dim(U meet X_I), so it only depends on the flat X_I: a matroid is
 stored with the intersection lattice as one rank per flat, checked against
 the second description at the top flat (strata.labels checks every flat).
 Ranks are taken in lattice order, each from a lower cover's echelon rows
-and the traces the flat adds (IntersectionLattice.lower_steps), and a flat above
-a flat of rank dim U gets rank dim U without a reduction, so the checks
-below see constant ranks there.  The axioms are checked on the lattice:
+and the traces the flat adds (IntersectionLattice.lower_steps).  They rise
+to r(top) = dim U - dim(U meet center), and a flat above one of rank
+r(top) gets it without a reduction.  The axioms are checked on the lattice:
 rank 0 at the bottom, a step of 0 or 1 on every cover, and keep(F) inside
 keep(G) on every cover F < G, where keep(F) holds the hyperplanes j with
 r(F join j) = r(F), read off the lattice's cover groups.  Given unit steps,
 that is r(G join G') + r(F) <= r(G) + r(G') for every two covers G, G' of
-every flat F (closure monotonicity; Oxley, Matroid Theory, 1.4).  The
-lattice of flats is geometric, so these local axioms imply the axioms for
-r(S) := r(closure of S) on all subsets, with the closure found through
-the cover groups (Matroid.subset_rank).
+every flat F (closure monotonicity; Oxley, Matroid Theory, 1.4), and a
+cover into the full-rank region, where keep is every hyperplane, is
+skipped.  The lattice of flats is geometric, so these local axioms imply
+the axioms for r(S) := r(closure of S) on all subsets, with the closure
+found through the cover groups (Matroid.subset_rank).
 
 Being geometric, the lattice is atomistic: a flat is fixed by the atoms
 (hyperplanes) below it, so a restriction lattice is held as its atom sets
@@ -90,32 +91,31 @@ class Matroid(Value):
 def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
     if r[0] != 0:
         raise ValueError("the bottom flat must have rank 0")
-    gens = lat.gens
-    for a, b in lat.covers:
-        if not r[a] <= r[b] <= r[a] + 1:
-            raise ValueError(f"unit increase fails from flat {_mask_labels(gens[a])}"
-                             f" to {_mask_labels(gens[b])}")
+    gens, R = lat.gens, r[-1]
     # keep[a]: the hyperplanes j with r(a join j) = r(a), those of a and
     # of each cover of a that keeps its rank
     keep = []
     for a, groups in enumerate(lat.cover_groups):
         mask = gens[a]
         for c, group in groups:
+            if not r[a] <= r[c] <= r[a] + 1:
+                raise ValueError(f"unit increase fails from flat {_mask_labels(gens[a])}"
+                                 f" to {_mask_labels(gens[c])}")
             if r[c] == r[a]:
                 mask |= group
         keep.append(mask)
     for a, b in lat.covers:
-        lost = keep[a] & ~keep[b]
+        lost = r[b] < R and keep[a] & ~keep[b]
         if lost:  # name the cover of a inside the highest lost hyperplane
             c = lat.closure(gens[a] | 1 << lost.bit_length() - 1)
             raise ValueError(f"submodularity fails for flats {_mask_labels(gens[b])}"
                              f" and {_mask_labels(gens[c])}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=0)  # keeps nothing; stays until ROADMAP item 2
 def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     """The labeled matroid of U: on every flat F, rank{B a_i : i in F},
-    inferred as dim U above a flat where it already is dim U.
+    inferred as r(top), the rank of all traces, above a flat of rank r(top).
 
     Checked at the top flat against the second description of the same rank
     function, dim U - dim(U meet X_F), and against the matroid axioms.
@@ -135,8 +135,7 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
         rows[b] = echelon_extend(rows[a], [traces[j] for j in steps[b][1]])
         return len(rows[b])
 
-    # a flat above one of full trace rank dim U has rank dim U too
-    ranks = lat.fill_up(rank, U.dim)
+    ranks = lat.fill_up(rank, len(echelon_extend([], traces)))
     self_check(ranks[-1] == U.dim - intersection_dim(U, lat.top().subspace),
                "the trace rank of the center disagrees with its flat rank")
     try:

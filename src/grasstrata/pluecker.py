@@ -117,7 +117,7 @@ def _center_perp(arr: Arrangement) -> Subspace:
     return orth_complement(center(arr))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=0)  # keeps nothing; stays until ROADMAP item 2
 def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     """The part of U the arrangement can see: U meet S for S = U-perp +
     T-perp and center T, computed as the kernel of U-perp stacked on

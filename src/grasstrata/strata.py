@@ -12,9 +12,9 @@ Fix an arrangement A and a dimension k.  A k-subspace U gets three labels:
     dim(U meet chain flat) jumps along every maximal chain, since every
     flat lies on one.  Neither per-flat label reads the
     other: trace ranks on one side, intersection dimensions on the
-    other.  Each is taken in lattice order and stops where its answer
-    is forced: above a flat of trace rank dim U every rank is dim U, and
-    above a flat of overlap 0 every overlap is 0, filled in without an
+    other.  Each is taken in lattice order and stops at its value at the
+    top, found first by its own route: trace ranks rise to k - i and
+    overlaps fall to i, and a flat above one at that value gets it without an
     elimination.  labels, which the label and verify commands go through,
     computes all three and checks rank = dim U - overlap on every flat;
     where both values were filled in, that compares two inferences.
@@ -64,8 +64,9 @@ def adjoint_label(arr: Arrangement, U: Subspace) -> tuple[int, tuple[Flat, ...]]
 
 def schubert_label(arr: Arrangement, U: Subspace) -> tuple[int, ...]:
     lat = intersection_lattice(arr)
-    # a flat above one of overlap 0 lies inside it, so its overlap is 0 too
-    dims = lat.fill_up(lambda b, a: intersection_dim(U, lat.flats[b].subspace), 0)
+    # U meet center, of dimension i, lies in every flat: overlaps stop at i
+    dims = lat.fill_up(lambda b, a: intersection_dim(U, lat.flats[b].subspace),
+                       intersection_dim(U, lat.top().subspace))
     # dims drop from dim U at the bottom by 0 or 1 per cover, so every chain
     # has exactly dim U - i jumps
     self_check(dims[0] == U.dim

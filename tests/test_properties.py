@@ -173,10 +173,12 @@ def _above(lat, a):
 
 
 def test_labels_stop_where_the_answer_is_forced(monkeypatch):
-    # one reduction for each flat that is not above a flat of full trace
-    # rank (matroid side) or of overlap 0 (Schubert side), and none for the
-    # rest
+    # each label takes its value at the top by its own route first: k - i
+    # as the rank of all traces, i = dim(U meet center) as the overlap
+    # with the center.  Then one reduction for each flat that is not above
+    # a flat at that value, and none for the rest
     calls = []
+    stopped = []
 
     def counted(fn):
         def wrapper(*args):
@@ -196,19 +198,25 @@ def test_labels_stop_where_the_answer_is_forced(monkeypatch):
                                        (0, 0, 1, 0), (1, 1, 1, 1)]),
                  span([[1, 0, 0, 1], [0, 1, 2, 0]], 4))):
             lat = intersection_lattice(arr)
+            i = full_dims(arr, U)[-1]
             for label, final, run in (
-                    (full_ranks(arr, U), U.dim,
+                    (full_ranks(arr, U), U.dim - i,
                      lambda: matroid_from(arr, U)),
-                    (full_dims(arr, U), 0,
+                    (full_dims(arr, U), i,
                      lambda: schubert_label(arr, U))):
                 inferred = set().union(*(_above(lat, a)
                                          for a, v in enumerate(label)
                                          if v == final))
                 calls.clear()
                 run()
-                assert len(calls) == len(lat.flats) - len(inferred)
+                assert len(calls) == 1 + len(lat.flats) - len(inferred)
+                if i and inferred:
+                    stopped.append((arr, U))
     finally:
         matroid_from.cache_clear()
+    # U contains the x3 axis, the center: both walks stop at i = 1, where
+    # finals of dim U and 0 were never reached
+    assert stopped.count(EXAMPLES[2]) == 2
 
 
 @property_test

@@ -7,13 +7,15 @@ import pytest
 
 import grasstrata.pluecker
 import grasstrata.strata
-from brute_force import label_jumps, subset_bases
+from brute_force import essentialize, label_jumps, subset_bases
 from grasstrata.arrangement import (
     build_arrangement,
     center,
     intersection_lattice,
+    is_essential,
     load_arrangement,
     maximal_chains,
+    set_bits,
 )
 from grasstrata.exactlin import (
     canonical_subspace,
@@ -24,7 +26,13 @@ from grasstrata.exactlin import (
     span,
     subspace_sum,
 )
-from grasstrata.matroid import lattice_isomorphic, loops, restriction_lattice
+from grasstrata.matroid import (
+    RankedLattice,
+    lattice_isomorphic,
+    loops,
+    matroid_from,
+    restriction_lattice,
+)
 from grasstrata.pluecker import defect_subspace
 from grasstrata.sampling import sample_subspace, structured_subspaces
 from matrix_helpers import (
@@ -423,6 +431,23 @@ def test_hyperplanes_have_one_stratum_per_perp_intersection(name):
         assert len({e[kind] for e in encodings}) == len(members), kind
 
 
+@pytest.mark.parametrize("name", ["braid3.txt", "braid5.txt", "nonessential3.txt"])
+def test_hyperplanes_of_a_non_essential_arrangement_count_through_ess(name):
+    """k = n - 1 on a non-essential A: a hyperplane U either contains the
+    center T, and then its stratum is one of ess(A) at dimension
+    k - dim T = rank A - 1, or it does not, and then U meets T in
+    dim T - 1 and all such U form one stratum.  So the count is 1 + |L(ess A) - {0}|, with L built as in the
+    test above."""
+    arr = load_arrangement(os.path.join(DATA, name))
+    assert not is_essential(arr)
+    ess = essentialize(arr)
+    members = {full_space(ess.ambient_dim)}
+    for X in intersection_lattice(ess).flats:
+        perp = orth_complement(X.subspace)
+        members |= {intersect(W, perp) for W in members}
+    assert 1 + sum(1 for W in members if W.dim) == HYPERPLANE_STRATA[name]
+
+
 @pytest.mark.parametrize("name", ARRANGEMENT_FILES)
 def test_zero_and_whole_space_are_one_stratum_each(name):
     """G(0, n) and G(n, n) are single points: every labeling gives one
@@ -476,3 +501,62 @@ def test_one_matroid_class_has_one_labeled_restriction_lattice(name):
             assert all(restriction_lattice(arr, W) == L for W in others), k
             shared += bool(others)
     assert shared
+
+
+def read_off_restriction_lattice(mat):
+    """The restriction lattice read off a matroid label alone: the flats of
+    A at which every cover raises the trace rank (the flats of the trace
+    matroid), each with its rank and the mask of the lowest hyperplane of
+    each parallel class among its non-loops, two non-loops being parallel
+    when they lie in one such flat of rank 1."""
+    lat, r = mat.lattice, mat.ranks
+    closed = [a for a, groups in enumerate(lat.cover_groups)
+              if all(r[c] > r[a] for c, _ in groups)]
+    loop_mask = next(lat.gens[a] for a in closed if r[a] == 0)
+    lowest = {}
+    for a in closed:
+        if r[a] == 1:
+            parallel = lat.gens[a] & ~loop_mask
+            lowest.update((j, parallel & -parallel) for j in set_bits(parallel))
+    elements = sorted(
+        (r[a], sum({lowest[j] for j in set_bits(lat.gens[a] & ~loop_mask)}))
+        for a in closed)
+    return RankedLattice(*map(tuple, zip(*elements)))
+
+
+def restriction_cases():
+    for name in ARRANGEMENT_FILES:
+        arr = load_arrangement(os.path.join(DATA, name))
+        for k in range(1, arr.ambient_dim + 1):
+            yield pytest.param(arr, k, id=f"{name}-k{k}")
+    for name, arr in (("braid6", braid(6)), ("boolean6", boolean(6))):
+        for k in (2, 3):
+            yield pytest.param(arr, k, id=f"{name}-k{k}")
+
+
+@pytest.mark.parametrize("arr, k", restriction_cases())
+def test_restriction_lattice_is_read_off_the_matroid_label(arr, k):
+    """The trace matroid is a quotient of the arrangement's, so the
+    restriction lattice, built from the restricted arrangement's own
+    kernels and bases, equals the lattice of flats read off the matroid
+    label, atoms named as restriction_lattice names them: on random draws
+    at bound 5 and on every structured subspace."""
+    n = arr.ambient_dim
+    samples = [sample_subspace(n, k, 5, 0, i) for i in range(10)]
+    for U in samples + structured_subspaces(arr, k):
+        assert read_off_restriction_lattice(matroid_from(arr, U)) == \
+            restriction_lattice(arr, U), U.basis
+
+
+def test_read_off_restriction_lattice_tells_a_shifted_plane_apart():
+    # mutant: the matroid of the plane's cyclic coordinate shift, a braid
+    # automorphism, so its read-off is isomorphic to the plane's restriction
+    # lattice but labeled differently
+    arr = braid(6)
+    U = sample_subspace(6, 2, 5, 0, 0)
+    shifted = span([row[1:] + row[:1] for row in U.basis], 6)
+    L = restriction_lattice(arr, U)
+    mutant = read_off_restriction_lattice(matroid_from(arr, shifted))
+    assert read_off_restriction_lattice(matroid_from(arr, U)) == L
+    assert mutant != L
+    assert lattice_isomorphic(mutant, L)
