@@ -6,13 +6,13 @@ the inputs: reports are byte identical across runs and worker counts.
 Every command lives in one place, the command table _COMMANDS, with its
 options, their defaults and its handler; _parse reads argv against it as
 argparse did, and -h prints it.  main loads the arrangement, runs the
-handler for a payload and an exit code, and writes the payload once,
-adding "command" and "arrangement_digest" to a JSON one.
+handler for a payload and an exit code, then opens stdout or --output
+and writes it, adding "command" and "arrangement_digest" to a JSON one.
 Module scope imports only what parsing, lattice and restrict need; every
 other handler imports its own modules as its first statement, so a process
 loads (and, without cached bytecode, compiles) only what its command runs.
 No command loads hashlib (OpenSSL) or json (pure Python with an indent):
-_json_text writes json.dumps(payload, indent=2, sort_keys=True) itself.
+_emit_json writes json.dumps(payload, indent=2, sort_keys=True) in pieces.
 
 Exit codes: 0 success, 1 bad input, 2 a verification run found a
 counterexample, 3 an internal self-check failed.  No command has a size
@@ -23,7 +23,9 @@ lattices as labeled values, so no command runs an isomorphism search.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
+from contextlib import nullcontext
+from io import TextIOBase
 from types import SimpleNamespace
 
 from .arrangement import (
@@ -175,12 +177,8 @@ def arrangement_digest(arr: Arrangement) -> str:
     return sha256(format_arrangement(arr).encode()).hexdigest()
 
 
-def _write(text: str, output_path: str | None) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(text: str, out: TextIOBase) -> None:
+    out.write(text)
 
 
 def _escape(c: str) -> str:
@@ -203,30 +201,41 @@ def _quote(s: str) -> str:
     return '"' + "".join(map(_escape, s)) + '"'
 
 
-def _json_text(o, pad: str = "\n") -> str:
+def _json_chunks(o, pad: str = "\n", head: str = "") -> Iterator[str]:
     """json.dumps(o, indent=2, sort_keys=True) on exact str-keyed dicts, lists,
-    tuples, str, int, bool and None; pad is a newline and o's indent."""
+    tuples, str, int, bool and None, in pieces as json.dump writes them: a
+    scalar or a list of ints whole, a container member by member; pad is a
+    newline and o's indent, head the text before o in its first piece."""
     t = type(o)
-    if t is str:
-        return _quote(o)
-    if t is int:
-        return repr(o)
     inner = pad + "  "
-    if t is list or t is tuple:
-        return "[" + inner + ("," + inner).join([
-            repr(v) if type(v) is int else _json_text(v, inner)
-            for v in o]) + pad + "]" if o else "[]"
-    if t is dict:
-        return "{" + inner + ("," + inner).join([
-            f"{_quote(k)}: {_json_text(o[k], inner)}"
-            for k in sorted(o)]) + pad + "}" if o else "{}"
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if t is str:
+        yield head + _quote(o)
+    elif t is int:
+        yield head + repr(o)
+    elif (t is list or t is tuple) and o and {*map(type, o)} <= {int}:
+        yield head + "[" + inner + ("," + inner).join(map(repr, o)) + pad + "]"
+    elif t is list or t is tuple:
+        sep = head + "[" + inner
+        for v in o:
+            yield from _json_chunks(v, inner, sep)
+            sep = "," + inner
+        yield pad + "]" if o else head + "[]"
+    elif t is dict:
+        sep = head + "{" + inner
+        for k in sorted(o):
+            yield from _json_chunks(o[k], inner, sep + _quote(k) + ": ")
+            sep = "," + inner
+        yield pad + "}" if o else head + "{}"
+    elif o is None or o is True or o is False:
+        yield head + ("null" if o is None else "true" if o else "false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _emit_json(payload: dict, output_path: str | None) -> None:
-    _write(_json_text(payload) + "\n", output_path)
+def _emit_json(payload: dict, out: TextIOBase) -> None:
+    for chunk in _json_chunks(payload):
+        _write(chunk, out)
+    _write("\n", out)
 
 
 # ------------------------------------------------------------- commands
@@ -413,12 +422,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         arr = load_arrangement(args.arrangement)
         payload, code = _COMMANDS[args.command][2](args, arr)
-        if isinstance(payload, str):
-            _write(payload, args.output)
-        else:
-            _emit_json({"command": args.command,
-                        "arrangement_digest": arrangement_digest(arr),
-                        **payload}, args.output)
+        # opened only now, so a run that fails leaves --output as it was
+        with (nullcontext(sys.stdout) if args.output is None
+              else open(args.output, "w", encoding="utf-8")) as out:
+            if isinstance(payload, str):
+                _write(payload, out)
+            else:
+                _emit_json({"command": args.command,
+                            "arrangement_digest": arrangement_digest(arr),
+                            **payload}, out)
         return code
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

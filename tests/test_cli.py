@@ -6,17 +6,19 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_parser import _build_parser, parse as reference_parse
 
+import grasstrata.cli
 import grasstrata.matroid
 import grasstrata.sampling
 import grasstrata.strata
 from grasstrata.cli import (
-    _json_text,
+    _json_chunks,
     _parse,
     arrangement_digest,
     main,
@@ -888,7 +890,7 @@ _payloads = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(payload=_payloads)
 def test_json_writer_matches_json_dumps(payload):
-    assert (_json_text(payload)
+    assert ("".join(_json_chunks(payload))
             == json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -897,7 +899,7 @@ def test_json_writer_matches_json_dumps(payload):
     {"a": 1, None: 2}, {"a": [0.5]}, [[{"b": {3}}]]])
 def test_json_writer_rejects_what_it_cannot_write(payload):
     with pytest.raises(TypeError):
-        _json_text(payload)
+        "".join(_json_chunks(payload))
 
 
 def test_reports_on_an_odd_path_are_what_json_writes(tmp_path, capsys):
@@ -917,6 +919,52 @@ def test_reports_on_an_odd_path_are_what_json_writes(tmp_path, capsys):
             assert json.loads(out)["config"]["arrangement"] == path
 
 
+def test_every_byte_goes_through_write(tmp_path, monkeypatch):
+    # what the bench's tracer counts as cli.report_bytes: each piece of
+    # output reaches cli._write as a str, and the pieces make up the file
+    texts = []
+    write = grasstrata.cli._write
+
+    def counted_write(text, out):
+        texts.append(text)
+        return write(text, out)
+
+    monkeypatch.setattr(grasstrata.cli, "_write", counted_write)
+    braid5 = data("braid5.txt")
+    plane = tmp_path / "plane.txt"
+    plane.write_text("5 2\n1 0 0 0 0\n0 1 1 0 0\n")
+    out = tmp_path / "out"
+    for argv in (["lattice", braid5], ["adjoint", braid5, "--k", "2"],
+                 ["label", braid5, "--k", "2", "--subspace", str(plane)],
+                 ["restrict", braid5, "--subspace", str(plane)],
+                 ["verify", braid5, "--k", "2", "--samples", "3", "--include-flats"]):
+        texts.clear()
+        assert main(argv + ["-o", str(out)]) == 0, argv
+        assert {type(t) for t in texts} == {str}, argv
+        assert sum(len(t.encode()) for t in texts) == out.stat().st_size, argv
+
+
+def test_the_writer_never_holds_the_report(tmp_path, monkeypatch):
+    # 200 samples of two distinct 10 KB labels, about 4 MB: a writer that
+    # built the report as one string would hold it twice more
+    def handler(args, arr):
+        return {"samples": [{"matroid": f"{i:04d}m" * 2000,
+                             "schubert": f"{i:04d}s" * 2000}
+                            for i in range(200)]}, 0
+
+    summary, options, _ = grasstrata.cli._COMMANDS["lattice"]
+    monkeypatch.setitem(grasstrata.cli._COMMANDS, "lattice",
+                        (summary, options, handler))
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert main(["lattice", data("braid3.txt"), "-o", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.stat().st_size
+
+
 # ---------------------------------------------------------------- launcher
 
 
@@ -934,14 +982,20 @@ def launch(args, prelude=""):
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
-@pytest.mark.parametrize("args, patch, code", [
+# a run that exits with each code: an arrangement, a bad --k, a class whose
+# restriction lattices differ, and a rank table that fails the self-check,
+# each with the source of the patch, if any, that brings it about
+EXIT_CASES = [
     (["lattice", data("braid3.txt")], None, 0),
     (["verify", data("braid3.txt"), "--k", "9"], None, 1),
     (["verify", data("braid3.txt"), "--k", "2", "--samples", "20",
       "--include-flats", "--seed", "3"],
      ("strata", "restriction_lattice", "lambda arr, U: U"), 2),
     (LABEL_E1, ("matroid", "echelon_extend", "lambda rows, vectors: []"), 3),
-])
+]
+
+
+@pytest.mark.parametrize("args, patch, code", EXIT_CASES)
 def test_launcher_exit_codes_and_bytes(args, patch, code, monkeypatch, capsys,
                                        uncached_matroids):
     # the same code, stdout bytes and stderr text as main in this process
@@ -953,6 +1007,29 @@ def test_launcher_exit_codes_and_bytes(args, patch, code, monkeypatch, capsys,
     assert main(args) == code
     captured = capsys.readouterr()
     assert launch(args, prelude) == (code, captured.out.encode(), captured.err)
+
+
+@pytest.mark.parametrize("args, patch, code", EXIT_CASES)
+def test_output_is_opened_only_for_a_payload(args, patch, code, tmp_path,
+                                             monkeypatch, capsys,
+                                             uncached_matroids):
+    # a run that fails leaves a missing --output path missing and a file
+    # there as it was; a run with a payload writes what it writes to stdout
+    if patch:
+        module, name, source = patch
+        monkeypatch.setattr(getattr(grasstrata, module), name, eval(source))
+    assert main(args) == code
+    stdout = capsys.readouterr().out.encode()
+    missing, kept = tmp_path / "missing.json", tmp_path / "kept.json"
+    kept.write_bytes(b"kept")
+    assert main(args + ["-o", str(missing)]) == code
+    assert main(args + ["-o", str(kept)]) == code
+    if code in (1, 3):
+        assert not missing.exists()
+        assert kept.read_bytes() == b"kept"
+    else:
+        assert stdout
+        assert missing.read_bytes() == kept.read_bytes() == stdout
 
 
 def test_launcher_writes_a_long_stdout_whole_to_a_pipe(tmp_path, capsys):
