@@ -233,9 +233,16 @@ def _json_chunks(o, pad: str = "\n", head: str = "") -> Iterator[str]:
 
 
 def _emit_json(payload: dict, out: TextIOBase) -> None:
+    # pieces go out in writes of about 64 KiB: a write-through stdout
+    # (python -u, PYTHONUNBUFFERED) makes a system call per write
+    batch, size = [], 0
     for chunk in _json_chunks(payload):
-        _write(chunk, out)
-    _write("\n", out)
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 16:
+            _write("".join(batch), out)
+            batch, size = [], 0
+    _write("".join(batch) + "\n", out)
 
 
 # ------------------------------------------------------------- commands

@@ -38,7 +38,6 @@ from .exactlin import (
     orth_complement,
     primitive_vector,
     projector,
-    zero_subspace,
 )
 
 
@@ -120,27 +119,27 @@ def _center_perp(arr: Arrangement) -> Subspace:
 @functools.lru_cache(maxsize=0)  # keeps nothing; stays until ROADMAP item 2
 def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     """The part of U the arrangement can see: U meet S for S = U-perp +
-    T-perp and center T, computed as the kernel of U-perp stacked on
-    S-perp, with U-perp taken once.  S-perp is U meet T, the kernel of
-    U-perp stacked on T-perp, and 0 without an elimination when T is 0.
-    Cross-checked against the span of the projections of the normals onto
-    U; the two routes must agree, and the dimension must be
-    dim U - dim(U meet T)."""
+    T-perp and center T.  With i = dim(U meet T) taken first, that is U
+    as given, canonical basis and all, when i = 0 (always, on an essential
+    arrangement); otherwise the kernel of U-perp stacked on S-perp = U meet
+    T, itself the kernel of U-perp stacked on T-perp.  Cross-checked
+    against the span of the projections of the normals onto U; the two
+    routes must agree, and the dimension must be dim U - i."""
     n = arr.ambient_dim
     if U.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
-    U_perp, T_perp = orth_complement(U), _center_perp(arr)
-    S_perp = (kernel(U_perp.basis + T_perp.basis, n) if T_perp.dim < n
-              else zero_subspace(n))
-    direct = kernel(U_perp.basis + S_perp.basis, n)
+    i = intersection_dim(U, center(arr))
+    if i:
+        U_perp = orth_complement(U)
+        S_perp = kernel(U_perp.basis + _center_perp(arr).basis, n)
+    direct = kernel(U_perp.basis + S_perp.basis, n) if i else U
     # P is symmetric and integral, so a . (row j of P) is entry j of d times
     # the projection of normal a
     P, _ = projector(U)
     projected = canonical_subspace(
         [[sum(map(mul, a, p)) for p in P] for a in arr.normals], n)
     self_check(direct == projected, "defect subspace routes disagree")
-    self_check(direct.dim == U.dim - intersection_dim(U, center(arr)),
-               "defect dimension off")
+    self_check(direct.dim == U.dim - i, "defect dimension off")
     return direct
 
 

@@ -65,12 +65,13 @@ def adjoint_label(arr: Arrangement, U: Subspace) -> tuple[int, tuple[Flat, ...]]
 def schubert_label(arr: Arrangement, U: Subspace) -> tuple[int, ...]:
     lat = intersection_lattice(arr)
     # U meet center, of dimension i, lies in every flat: overlaps stop at i
-    dims = lat.fill_up(lambda b, a: intersection_dim(U, lat.flats[b].subspace),
-                       intersection_dim(U, lat.top().subspace))
+    i = intersection_dim(U, lat.top().subspace)
+    dims = lat.fill_up(lambda b, a: intersection_dim(U, lat.flats[b].subspace), i)
     # dims drop from dim U at the bottom by 0 or 1 per cover, so every chain
-    # has exactly dim U - i jumps
-    self_check(dims[0] == U.dim
-               and {dims[a] - dims[b] for a, b in lat.covers} <= {0, 1},
+    # has exactly dim U - i jumps; a cover of a flat at i got i from fill_up
+    steps = {dims[a] - dims[c] for a, groups in enumerate(lat.cover_groups)
+             if dims[a] > i for c, _ in groups}
+    self_check(dims[0] == U.dim and steps <= {0, 1},
                "overlap dimensions do not step down by 0 or 1 from dim U")
     return dims
 

@@ -15,6 +15,7 @@ from reference_parser import _build_parser, parse as reference_parse
 
 import grasstrata.cli
 import grasstrata.matroid
+import grasstrata.pluecker
 import grasstrata.sampling
 import grasstrata.strata
 from grasstrata.cli import (
@@ -27,6 +28,7 @@ from grasstrata.cli import (
 )
 from grasstrata.arrangement import (
     format_arrangement,
+    intersection_lattice,
     load_arrangement,
     parse_arrangement,
 )
@@ -673,6 +675,56 @@ def test_trace_ranks_off_the_axioms_exit_3(monkeypatch, capsys,
     assert "self-check failed: trace ranks are no matroid: unit increase" in err
 
 
+def test_defect_routes_are_compared_when_the_sample_is_its_own_defect(
+        tmp_path, monkeypatch, capsys):
+    # a plane of braid3 that misses the center (1, 1, 1) is its own defect
+    # without a kernel; a projector with one row zeroed still differs
+    plane = tmp_path / "plane.txt"
+    plane.write_text("3 2\n1 0 0\n0 1 0\n")
+    real = grasstrata.pluecker.projector
+
+    def zeroed(U):
+        P, d = real(U)
+        return ((0,) * U.ambient_dim,) + P[1:], d
+
+    monkeypatch.setattr(grasstrata.pluecker, "projector", zeroed)
+    assert main(["label", data("braid3.txt"), "--k", "2",
+                 "--subspace", str(plane)]) == 3
+    assert "defect subspace routes disagree" in capsys.readouterr().err
+
+
+def test_a_missed_center_that_is_met_exits_3(tmp_path, monkeypatch, capsys):
+    # the plane x2 = 0 holds the center of nonessential3, the x3 axis; told
+    # that it misses it, defect_subspace takes U, whose projection route is
+    # the line of e1
+    plane = tmp_path / "plane.txt"
+    plane.write_text("3 2\n1 0 0\n0 0 1\n")
+    monkeypatch.setattr(grasstrata.pluecker, "intersection_dim", lambda U, V: 0)
+    assert main(["label", data("nonessential3.txt"), "--k", "2",
+                 "--subspace", str(plane)]) == 3
+    assert "defect subspace routes disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_schubert_walk_off_by_one_above_i_exits_3(tmp_path, monkeypatch,
+                                                   capsys, delta):
+    # the plane misses the center of braid3, so i = 0, and the overlap 1 at
+    # flat 1, the hyperplane x2 = x3, is computed; put at 0 it steps 2 from
+    # the bottom, put at 2 it steps 2 to the center, before the comparison
+    # with the trace ranks in labels would see it
+    plane = tmp_path / "plane.txt"
+    plane.write_text("3 2\n1 0 0\n0 1 0\n")
+    arr = load_arrangement(data("braid3.txt"))
+    hyperplane = intersection_lattice(arr).flats[1].subspace
+    real = grasstrata.strata.intersection_dim
+    monkeypatch.setattr(grasstrata.strata, "intersection_dim",
+                        lambda U, V: real(U, V) + delta * (V == hyperplane))
+    assert main(["label", data("braid3.txt"), "--k", "2",
+                 "--subspace", str(plane)]) == 3
+    err = capsys.readouterr().err
+    assert "overlap dimensions do not step down by 0 or 1 from dim U" in err
+
+
 def test_verify_rejects_bad_k(capsys):
     assert main(["verify", data("braid3.txt"), "--k", "9",
                  "--samples", "1"]) == 1
@@ -944,9 +996,9 @@ def test_every_byte_goes_through_write(tmp_path, monkeypatch):
         assert sum(len(t.encode()) for t in texts) == out.stat().st_size, argv
 
 
-def test_the_writer_never_holds_the_report(tmp_path, monkeypatch):
-    # 200 samples of two distinct 10 KB labels, about 4 MB: a writer that
-    # built the report as one string would hold it twice more
+def big_report(monkeypatch):
+    # lattice's handler swapped for one returning 200 samples of two
+    # distinct 10 KB labels, about 4 MB
     def handler(args, arr):
         return {"samples": [{"matroid": f"{i:04d}m" * 2000,
                              "schubert": f"{i:04d}s" * 2000}
@@ -955,6 +1007,11 @@ def test_the_writer_never_holds_the_report(tmp_path, monkeypatch):
     summary, options, _ = grasstrata.cli._COMMANDS["lattice"]
     monkeypatch.setitem(grasstrata.cli._COMMANDS, "lattice",
                         (summary, options, handler))
+
+
+def test_the_writer_never_holds_the_report(tmp_path, monkeypatch):
+    # a writer that built the report as one string would hold it twice more
+    big_report(monkeypatch)
     path = tmp_path / "report.json"
     tracemalloc.start()
     try:
@@ -963,6 +1020,20 @@ def test_the_writer_never_holds_the_report(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * path.stat().st_size
+
+
+def test_the_writer_batches_its_pieces(tmp_path, monkeypatch):
+    # a write-through stdout (python -u) makes one system call per write:
+    # the 4 MB report goes out in writes of about 64 KiB, not per piece
+    big_report(monkeypatch)
+    sizes = []
+    write = grasstrata.cli._write
+    monkeypatch.setattr(grasstrata.cli, "_write",
+                        lambda text, out: sizes.append(len(text)) or write(text, out))
+    path = tmp_path / "report.json"
+    assert main(["lattice", data("braid3.txt"), "-o", str(path)]) == 0
+    assert sum(sizes) == path.stat().st_size > 4_000_000
+    assert len(sizes) <= 70
 
 
 # ---------------------------------------------------------------- launcher

@@ -20,9 +20,11 @@ from grasstrata.arrangement import (
     load_arrangement,
 )
 from grasstrata.exactlin import (
+    Subspace,
     canonical_subspace,
     det,
     full_space,
+    intersection_dim,
     matrix,
     maximal_minors,
     rank,
@@ -41,7 +43,7 @@ from grasstrata.pluecker import (
 )
 from grasstrata.sampling import sample_subspace, structured_subspaces
 from grasstrata.strata import KINDS, adjoint_label, label_encodings
-from matrix_helpers import is_direct_sum_full, times
+from matrix_helpers import is_direct_sum_full, kernel_reference, times
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -254,9 +256,10 @@ def test_defect_dimension_drop():
 
 
 def test_defect_subspace_takes_five_eliminations(monkeypatch):
-    # U-perp, S-perp = U meet T as one kernel, the direct kernel, the
-    # projector and the span of the projected normals, each kernel a single
-    # elimination; on an essential arrangement S-perp = 0 takes none
+    # a sample that meets the center takes five: U-perp, S-perp = U meet T
+    # as one kernel, the direct kernel, the projector and the span of the
+    # projected normals; one that misses it, as every sample of an essential
+    # arrangement does, is its own defect and takes only the last two
     calls = []
     real = grasstrata.exactlin._eliminate
     monkeypatch.setattr(grasstrata.exactlin, "_eliminate",
@@ -264,14 +267,15 @@ def test_defect_subspace_takes_five_eliminations(monkeypatch):
     braid5 = build_arrangement(5, [[(j == a) - (j == b) for j in range(5)]
                                    for a, b in itertools.combinations(range(5), 2)])
     rng = random.Random(83)
-    for arr, most in ((braid5, 5), (boolean(5), 4)):
+    for arr in (braid5, boolean(5)):
         _center_perp(arr)  # cached once per arrangement
         cases = [random_subspace(rng, 5, 2) for _ in range(10)]
         cases.append(span([[1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], 5))
         for U in cases:
             calls.clear()
             V = defect_subspace.__wrapped__(arr, U)
-            assert len(calls) <= most, (U, calls)
+            meets = intersection_dim(U, center(arr)) > 0
+            assert len(calls) == (5 if meets else 2), (U, calls)
             assert V == defect_subspace(arr, U)
 
 
@@ -303,6 +307,33 @@ def test_defect_sees_what_the_arrangement_sees(name):
             (i_u, zero_u), (i_v, zero_v) = adjoint_label(arr, U), adjoint_label(arr, V)
             assert (i_u, i_v) == (i, 0)
             assert zero_u == zero_v
+
+
+def two_kernel_defect(arr, U):
+    """U meet S for S = U-perp + T-perp, from kernel_reference alone: the
+    kernel of U-perp stacked on S-perp, where S-perp = U meet T is the
+    kernel of U-perp stacked on T-perp."""
+    n = arr.ambient_dim
+    U_perp = kernel_reference(U.basis, n)
+    T_perp = kernel_reference(center(arr).basis, n)
+    S_perp = kernel_reference(U_perp + T_perp, n)
+    return Subspace(n, kernel_reference(U_perp + S_perp, n))
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(DATA) if f != "line_e1.txt"))
+def test_defect_is_the_subspace_itself_exactly_when_it_misses_the_center(name):
+    # the two-kernel route agrees with defect_subspace, which takes U as it
+    # is when dim(U meet T) = 0 and builds the kernels otherwise
+    arr = load_arrangement(os.path.join(DATA, name))
+    n, T = arr.ambient_dim, center(arr)
+    for k in range(1, n):
+        cases = ([sample_subspace(n, k, 5, 0, j) for j in range(10)]
+                 + structured_subspaces(arr, k))
+        for U in cases:
+            V = defect_subspace(arr, U)
+            assert V == two_kernel_defect(arr, U), (U, V)
+            assert (V == U) == (intersection_dim(U, T) == 0), U
 
 
 def classes(keys):
