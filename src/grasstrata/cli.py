@@ -12,7 +12,8 @@ Module scope imports only what parsing, lattice and restrict need; every
 other handler imports its own modules as its first statement, so a process
 loads (and, without cached bytecode, compiles) only what its command runs.
 No command loads hashlib (OpenSSL) or json (pure Python with an indent):
-_emit_json writes json.dumps(payload, indent=2, sort_keys=True) in pieces.
+_emit_json writes json.dumps(payload, indent=2, sort_keys=True) in pieces,
+each string escaped by the C function that json.dumps calls.
 
 Exit codes: 0 success, 1 bad input, 2 a verification run found a
 counterexample, 3 an internal self-check failed.  No command has a size
@@ -49,6 +50,9 @@ except ImportError:
         from _sha256 import sha256  # CPython 3.10, 3.11
     except ImportError:  # built without the builtin SHA-2
         from hashlib import sha256
+
+# the C escaper that json.dumps calls, in one extension module
+from _json import encode_basestring_ascii
 
 # Layout version of the verify report.  Format 2 encodes the matroid and
 # Schubert labels as vectors over the flats of the intersection lattice.
@@ -181,26 +185,6 @@ def _write(text: str, out: TextIOBase) -> None:
     out.write(text)
 
 
-def _escape(c: str) -> str:
-    named = '"\\\b\f\n\r\t'.find(c)
-    if named >= 0:
-        return "\\" + '"\\bfnrt'[named]
-    n = ord(c)
-    if 0x20 <= n < 0x7f:
-        return c
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000  # a surrogate pair, as json's ensure_ascii writes it
-    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
-
-
-def _quote(s: str) -> str:
-    # str.isascii(s) raises TypeError on a dict key that is not a str
-    if str.isascii(s) and s.isprintable() and '"' not in s and "\\" not in s:
-        return f'"{s}"'
-    return '"' + "".join(map(_escape, s)) + '"'
-
-
 def _json_chunks(o, pad: str = "\n", head: str = "") -> Iterator[str]:
     """json.dumps(o, indent=2, sort_keys=True) on exact str-keyed dicts, lists,
     tuples, str, int, bool and None, in pieces as json.dump writes them: a
@@ -209,7 +193,7 @@ def _json_chunks(o, pad: str = "\n", head: str = "") -> Iterator[str]:
     t = type(o)
     inner = pad + "  "
     if t is str:
-        yield head + _quote(o)
+        yield head + encode_basestring_ascii(o)
     elif t is int:
         yield head + repr(o)
     elif (t is list or t is tuple) and o and {*map(type, o)} <= {int}:
@@ -223,7 +207,7 @@ def _json_chunks(o, pad: str = "\n", head: str = "") -> Iterator[str]:
     elif t is dict:
         sep = head + "{" + inner
         for k in sorted(o):
-            yield from _json_chunks(o[k], inner, sep + _quote(k) + ": ")
+            yield from _json_chunks(o[k], inner, sep + encode_basestring_ascii(k) + ": ")
             sep = "," + inner
         yield pad + "}" if o else head + "{}"
     elif o is None or o is True or o is False:

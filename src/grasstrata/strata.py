@@ -108,24 +108,32 @@ def label_encodings(arr: Arrangement, U: Subspace) -> dict[str, str]:
 KINDS = ("matroid", "adjoint", "schubert")
 
 
-def _partition_blocks(encs: Sequence[str]) -> list[list[int]]:
-    # canonical: members increase within a block and blocks are sorted by
-    # their first member, so == compares two partitions
+def _blocks(encs: Sequence[str]) -> dict[str, list[int]]:
+    # the indices of each label: canonical, as members increase within a
+    # block and blocks are keyed in order of their first member, so == on
+    # the lists of values compares two partitions
     by_label: dict[str, list[int]] = {}
     for idx, e in enumerate(encs):
         by_label.setdefault(e, []).append(idx)
-    return sorted(by_label.values(), key=lambda block: block[0])
+    return by_label
 
 
 def first_disagreement(enc_a: Sequence[str],
                        enc_b: Sequence[str]) -> tuple[int, int] | None:
-    """First index pair the two labelings split differently, scanning in
-    lexicographic pair order so witnesses are reproducible."""
-    n = len(enc_a)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if (enc_a[x] == enc_a[y]) != (enc_b[x] == enc_b[y]):
-                return x, y
+    """First index pair the two labelings split differently, in
+    lexicographic pair order so witnesses are reproducible.
+
+    With A(x) and B(x) the blocks of x, the pair (x, y) splits exactly
+    when y lies in A(x) ^ B(x).  Let x be the first index with A(x) !=
+    B(x).  No y < x lies in A(x) ^ B(x), else x would lie in A(y) ^ B(y);
+    so (x, min(A(x) ^ B(x))) is the first pair.  A block of enc_a that
+    starts before x is a block of enc_b, so each block is compared once,
+    at its first member, and the scan is linear."""
+    blocks_a, blocks_b = _blocks(enc_a), _blocks(enc_b)
+    for x, (a, b) in enumerate(zip(enc_a, enc_b)):
+        A, B = blocks_a[a], blocks_b[b]
+        if A[0] == x and A != B:
+            return x, min(set(A) ^ set(B))
     return None
 
 
@@ -140,7 +148,7 @@ def verify_equivalence(encodings: Sequence[dict]
     """Demand one common partition of the samples from the three labelings:
     the partitions, one verdict per pair of labelings and a witness pair
     for each verdict that fails."""
-    parts = {kind: _partition_blocks([e[kind] for e in encodings])
+    parts = {kind: list(_blocks([e[kind] for e in encodings]).values())
              for kind in KINDS}
     verdicts = {}
     witnesses = []
@@ -181,9 +189,7 @@ def verify_restriction_classification(arr: Arrangement, k: int,
     verdicts = {}
     witnesses = []
     for kind in ("matroid", "adjoint") if is_essential(arr) else ("matroid",):
-        classes: dict[str, list[int]] = {}
-        for idx, e in enumerate(encodings):
-            classes.setdefault(e[kind], []).append(idx)
+        classes = _blocks([e[kind] for e in encodings])
         for enc in sorted(classes):
             key = f"{kind}:{enc}"
             first, *others = classes[enc]

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -1144,3 +1145,18 @@ def test_launcher_leaves_no_worker_behind(tmp_path):
     code, out, err = launch(args + ["--jobs", "2", "-o", str(two)], prelude)
     assert (code, out, err) == (0, b"", "children: 0\n")
     assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
+                                    if m in multiprocessing.get_all_start_methods()])
+def test_verify_with_workers_from_a_fresh_interpreter(method, tmp_path):
+    # workers started by spawn or forkserver import strata as they unpickle
+    # their first task, _encode_worker's labeler; the report is the same
+    args = ["verify", data("braid5.txt"), "--k", "2", "--samples", "12",
+            "--include-flats"]
+    one = tmp_path / "1.json"
+    assert main(args + ["--jobs", "1", "-o", str(one)]) == 0
+    code, out, err = launch(args + ["--jobs", "2"], "import multiprocessing\n"
+                            f"multiprocessing.set_start_method({method!r})")
+    assert (code, err) == (0, "")
+    assert out == one.read_bytes()

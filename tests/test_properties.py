@@ -1,7 +1,8 @@
 """Property tests of the intersection lattice, the per-flat matroid and
 Schubert labels and the lattice isomorphism search against the brute-force
 references in brute_force.py, on small random arrangements and their
-restrictions.
+restrictions, and of the maps by which the matroid and adjoint labels fix
+each other.
 
 Random draws meet loops, parallel traces, non-essential centers, k = 0 and
 k = n now and then; each of these is also pinned by an explicit example.
@@ -217,6 +218,31 @@ def test_labels_stop_where_the_answer_is_forced(monkeypatch):
     # U contains the x3 axis, the center: both walks stop at i = 1, where
     # finals of dim U and 0 were never reached
     assert stopped.count(EXAMPLES[2]) == 2
+
+
+@property_test
+def test_each_label_fixes_the_other_through_the_lattice(case):
+    # the paper's consistency on one sample, with rho = r(top) = k - i.
+    # phi: the adjoint zero set is the set of rank-rho flats X with
+    # r(X) < rho.  psi: r(F) is the largest rank of closure(gens F & gens
+    # Y) over the rank-rho flats Y outside the zero set, as every
+    # independent set of traces extends to a basis, whose closure is such
+    # a Y.  Closure ranks are ranks of the normals, by elimination
+    arr, U = case
+    mat, (i, zero_set), _ = grasstrata.strata.labels(arr, U)
+    flats = intersection_lattice(arr).flats
+    rho = mat.rank
+    assert rho == U.dim - i
+    level = [(f, r) for f, r in zip(flats, mat.ranks) if f.rank == rho]
+    assert {f for f, r in level if r < rho} == set(zero_set)
+    outside = [f.generators for f, _ in level if f not in zero_set]
+
+    def closure_rank(gens):
+        return rank(matrix([arr.normals[j - 1] for j in gens],
+                           cols=arr.ambient_dim))
+
+    assert mat.ranks == tuple(max(closure_rank(f.generators & Y) for Y in outside)
+                              for f in flats)
 
 
 @property_test

@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grasstrata.pluecker
 import grasstrata.strata
@@ -43,7 +44,7 @@ from matrix_helpers import (
 )
 from grasstrata.strata import (
     KINDS,
-    _partition_blocks,
+    _blocks,
     adjoint_label,
     first_disagreement,
     label_encodings,
@@ -216,9 +217,76 @@ def test_schubert_tail_recovers_transverse_flats():
 
 def test_partition_helpers():
     # blocks in order of their first member, members increasing: == compares
-    assert _partition_blocks(["y", "x", "y", "z", "x"]) == [[0, 2], [1, 4], [3]]
+    assert (list(_blocks(["y", "x", "y", "z", "x"]).values())
+            == [[0, 2], [1, 4], [3]])
     assert first_disagreement(["x", "x", "y"], ["u", "v", "v"]) == (0, 1)
     assert first_disagreement(["x", "y"], ["u", "v"]) is None
+
+
+def first_disagreement_reference(enc_a, enc_b):
+    """The first pair the two labelings split differently, by trying every
+    pair in lexicographic order."""
+    n = len(enc_a)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if (enc_a[x] == enc_a[y]) != (enc_b[x] == enc_b[y]):
+                return x, y
+    return None
+
+
+@st.composite
+def labeling_pairs(draw):
+    """Two labelings of one sample list: the second renames the first and
+    then changes a few entries, so equal partitions come up too."""
+    enc_a = draw(st.lists(st.sampled_from("abcd"), max_size=14))
+    rename = dict(zip("abcd", draw(st.permutations("uvwx"))))
+    enc_b = [rename[e] for e in enc_a]
+    for idx in draw(st.lists(st.integers(0, 13), max_size=3)):
+        if idx < len(enc_b):
+            enc_b[idx] = draw(st.sampled_from("uvwxy"))
+    return enc_a, enc_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=labeling_pairs())
+def test_first_disagreement_matches_the_pairwise_scan(pair):
+    assert first_disagreement(*pair) == first_disagreement_reference(*pair)
+
+
+class CountedLabel:
+    """A label that counts its hash and == calls against a budget, so a
+    scan that does too much work fails at once instead of running on."""
+    left = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    @classmethod
+    def spend(cls):
+        cls.left -= 1
+        assert cls.left >= 0, "over budget"
+
+    def __hash__(self):
+        self.spend()
+        return hash(self.value)
+
+    def __eq__(self, other):
+        self.spend()
+        return self.value == other.value
+
+
+def test_first_disagreement_is_linear():
+    # 2,000 samples in their own blocks, but for the last two in one
+    # labeling: the pairwise scan would make about 2 * 10^6 label
+    # comparisons first; the block scan may make 10 per sample
+    n = 2_000
+    labels = [CountedLabel(idx) for idx in range(n)]
+    merged = labels[:-1] + labels[-2:-1]
+    for enc_a, enc_b, pair in ((labels, merged, (n - 2, n - 1)),
+                               (merged, labels, (n - 2, n - 1)),
+                               (labels, labels[::-1], None)):
+        CountedLabel.left = 10 * n
+        assert first_disagreement(enc_a, enc_b) == pair
 
 
 def encode_all(arr, samples):
