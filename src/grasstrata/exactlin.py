@@ -14,15 +14,14 @@ forms, kernels, projectors and determinants, and a kernel comes out
 canonical from one elimination of the matrix with its columns reversed.
 All maximal minors of a matrix come from one Laplace expansion along its
 rows, each minor an integer sum over minors one row smaller.  A Fraction
-appears only in project's result.  Subspaces are stored canonically: the
-RREF of any spanning set with each row rescaled to coprime integers.  Two
-equal subspaces therefore compare equal as plain tuples, which is what the
-lattice deduplication relies on."""
+appears only in project's result.  Subspace takes only the canonical basis,
+the RREF of a spanning set with coprime integer rows, and raises ValueError
+on any other, so equal subspaces compare equal as plain tuples; span and
+canonical_subspace build one from any rows."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -157,34 +156,37 @@ def primitive_vector(v: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 class Subspace(Value):
-    """A linear subspace of Q^n held by its canonical basis rows.
-
-    Equality of Subspace values is equality of sets: canonicalization makes
-    the representative unique, so comparing fields is correct.
-    """
+    """A linear subspace of Q^n held by its canonical basis: nonzero rows,
+    each primitive (gcd 1) with a positive pivot (first nonzero column),
+    pivots strictly increasing, each pivot column zero in the other rows.
+    Any other basis raises ValueError, so equal values are equal sets.
+    pivot_rows, the (pivot, row) pairs the check finds, is not compared."""
 
     _fields = ("ambient_dim", "basis")
+    _extra = ("pivot_rows",)
 
     def __init__(self, ambient_dim: int,
                  basis: tuple[tuple[int, ...], ...], /) -> None:
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
+        pivot_rows = []
         for row in basis:
             if len(row) != ambient_dim:
                 raise ValueError(
                     "basis width does not match the ambient dimension")
-        super().__init__(ambient_dim, basis)
+            if gcd(*row) != 1:  # a zero row has gcd 0
+                raise ValueError(f"basis row {row} is not primitive")
+            p = row.index(next(filter(None, row)))  # its first nonzero entry
+            # rows below vanish at p once pivots increase: check those above
+            if row[p] < 0 or pivot_rows and (
+                    p <= pivot_rows[-1][0] or any(r[p] for _, r in pivot_rows)):
+                raise ValueError(f"basis {basis} is not canonical")
+            pivot_rows.append((p, row))
+        super().__init__(ambient_dim, basis, tuple(pivot_rows))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def pivot_rows(self) -> tuple[tuple[int, tuple], ...]:
-        """(first nonzero column, row) for each basis row, found once per
-        value: the pivot rows of a basis in row echelon form."""
-        return tuple((next(c for c, x in enumerate(row) if x), row)
-                     for row in self.basis)
 
 
 def canonical_subspace(M: Sequence[Sequence[int]], n: int) -> Subspace:
@@ -315,11 +317,8 @@ def echelon_extend(pivot_rows: list, vectors: Iterable[Sequence]) -> list:
 
 def intersection_dim(U: Subspace, V: Subspace) -> int:
     """dim of the intersection, without building it: dim U + dim V minus
-    dim(U + V), the echelon rows of V's pivot rows extended by U's rows.
-
-    Needs V's basis in row echelon form, as every canonical_subspace and
-    zero_subspace value is.  V's pivots are cached on V, so a flat's are
-    found once per run."""
+    dim(U + V), the echelon rows of V's pivot rows extended by U's rows;
+    V's pivots are found when V is built, so a flat's once per run."""
     if U.ambient_dim != V.ambient_dim:
         raise ValueError("ambient dimensions differ")
     return U.dim + V.dim - len(echelon_extend(V.pivot_rows, U.basis))

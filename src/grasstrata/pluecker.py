@@ -120,11 +120,11 @@ def _center_perp(arr: Arrangement) -> Subspace:
 def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     """The part of U the arrangement can see: U meet S for S = U-perp +
     T-perp and center T.  With i = dim(U meet T) taken first, that is U
-    as given, canonical basis and all, when i = 0 (always, on an essential
-    arrangement); otherwise the kernel of U-perp stacked on S-perp = U meet
-    T, itself the kernel of U-perp stacked on T-perp.  Cross-checked
-    against the span of the projections of the normals onto U; the two
-    routes must agree, and the dimension must be dim U - i."""
+    itself when i = 0 (always, on an essential arrangement); otherwise the
+    kernel of U-perp stacked on S-perp = U meet T, itself the kernel of
+    U-perp stacked on T-perp.  Cross-checked against the span of the
+    projections of the normals onto U; the two routes must agree, and the
+    dimension must be dim U - i."""
     n = arr.ambient_dim
     if U.ambient_dim != n:
         raise ValueError("ambient dimensions differ")

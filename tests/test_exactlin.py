@@ -2,10 +2,18 @@ import itertools
 import random
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grasstrata.exactlin
+from grasstrata.arrangement import (
+    build_arrangement,
+    intersection_lattice,
+    load_arrangement,
+    restriction,
+)
 from grasstrata.exactlin import (
     Subspace,
     canonical_subspace,
@@ -18,6 +26,7 @@ from grasstrata.exactlin import (
     maximal_minors,
     minor,
     orth_complement,
+    primitive,
     primitive_vector,
     project,
     projector,
@@ -27,6 +36,9 @@ from grasstrata.exactlin import (
     vector,
     zero_subspace,
 )
+from grasstrata.pluecker import defect_subspace
+from grasstrata.sampling import sample_subspace, structured_subspaces
+from grasstrata.strata import label_encodings
 from matrix_helpers import (
     awkward_matrix,
     canonical_reference,
@@ -43,6 +55,8 @@ from matrix_helpers import (
     times,
     transpose,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def det_cofactor(rows):
@@ -406,30 +420,32 @@ def test_project_is_orthogonal_projection():
         assert dot(pv, w) == dot(v, project(U, w))
 
 
-def _with_scaled_rows(rng, U):
-    """U again in a row echelon form that is neither reduced nor coprime:
-    each canonical row plus random multiples of the rows below it, times a
-    random nonzero integer."""
+def _scaled_rows(rng, U):
+    """Rows of another basis of U, in a row echelon form that is neither
+    reduced nor coprime: each canonical row plus random multiples of the
+    rows below it, times a random nonzero integer.  No Subspace holds them:
+    its constructor takes the canonical basis only."""
     rows = [list(r) for r in U.basis]
     for i in reversed(range(len(rows))):
         for below in rows[i + 1:]:
             c = rng.randint(-2, 2)
             rows[i] = [a + c * b for a, b in zip(rows[i], below)]
-    return Subspace(U.ambient_dim, matrix(
-        [[rng.choice([1, 2, 3, -5]) * x for x in row] for row in rows],
-        cols=U.ambient_dim))
+    scales = [rng.choice([1, 2, 3, -5]) for _ in rows]
+    return matrix([[c * x for x in row] for c, row in zip(scales, rows)],
+                  cols=U.ambient_dim)
 
 
 def test_projector_properties():
-    # P symmetric, P P = d P and row space U, on random, zero, full and
-    # non-canonical inputs
+    # P symmetric, P P = d P and row space U, on random, zero and full
+    # inputs; the rows of another basis of U canonicalize to U
     rng = random.Random(71)
-    cases = [zero_subspace(3), full_space(4), zero_subspace(0),
-             _with_scaled_rows(rng, full_space(3))]
+    cases = [zero_subspace(3), full_space(4), zero_subspace(0)]
+    others = [(full_space(3), _scaled_rows(rng, full_space(3)))]
     for _ in range(60):
         rows, n = awkward_matrix(rng)
         U = canonical_subspace(matrix(cleared(rows), cols=n), n)
-        cases += [U, _with_scaled_rows(rng, U)]
+        cases.append(U)
+        others.append((U, _scaled_rows(rng, U)))
     for U in cases:
         n = U.ambient_dim
         P, d = projector(U)
@@ -439,11 +455,14 @@ def test_projector_properties():
         assert transpose(P) == P
         assert times(P, P) == tuple(tuple(d * x for x in row) for row in P)
         assert canonical_subspace(P, n) == canonical_subspace(U.basis, n)
+    for U, rows in others:
+        assert canonical_subspace(rows, U.ambient_dim) == U
 
 
 def test_intersection_dim_matches_stacked_rank():
-    # dim U + dim V - rank [U; V], with non-canonical echelon rows on
-    # either side, V = 0, V = Q^n and U = V
+    # dim U + dim V - rank [U; V], with V = 0, V = Q^n and U = V; with the
+    # rows of other bases of U and V on either side, stacked ranks give the
+    # same dimensions and the rows canonicalize to U and V
     rng = random.Random(73)
     for _ in range(150):
         n = rng.randint(0, 5)
@@ -451,16 +470,79 @@ def test_intersection_dim_matches_stacked_rank():
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
               for _ in range(n)] for _ in range(rng.randint(0, n))]),
             cols=n), n) for _ in range(2))
+        rows_u, rows_u2, rows_v = (_scaled_rows(rng, W) for W in (U, U, V))
         for A, B in ((U, V), (V, U), (U, U), (U, zero_subspace(n)),
-                     (U, full_space(n)), (zero_subspace(n), V),
-                     (U, _with_scaled_rows(rng, U)),
-                     (_with_scaled_rows(rng, U),
-                      _with_scaled_rows(rng, V))):
+                     (U, full_space(n)), (zero_subspace(n), V)):
             assert intersection_dim(A, B) == \
                 A.dim + B.dim - rank(A.basis + B.basis)
         assert intersection_dim(U, U) == U.dim
         assert intersection_dim(U, zero_subspace(n)) == 0
         assert intersection_dim(U, full_space(n)) == U.dim
+        for rows, W in ((rows_u, U), (rows_u2, U), (rows_v, V)):
+            assert canonical_subspace(rows, n) == W and rank(rows) == W.dim
+        assert U.dim + rank(rows_u) - rank(U.basis + rows_u) == U.dim
+        assert rank(rows_u2) + rank(rows_v) - rank(rows_u2 + rows_v) == \
+            intersection_dim(U, V)
+
+
+def _assert_canonical(values):
+    # the constructor is the check, so building is the test; the reference
+    # canonical form of each basis, and its pivots, say it checks the rule
+    for W in values:
+        assert W.basis == canonical_reference(W.basis, W.ambient_dim)
+        assert W.pivot_rows == tuple(
+            (next(c for c, x in enumerate(row) if x), row) for row in W.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_producer_builds_a_canonical_basis(data):
+    # and canonical_subspace sees neither the order nor the scale of rows
+    n = data.draw(st.integers(0, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                       max_size=n), max_size=5))
+    k = data.draw(st.integers(0, n))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    U, K = canonical_subspace(rows, n), kernel(rows, n)
+    arr = build_arrangement(n, dict.fromkeys(
+        primitive(r)[0] for r in rows if any(r)))
+    made = [U, span(rows, n), K, orth_complement(U), subspace_sum(U, K),
+            full_space(n), zero_subspace(n), sample_subspace(n, k, 2, seed, 0),
+            *structured_subspaces(arr, k, seed)]
+    made += [defect_subspace(arr, W) for W in made]
+    if U.dim:
+        made += [X.subspace for X in intersection_lattice(restriction(arr, U)).flats]
+    _assert_canonical(made)
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]),
+                                min_size=len(rows), max_size=len(rows)))
+    assert canonical_subspace(
+        [[c * x for x in rows[j]] for j, c in zip(order, scales)], n) == U
+
+
+def test_flats_of_data_lattices_and_their_restrictions_are_canonical():
+    for path in sorted(DATA.glob("*.txt")):
+        if path.name == "line_e1.txt":  # a subspace file
+            continue
+        arr = load_arrangement(path)
+        for X in intersection_lattice(arr).flats:
+            _assert_canonical([X.subspace])
+            if X.subspace.dim:
+                _assert_canonical(
+                    [Y.subspace for Y in intersection_lattice(
+                        restriction(arr, X.subspace)).flats])
+
+
+def test_a_scaled_row_is_no_subspace_but_spans_the_canonical_line():
+    # on the coordinate arrangement of Q^3, (2, 0, 0) as a basis once made
+    # defect_subspace return it as given, and its routes disagreed
+    arr = build_arrangement(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        Subspace(3, ((2, 0, 0),))
+    line = span([[2, 0, 0]], 3)
+    assert line.basis == ((1, 0, 0),)
+    assert defect_subspace(arr, line) == line
+    assert label_encodings(arr, line) == label_encodings(arr, span([[1, 0, 0]], 3))
 
 
 def test_contains_vector():

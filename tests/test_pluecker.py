@@ -336,6 +336,37 @@ def test_defect_is_the_subspace_itself_exactly_when_it_misses_the_center(name):
             assert (V == U) == (intersection_dim(U, T) == 0), U
 
 
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(DATA) if f != "line_e1.txt"))
+def test_adjoint_label_from_a_second_complement(name):
+    # the zero set is the same from every complement V of W = U meet T in
+    # U: u in U meet X is w + v with w in W, which lies in X, and v in V,
+    # so dim(V meet X) = dim(U meet X) - i.  Here V is spanned by the rows
+    # of U that extend a basis of W, not by defect_subspace
+    arr = load_arrangement(os.path.join(DATA, name))
+    n, T = arr.ambient_dim, center(arr)
+    met = 0
+    for k in range(1, n):
+        for U in ([sample_subspace(n, k, 5, 0, j) for j in range(10)]
+                  + structured_subspaces(arr, k)):
+            W = kernel_reference(kernel_reference(U.basis, n)
+                                 + kernel_reference(T.basis, n), n)
+            rows = []
+            for row in U.basis:
+                if rank(W + tuple(rows) + (row,)) > len(W) + len(rows):
+                    rows.append(row)
+            V = span(rows, n)
+            p = pluecker_vector(V)
+            zero = tuple(h.source for h in k_adjoint(arr, V.dim)
+                         if eval_adjoint(h, p) == 0)
+            assert (len(W), zero) == adjoint_label(arr, U), U
+            assert V.dim == k - len(W)
+            met += len(W) > 0
+    # where the center is not 0 (braid3, braid5, nonessential3), some
+    # samples meet it, and U itself would not do as V
+    assert met or T.dim == 0
+
+
 def classes(keys):
     """The partition of range(len(keys)) by equal keys."""
     groups = {}

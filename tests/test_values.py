@@ -130,6 +130,32 @@ def test_value_type_checks():
         RankedLattice((1, 1), (1, 2))  # no bottom
 
 
+@pytest.mark.parametrize("basis", [
+    ((2, 0, 0),),  # not primitive
+    ((0, 0, 0),),  # a zero row
+    ((1, 1, 0), (1, 0, 0)),  # pivots not increasing
+    ((1, 1), (0, 1)),  # a pivot column not zero in the other row
+    ((-1, 0),),  # a negative pivot
+    ((2, 2),),  # not primitive, though reduced
+], ids=str)
+def test_subspace_takes_only_the_canonical_basis(basis):
+    with pytest.raises(ValueError, match="not"):
+        Subspace(len(basis[0]), basis)
+    # span is the way in for any rows
+    U = span(basis, len(basis[0]))
+    assert Subspace(U.ambient_dim, U.basis) == U
+
+
+def test_subspace_finds_its_pivots_when_built():
+    with pytest.raises(TypeError):  # gcd refuses a float, with no type test
+        Subspace(2, ((1.0, 0),))
+    U = Subspace(4, ((1, 0, 2, 0), (0, 1, -3, 0), (0, 0, 0, 1)))
+    assert U.pivot_rows == ((0, U.basis[0]), (1, U.basis[1]), (3, U.basis[2]))
+    assert "pivot_rows" not in repr(U)
+    assert Subspace(3, ()).pivot_rows == () and full_space(0).pivot_rows == ()
+    assert span([[2, 2]], 2) == Subspace(2, ((1, 1),))
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing(tmp_path):
     # nor the modules that only some commands run
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
