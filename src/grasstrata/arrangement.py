@@ -244,25 +244,28 @@ def is_essential(arr: Arrangement) -> bool:
     return center(arr).dim == 0
 
 
+def _trace_names(arr: Arrangement, U: Subspace) -> dict[tuple[int, ...], int]:
+    """Each nonzero primitive trace B a_j on U's canonical basis B, in order
+    of first appearance, with the index j of the first normal that has it:
+    the hyperplanes of the restriction to U, each named by one of arr's."""
+    if U.ambient_dim != arr.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    if U.dim == 0:
+        raise ValueError("cannot restrict to the zero subspace")
+    first: dict[tuple[int, ...], int] = {}
+    for j, a in enumerate(arr.normals):
+        first.setdefault(_primitive_trace(U.basis, a), j)
+    first.pop((0,) * U.dim, None)  # from the hyperplanes containing U
+    return first
+
+
 def restriction(arr: Arrangement, U: Subspace) -> Arrangement:
     """The arrangement of traces H ∩ U inside U, written in the canonical
     basis of U (so it lives in dimension dim U).  Hyperplanes containing U
     contribute nothing; distinct hyperplanes cutting the same trace are
     merged, since an arrangement is a set.
     """
-    if U.ambient_dim != arr.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    if U.dim == 0:
-        raise ValueError("cannot restrict to the zero subspace")
-    B = U.basis
-    traces: list[tuple[int, ...]] = []
-    seen = set()
-    for a in arr.normals:
-        w = _primitive_trace(B, a)
-        if any(w) and w not in seen:
-            seen.add(w)
-            traces.append(w)
-    return Arrangement(U.dim, tuple(traces))
+    return Arrangement(U.dim, tuple(_trace_names(arr, U)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,8 +18,8 @@ that is r(G join G') + r(F) <= r(G) + r(G') for every two covers G, G' of
 every flat F (closure monotonicity; Oxley, Matroid Theory, 1.4), and a
 cover into the full-rank region, where keep is every hyperplane, is
 skipped.  The lattice of flats is geometric, so these local axioms imply
-the axioms for r(S) := r(closure of S) on all subsets, with the closure
-found through the cover groups (Matroid.subset_rank).
+the axioms for r(S) := r(closure of S) on all subsets.  Matroid.subset_rank
+reads that rank through IntersectionLattice.closure; no command calls it.
 
 Being geometric, the lattice is atomistic: a flat is fixed by the atoms
 (hyperplanes) below it, so a restriction lattice is held as its atom sets
@@ -40,17 +40,12 @@ from .arrangement import (
     Arrangement,
     IntersectionLattice,
     SelfCheckFailed,
-    _primitive_trace,
+    _trace_names,
     intersection_lattice,
-    restriction,
     self_check,
     set_bits,
 )
 from .exactlin import Subspace, Value, echelon_extend, intersection_dim
-
-
-def _mask_labels(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in set_bits(mask))
 
 
 class Matroid(Value):
@@ -89,6 +84,9 @@ class Matroid(Value):
 
 
 def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
+    def name(a: int) -> tuple[int, ...]:  # flat a's generators, for messages
+        return tuple(sorted(lat.flats[a].generators))
+
     if r[0] != 0:
         raise ValueError("the bottom flat must have rank 0")
     gens, R = lat.gens, r[-1]
@@ -99,17 +97,16 @@ def _check_rank_axioms(lat: IntersectionLattice, r: tuple[int, ...]) -> None:
         mask = gens[a]
         for c, group in groups:
             if not r[a] <= r[c] <= r[a] + 1:
-                raise ValueError(f"unit increase fails from flat {_mask_labels(gens[a])}"
-                                 f" to {_mask_labels(gens[c])}")
+                raise ValueError(f"unit increase fails from flat {name(a)} to {name(c)}")
             if r[c] == r[a]:
                 mask |= group
         keep.append(mask)
     for a, b in lat.covers:
         lost = r[b] < R and keep[a] & ~keep[b]
         if lost:  # name the cover of a inside the highest lost hyperplane
-            c = lat.closure(gens[a] | 1 << lost.bit_length() - 1)
-            raise ValueError(f"submodularity fails for flats {_mask_labels(gens[b])}"
-                             f" and {_mask_labels(gens[c])}")
+            high = 1 << lost.bit_length() - 1
+            c = next(c for c, group in lat.cover_groups[a] if group & high)
+            raise ValueError(f"submodularity fails for flats {name(b)} and {name(c)}")
 
 
 @functools.lru_cache(maxsize=0)  # keeps nothing; stays until ROADMAP item 2
@@ -145,8 +142,10 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
 
 
 def loops(mat: Matroid) -> frozenset[int]:
-    return frozenset(e for e in range(1, mat.ground_size + 1)
-                     if mat.subset_rank([e]) == 0)
+    """The hyperplanes j with B a_j = 0: those whose atom, the cover of the
+    bottom they lead to, has rank 0."""
+    return frozenset(j + 1 for c, group in mat.lattice.cover_groups[0]
+                     if mat.ranks[c] == 0 for j in set_bits(group))
 
 
 class RankedLattice(Value):
@@ -206,12 +205,9 @@ def restriction_lattice(arr: Arrangement, U: Subspace) -> RankedLattice:
     of them.  Elements come in (rank, atoms) order.  So two subspaces with
     one matroid label, whose traces have the same loops, parallel classes
     and flats, get equal values."""
-    R = restriction(arr, U)
-    first: dict[tuple[int, ...], int] = {}
-    for j, a in enumerate(arr.normals):
-        first.setdefault(_primitive_trace(U.basis, a), j)
-    names = [first[t] for t in R.normals]
-    lat = intersection_lattice(R)
+    first = _trace_names(arr, U)
+    names = tuple(first.values())
+    lat = intersection_lattice(Arrangement(U.dim, tuple(first)))
     elements = sorted((f.rank, sum(1 << names[i] for i in set_bits(g)))
                       for f, g in zip(lat.flats, lat.gens))
     return RankedLattice(*map(tuple, zip(*elements)))

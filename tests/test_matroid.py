@@ -1,9 +1,13 @@
 import itertools
+import operator
+import os
 import random
 import tracemalloc
 
 import pytest
 
+import grasstrata.arrangement
+import grasstrata.matroid
 from brute_force import (
     brute_isomorphic,
     check_pairwise_axioms,
@@ -14,6 +18,7 @@ from grasstrata.arrangement import (
     build_arrangement,
     center,
     intersection_lattice,
+    load_arrangement,
 )
 from grasstrata.exactlin import (
     canonical_subspace,
@@ -83,6 +88,43 @@ def permuted(L, rng):
     return RankedLattice(tuple(ranks), tuple(atoms))
 
 
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
+
+def lines_1200():
+    return build_arrangement(2, [(1, t) for t in range(1, 1201)])
+
+
+def inside_hyperplane(arr, j, k, i):
+    """A k-subspace of hyperplane j + 1 from the i-th sample of Q^(n-1)."""
+    K = kernel(matrix([arr.normals[j]], cols=arr.ambient_dim), arr.ambient_dim)
+    C = sample_subspace(arr.ambient_dim - 1, k, 3, 0, i)
+    return canonical_subspace([[sum(c * row[t] for c, row in zip(crow, K.basis))
+                                for t in range(arr.ambient_dim)]
+                               for crow in C.basis], arr.ambient_dim)
+
+
+def loop_cases():
+    """(arrangement, subspace) pairs with and without loops."""
+    arrs = [load_arrangement(os.path.join(DATA, f)) for f in sorted(os.listdir(DATA))
+            if f != "line_e1.txt"]
+    for arr in arrs + [build_arrangement(3, [])]:
+        n = arr.ambient_dim
+        for k in range(n + 1):
+            yield from ((arr, sample_subspace(n, k, 5, 0, i)) for i in range(3))
+            yield from ((arr, U) for U in structured_subspaces(arr, k))
+            if k < n:
+                yield from ((arr, inside_hyperplane(arr, j, k, j))
+                            for j in range(arr.size))
+    lines = lines_1200()
+    for i in range(3):
+        yield lines, sample_subspace(2, 1, 5, 0, i)
+    for j in (0, 1, 599, 1199):
+        yield lines, inside_hyperplane(lines, j, 1, 0)
+    yield lines, full_space(2)
+    yield lines, sample_subspace(2, 0, 5, 0, 0)
+
+
 # ---------------------------------------------------------------- matroids
 
 
@@ -102,6 +144,14 @@ def test_matroid_center_is_all_loops():
     assert mat.rank == 0
     assert loops(mat) == frozenset({1, 2, 3})
     assert subset_bases(mat) == frozenset({frozenset()})
+    # loops, read off the atoms, are the hyperplanes with B a_j = 0: on
+    # every data/ arrangement at every k, on random and structured samples
+    # and samples inside a hyperplane, on the empty arrangement and on the
+    # 1,200 lines (1, t) of Q^2
+    for arr, U in loop_cases():
+        zero = {j for j, a in enumerate(arr.normals, 1)
+                if not any(sum(map(operator.mul, row, a)) for row in U.basis)}
+        assert loops(matroid_from(arr, U)) == zero, (arr.normals, U.basis)
 
 
 def test_matroid_boolean_full_space():
@@ -128,6 +178,25 @@ def test_matroid_guard_and_errors():
     with pytest.raises(ValueError):
         mat = matroid_from(boolean(2), full_space(2))
         mat.subset_rank([5])
+
+
+def test_axiom_messages_name_the_failing_flats():
+    # the coordinate lattice of Q^3: flats (), (1,), (2,), (3,), (1, 2),
+    # (1, 3), (2, 3), (1, 2, 3) in flat order
+    lat = intersection_lattice(boolean(3))
+    with pytest.raises(ValueError) as e:
+        Matroid(lat, (0, 0, 0, 0, 0, 0, 0, 2))
+    assert str(e.value) == "unit increase fails from flat (1, 2) to (1, 2, 3)"
+    # every hyperplane keeps the bottom's rank 0, but (1,) has rank 0 and
+    # rank 1 on (1, 2) and (1, 3): it loses 2 and 3, and the message names
+    # the cover of the bottom inside the highest one
+    with pytest.raises(ValueError) as e:
+        Matroid(lat, (0, 0, 0, 0, 1, 1, 1, 2))
+    assert str(e.value) == "submodularity fails for flats (1,) and (3,)"
+    # (3,) keeps rank 1 on hyperplane 2, but its cover (1, 3) does not
+    with pytest.raises(ValueError) as e:
+        Matroid(lat, (0, 1, 1, 1, 2, 1, 1, 2))
+    assert str(e.value) == "submodularity fails for flats (1, 3) and (2, 3)"
 
 
 def test_local_check_agrees_with_pairwise_reference():
@@ -241,6 +310,39 @@ def test_restriction_lattice_names_atoms_by_hyperplanes():
     # a generic plane: three atoms, in (rank, atoms) order
     assert restriction_lattice(braid3(), kernel(((1, 1, 1),), 3)) == \
         RankedLattice((0, 1, 1, 1, 2), (0, 0b001, 0b010, 0b100, 0b111))
+
+
+def test_restriction_lattice_traces_each_hyperplane_once(monkeypatch):
+    # the restricted arrangement and its atom names come from one trace per
+    # normal on U's basis; the traces that build the restricted lattice
+    # itself, on its own flats, are not counted
+    trace, build = grasstrata.arrangement._primitive_trace, intersection_lattice
+    traced, building = [], []
+
+    def counted_trace(rows, a):
+        if not building:
+            traced.append((rows, a))
+        return trace(rows, a)
+
+    def counted_build(arr):
+        building.append(arr)
+        try:
+            return build(arr)
+        finally:
+            building.pop()
+
+    for module in (grasstrata.arrangement, grasstrata.matroid):
+        for attr, value in list(vars(module).items()):
+            if value is trace:
+                monkeypatch.setattr(module, attr, counted_trace)
+            elif value is build:
+                monkeypatch.setattr(module, attr, counted_build)
+    cases = [(arr, U) for arr, U in loop_cases() if U.dim > 0]
+    cases += [(boolean(6), sample_subspace(6, k, 5, 0, k)) for k in (2, 3, 6)]
+    for arr, U in cases:
+        traced.clear()
+        restriction_lattice(arr, U)
+        assert traced == [(U.basis, a) for a in arr.normals], (arr.normals, U.basis)
 
 
 def test_ranked_lattice_order():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -425,6 +426,36 @@ def test_labels_deterministic():
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 ARRANGEMENT_FILES = sorted(f for f in os.listdir(DATA) if f != "line_e1.txt")
+
+
+def test_no_command_reads_ranks_through_closures(monkeypatch, tmp_path):
+    """label and verify read loops off the atoms and name failing flats off
+    the cover groups: neither calls IntersectionLattice.closure nor
+    Matroid.subset_rank, on an arrangement whose samples have loops."""
+    from grasstrata.arrangement import IntersectionLattice
+    from grasstrata.cli import main
+    from grasstrata.matroid import Matroid
+    calls = []
+    for cls, name in ((IntersectionLattice, "closure"), (Matroid, "subset_rank")):
+        def counted(self, *args, _original=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    out = str(tmp_path / "out.json")
+    plane = tmp_path / "plane.txt"  # in the hyperplanes of x1 = x2, x3 = x4 = x5
+    plane.write_text("5 2\n1 1 0 0 0\n0 0 1 1 1\n")
+    for name, k, sub in (("braid3.txt", 1, os.path.join(DATA, "line_e1.txt")),
+                         ("braid5.txt", 2, str(plane)), ("nonessential3.txt", 2, None)):
+        path = os.path.join(DATA, name)
+        if sub:
+            assert main(["label", path, "--k", str(k), "--subspace", sub, "-o", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                assert json.load(fh)["labels"]["matroid"]["loops"]
+        assert main(["verify", path, "--k", str(k), "--samples", "10",
+                     "--include-flats", "-o", out]) == 0
+    assert calls == []
+    mat = matroid_label(braid3(), span([[1, 0, 0]], 3))
+    assert mat.subset_rank([3]) == 0 and calls == ["subset_rank", "closure"]
 
 
 @pytest.mark.parametrize("name", ARRANGEMENT_FILES)
