@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arrangement": """Arrangement Flat IntersectionLattice SelfCheckFailed
         build_arrangement center format_arrangement intersection_lattice
-        is_essential load_arrangement maximal_chains parse_arrangement
-        restriction""",
+        is_essential load_arrangement load_subspace maximal_chains
+        parse_arrangement parse_subspace restriction""",
     "exactlin": """Subspace canonical_subspace det full_space kernel matrix
         maximal_minors minor orth_complement project span subspace_sum
         zero_subspace""",

@@ -381,6 +381,30 @@ def parse_arrangement(text: str) -> Arrangement:
         raise ValueError(f"bad arrangement: {e}") from None
 
 
+def _subspace_header(parts: list[str], where: str) -> tuple[int, int]:
+    if len(parts) != 2:
+        raise ValueError(f"{where}: expected 'n k'")
+    n, k = map(int_token, parts)
+    if n is None or k is None:
+        raise ValueError(f"{where}: bad header")
+    if not 0 <= k <= n:
+        raise ValueError(f"{where}: need 0 <= k <= n")
+    return n, k
+
+
+def parse_subspace(text: str) -> Subspace:
+    """Subspace file: first line 'n k', then k rows of n rationals (see
+    read_rows).  Rows must be independent."""
+    (n, k), rows = read_rows(text, _subspace_header,
+                             "missing 'n k' header line")
+    if len(rows) != k:
+        raise ValueError(f"expected {k} rows, got {len(rows)}")
+    U = canonical_subspace(rows, n)
+    if U.dim != k:
+        raise ValueError("subspace rows are linearly dependent")
+    return U
+
+
 def format_arrangement(arr: Arrangement) -> str:
     lines = [str(arr.ambient_dim)]
     for w in arr.normals:
@@ -391,3 +415,8 @@ def format_arrangement(arr: Arrangement) -> str:
 def load_arrangement(path) -> Arrangement:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_arrangement(fh.read())
+
+
+def load_subspace(path) -> Subspace:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_subspace(fh.read())

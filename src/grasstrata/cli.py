@@ -1,16 +1,19 @@
 """Command line front end.
 
-Commands read an arrangement file and write JSON (or, for restrict, another
-arrangement file) to stdout or --output.  All output is a pure function of
-the inputs: reports are byte identical across runs and worker counts.
-Every command lives in one place, the command table _COMMANDS, with its
-options, their defaults and its handler; _parse reads argv against it as
-argparse did, and -h prints it.  main loads the arrangement, runs the
-handler for a payload and an exit code, then opens stdout or --output
-and writes it, adding "command" and "arrangement_digest" to a JSON one.
-Module scope imports only what parsing, lattice and restrict need; every
-other handler imports its own modules as its first statement, so a process
-loads (and, without cached bytecode, compiles) only what its command runs.
+Commands read an arrangement file, label and restrict also a subspace
+file (grasstrata.arrangement reads both formats), and write JSON (or, for
+restrict, another arrangement file) to stdout or --output.  All output is
+a pure function of the inputs: reports are byte identical across runs and
+worker counts.  Every command lives in one place, the command table
+_COMMANDS, with its options, their defaults and its handler; _parse reads
+argv against it as argparse did, and -h prints it.  main loads the
+arrangement, runs the handler for a payload and an exit code, then opens
+stdout or --output and writes it, adding "command" and
+"arrangement_digest" to a JSON one.  Module scope imports only what
+parsing, lattice and restrict need; every other handler, and verify's
+per-sample _encode_worker, imports its own modules as its first
+statement, so a process or a spawned worker loads (and, without cached
+bytecode, compiles) only what it runs.
 No command loads hashlib (OpenSSL) or json (pure Python with an indent):
 _emit_json writes json.dumps(payload, indent=2, sort_keys=True) in pieces,
 each string escaped by the C function that json.dumps calls.
@@ -24,8 +27,9 @@ lattices as labeled values, so no command runs an isomorphism search.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from contextlib import nullcontext
+from functools import partial
 from io import TextIOBase
 from types import SimpleNamespace
 
@@ -34,14 +38,13 @@ from .arrangement import (
     SelfCheckFailed,
     chain_count,
     format_arrangement,
-    int_token,
     intersection_lattice,
     is_essential,
     load_arrangement,
-    read_rows,
+    load_subspace,
     restriction,
 )
-from .exactlin import Subspace, canonical_subspace, matrix
+from .exactlin import Subspace
 
 try:  # the builtin SHA-256 that hashlib falls back to without OpenSSL
     from _sha2 import sha256  # CPython 3.12+
@@ -146,35 +149,6 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 
 # ------------------------------------------------------------------- io
-
-
-def _subspace_header(parts: list[str], where: str) -> tuple[int, int]:
-    if len(parts) != 2:
-        raise ValueError(f"{where}: expected 'n k'")
-    n, k = map(int_token, parts)
-    if n is None or k is None:
-        raise ValueError(f"{where}: bad header")
-    if not 0 <= k <= n:
-        raise ValueError(f"{where}: need 0 <= k <= n")
-    return n, k
-
-
-def parse_subspace(text: str) -> Subspace:
-    """Subspace file: first line 'n k', then k rows of n rationals; same
-    comment rules as arrangement files.  Rows must be independent."""
-    (n, k), rows = read_rows(text, _subspace_header,
-                             "missing 'n k' header line")
-    if len(rows) != k:
-        raise ValueError(f"expected {k} rows, got {len(rows)}")
-    U = canonical_subspace(matrix(rows, n), n)
-    if U.dim != k:
-        raise ValueError("subspace rows are linearly dependent")
-    return U
-
-
-def load_subspace(path: str) -> Subspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_subspace(fh.read())
 
 
 def arrangement_digest(arr: Arrangement) -> str:
@@ -309,21 +283,16 @@ def cmd_restrict(args: SimpleNamespace, arr: Arrangement) -> tuple[str, int]:
             f"to a {U.dim}-subspace\n" + format_arrangement(res)), 0
 
 
-def _encode_worker(task: tuple[Callable, Arrangement, Subspace]
-                   ) -> dict[str, str]:
-    # the labeler travels with the task, pickled by name, so a worker
-    # started by spawn or forkserver imports strata as it unpickles one
-    encode, arr, U = task
-    return encode(arr, U)
+def _encode_worker(arr: Arrangement, U: Subspace) -> dict[str, str]:
+    # imported on the first call, so a worker started by spawn or
+    # forkserver loads strata itself
+    from .strata import label_encodings
+    return label_encodings(arr, U)
 
 
 def cmd_verify(args: SimpleNamespace, arr: Arrangement) -> tuple[dict, int]:
     from .sampling import sample_subspace, structured_subspaces
-    from .strata import (
-        label_encodings,
-        verify_equivalence,
-        verify_restriction_classification,
-    )
+    from .strata import verify_equivalence, verify_restriction_classification
     n = arr.ambient_dim
     if not 0 <= args.k <= n:
         raise ValueError(f"--k must be between 0 and {n}")
@@ -341,16 +310,16 @@ def cmd_verify(args: SimpleNamespace, arr: Arrangement) -> tuple[dict, int]:
     if not subspaces:
         raise ValueError("nothing to verify: zero samples and no injections")
 
-    tasks = [(label_encodings, arr, U) for U in subspaces]
+    encode = partial(_encode_worker, arr)
     if args.jobs > 1:
         # multiprocessing costs about 10 ms of start-up time, which a serial
         # run should not pay
         from multiprocessing import Pool
-        # a worker per task at most: the rest would start only to idle
-        with Pool(min(args.jobs, len(tasks))) as pool:
-            encodings = pool.map(_encode_worker, tasks)
+        # a worker per sample at most: the rest would start only to idle
+        with Pool(min(args.jobs, len(subspaces))) as pool:
+            encodings = pool.map(encode, subspaces)
     else:
-        encodings = [_encode_worker(t) for t in tasks]
+        encodings = list(map(encode, subspaces))
 
     partitions, equivalence, witnesses = verify_equivalence(encodings)
     classification, cls_witnesses = verify_restriction_classification(

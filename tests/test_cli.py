@@ -24,7 +24,6 @@ from grasstrata.cli import (
     _parse,
     arrangement_digest,
     main,
-    parse_subspace,
     sha256,
 )
 from grasstrata.arrangement import (
@@ -32,6 +31,7 @@ from grasstrata.arrangement import (
     intersection_lattice,
     load_arrangement,
     parse_arrangement,
+    parse_subspace,
 )
 from grasstrata.exactlin import canonical_subspace, full_space, span, zero_subspace
 from grasstrata.sampling import sample_subspace, structured_subspaces
@@ -193,21 +193,25 @@ def test_rational_twins_give_the_same_output(tmp_path, capsys):
                                    "1e", "+", "--1", "\u0663", "\u00bd", "1_0/2_0"])
 def test_rational_entries_follow_the_fraction_grammar(tmp_path, capsys, token):
     # the grammar is Fraction's on the running Python: '1_000' is an error
-    # before 3.11 and 1000 from 3.11 on, and '1/0' is always an error
-    path = tmp_path / "arr.txt"
-    path.write_text(f"3\n1 {token} 0\n0 1 0\n")
+    # before 3.11 and 1000 from 3.11 on, and '1/0' is always an error; an
+    # arrangement file and a subspace file read a row alike
+    arr, sub = tmp_path / "arr.txt", tmp_path / "sub.txt"
+    commands = [["lattice", str(arr)],
+                ["restrict", data("braid3.txt"), "--subspace", str(sub)],
+                ["label", data("braid3.txt"), "--k", "1", "--subspace", str(sub)]]
+
+    def run(row):
+        arr.write_text(f"3\n{row}\n0 1 0\n")
+        sub.write_text(f"3 1\n{row}\n")
+        return [(main(command), *capsys.readouterr()) for command in commands]
+
     try:
         q = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        assert main(["lattice", str(path)]) == 1
-        assert capsys.readouterr().err == "error: line 2: bad rational entry\n"
+        assert run(f"1 {token} 0") == [
+            (1, "", "error: line 2: bad rational entry\n")] * len(commands)
         return
-    assert main(["lattice", str(path)]) == 0
-    got = capsys.readouterr().out
-    same = tmp_path / "same.txt"
-    same.write_text(f"3\n{q.denominator} {q.numerator} 0\n0 1 0\n")
-    assert main(["lattice", str(same)]) == 0
-    assert got == capsys.readouterr().out
+    assert run(f"1 {token} 0") == run(f"{q.denominator} {q.numerator} 0")
 
 
 @pytest.mark.parametrize("token", ["\u0663", "\uff13", "1_000"])
@@ -1150,8 +1154,8 @@ def test_launcher_leaves_no_worker_behind(tmp_path):
 @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
                                     if m in multiprocessing.get_all_start_methods()])
 def test_verify_with_workers_from_a_fresh_interpreter(method, tmp_path):
-    # workers started by spawn or forkserver import strata as they unpickle
-    # their first task, _encode_worker's labeler; the report is the same
+    # workers started by spawn or forkserver import strata on their first
+    # call of _encode_worker; the report is the same
     args = ["verify", data("braid5.txt"), "--k", "2", "--samples", "12",
             "--include-flats"]
     one = tmp_path / "1.json"

@@ -55,11 +55,24 @@ def partition(keys):
     return {frozenset(block) for block in blocks.values()}
 
 
+# the strata with a point over F_p, per (arrangement, k, p)
+STRATA = {
+    ("boolean4.txt", 2, 3): 36,
+    ("braid5.txt", 1, 5): 52,
+    ("braid5.txt", 4, 3): 41,
+    ("generic5_4.txt", 1, 11): 26,
+    ("braid5.txt", 2, 3): 170,  # 1,210 points
+    ("braid5.txt", 2, 5): 527,  # 20,306 points
+}
+
+
 @pytest.mark.parametrize("name, k, p", [
     ("boolean4.txt", 2, 3),
     ("braid5.txt", 1, 5),
     ("braid5.txt", 4, 3),
     ("generic5_4.txt", 1, 11),
+    pytest.param("braid5.txt", 2, 3, marks=pytest.mark.slow),
+    pytest.param("braid5.txt", 2, 5, marks=pytest.mark.slow),
 ])
 def test_every_point_of_a_small_grassmannian(name, k, p):
     arr = load_arrangement(os.path.join(DATA, name))
@@ -76,6 +89,7 @@ def test_every_point_of_a_small_grassmannian(name, k, p):
         assert all(r + d == k for r, d in zip(matroid, schubert))
     matroid, schubert, adjoint = (partition(keys) for keys in zip(*labeled))
     assert matroid == schubert == adjoint
+    assert len(matroid) == STRATA[name, k, p]
     if k == 1:
         expected = lines_per_flat(lat, p)
         seen = {}

@@ -20,7 +20,8 @@ EXPORTS = {
         "Arrangement", "Flat", "IntersectionLattice",
         "SelfCheckFailed", "build_arrangement", "center", "format_arrangement",
         "intersection_lattice", "is_essential", "load_arrangement",
-        "maximal_chains", "parse_arrangement", "restriction"],
+        "load_subspace", "maximal_chains", "parse_arrangement",
+        "parse_subspace", "restriction"],
     "exactlin": [
         "Subspace", "canonical_subspace", "det", "full_space", "kernel",
         "matrix", "maximal_minors", "minor", "orth_complement", "project",
