@@ -19,9 +19,11 @@ _emit_json writes json.dumps(payload, indent=2, sort_keys=True) in pieces,
 each string escaped by the C function that json.dumps calls.
 
 Exit codes: 0 success, 1 bad input, 2 a verification run found a
-counterexample, 3 an internal self-check failed.  No command has a size
-cap: label and verify label on flats, and verify compares restriction
-lattices as labeled values, so no command runs an isomorphism search.
+counterexample, 3 an internal self-check failed, 141 the reader of stdout
+closed its pipe (what a shell reports for a process killed by SIGPIPE; no
+error line is printed).  No command has a size cap: label and verify
+label on flats, and verify compares restriction lattices as labeled
+values, so no command runs an isomorphism search.
 """
 
 from __future__ import annotations
@@ -392,6 +394,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                             "arrangement_digest": arrangement_digest(arr),
                             **payload}, out)
         return code
+    except BrokenPipeError:
+        # stdout's reader has gone, as with a pipe into head: not bad input
+        return 141
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1044,18 +1044,34 @@ def test_the_writer_batches_its_pieces(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- launcher
 
 
-def launch(args, prelude=""):
+def launch(args, prelude="", env=None):
     """Run args through the launcher in a fresh process: python -m
     grasstrata, or, after the statements prelude, the same module through
-    runpy.  Returns the exit code, the stdout bytes and the stderr text."""
+    runpy; env defaults to package_env().  Returns the exit code, the
+    stdout bytes and the stderr text."""
     if prelude:
         argv = [sys.executable, "-c", f"import runpy, sys\n{prelude}\n"
                 f"sys.argv[1:] = {args!r}\n"
                 "runpy.run_module('grasstrata', run_name='__main__', alter_sys=True)\n"]
     else:
         argv = [sys.executable, "-m", "grasstrata", *args]
-    proc = subprocess.run(argv, env=package_env(), capture_output=True, timeout=120)
+    proc = subprocess.run(argv, env=env or package_env(), capture_output=True,
+                          timeout=120)
     return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def buffering_env(unbuffered):
+    """package_env() with PYTHONUNBUFFERED set, or removed: stdout is then
+    write-through or block-buffered."""
+    env = package_env(PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    return env
+
+
+def lines_path(tmp_path):
+    """The 1,200 lines (1, t) in Q^2: a lattice report of about 200 KB."""
+    return write_arrangement(tmp_path / "lines", 2, [(1, t) for t in range(1, 1201)])
 
 
 # a run that exits with each code: an arrangement, a bad --k, a class whose
@@ -1148,6 +1164,100 @@ def test_launcher_leaves_no_worker_behind(tmp_path):
     assert main(args + ["--jobs", "1", "-o", str(one)]) == 0
     code, out, err = launch(args + ["--jobs", "2", "-o", str(two)], prelude)
     assert (code, out, err) == (0, b"", "children: 0\n")
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_launcher_flushes_a_long_buffered_stdout_whole_to_a_pipe(
+        tmp_path, monkeypatch, capsys):
+    # without PYTHONUNBUFFERED, the report's last write, shorter than
+    # stdout's buffer, waits there until the launcher's own flush
+    path = lines_path(tmp_path)
+    code, out, err = launch(["lattice", path], env=buffering_env(False))
+    assert (code, err) == (0, "")
+    writes = []
+    monkeypatch.setattr(grasstrata.cli, "_write",
+                        lambda text, out: writes.append(text) or out.write(text))
+    assert main(["lattice", path]) == 0
+    assert out == capsys.readouterr().out.encode()
+    assert len(out) > 1 << 16
+    assert len(writes[-1].encode()) < 4096  # the buffer stdout gets on a pipe
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_exits_141_in_silence(unbuffered, tmp_path):
+    # a reader that closes the pipe early, as head -c 5 does, is not bad
+    # input: 141, as a shell reports for a process that SIGPIPE killed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grasstrata", "lattice", lines_path(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=buffering_env(unbuffered))
+    assert proc.stdout.read(5) == b'{\n  "'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_stdout_closed_before_the_write_exits_141_in_silence(unbuffered):
+    # a small report, buffered, fails only in the launcher's flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "grasstrata", "lattice",
+                               data("braid3.txt")], stdout=write,
+                              stderr=subprocess.PIPE,
+                              env=buffering_env(unbuffered), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_main_returns_141_on_a_broken_pipe(monkeypatch, capsys):
+    def broken(text, out):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(grasstrata.cli, "_write", broken)
+    assert main(["lattice", data("braid3.txt")]) == 141
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("big", [False, True])
+def test_a_full_stdout_exits_1_with_one_error_line(big, unbuffered, tmp_path):
+    # a small report fails in the launcher's flush when buffered and in
+    # main's write when not; a big one fails in main's write either way,
+    # and a failed write leaves nothing pending for the flush to report
+    path = lines_path(tmp_path) if big else data("braid3.txt")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "grasstrata", "lattice", path],
+                              stdout=full, stderr=subprocess.PIPE,
+                              env=buffering_env(unbuffered), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: [Errno 28] No space left on device\n"
+
+
+def test_launcher_leaves_no_non_daemon_thread(tmp_path):
+    # os._exit does not join threads as interpreter exit would, so the
+    # package must start none that it would have to join
+    prelude = ("import atexit, threading\n"
+               "atexit.register(lambda: print('threads:', [t.name for t in"
+               " threading.enumerate() if not t.daemon and t is not"
+               " threading.main_thread()], file=sys.stderr))")
+    args = ["verify", data("braid3.txt"), "--k", "2", "--samples", "6",
+            "--include-flats", "--seed", "3", "--jobs", "2",
+            "-o", str(tmp_path / "2.json")]
+    assert launch(args, prelude) == (0, b"", "threads: []\n")
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_launcher_runs_without_a_standard_stream(stream, tmp_path):
+    # sys.stdout or sys.stderr is None when its descriptor was closed at
+    # start-up, as in `grasstrata lattice FILE -o OUT >&-`: the launcher
+    # flushes only the streams there are, as interpreter exit does
+    one, two = tmp_path / "1.json", tmp_path / "2.json"
+    assert main(["lattice", data("braid3.txt"), "-o", str(one)]) == 0
+    args = ["lattice", data("braid3.txt"), "-o", str(two)]
+    assert launch(args, f"sys.{stream} = None") == (0, b"", "")
     assert one.read_bytes() == two.read_bytes()
 
 
