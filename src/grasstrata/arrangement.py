@@ -183,8 +183,7 @@ def _primitive_trace(rows: Sequence[Sequence[int]],
     return primitive([sum(map(mul, row, a)) for row in rows])[0]
 
 
-@functools.lru_cache(maxsize=None)
-def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
+def build_lattice(arr: Arrangement) -> IntersectionLattice:
     """Rank by rank from R^n, with flats keyed by generator bitmask.
 
     A flat X with canonical integer basis B meets each hyperplane j outside
@@ -235,8 +234,14 @@ def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
 
 
 @functools.lru_cache(maxsize=None)
+def intersection_lattice(arr: Arrangement) -> IntersectionLattice:
+    """build_lattice(arr), cached; restriction lattices are built uncached."""
+    return build_lattice(arr)
+
+
 def center(arr: Arrangement) -> Subspace:
-    """The intersection of all hyperplanes; R^n for the empty arrangement."""
+    """The intersection of all hyperplanes; R^n for the empty arrangement.
+    Uncached: the top of intersection_lattice(arr) is the cached copy."""
     return kernel(arr.normals, arr.ambient_dim)
 
 

@@ -28,9 +28,10 @@ values, so no command runs an isomorphism search.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Collection, Iterator, Sequence
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from functools import partial
 from io import TextIOBase
 from types import SimpleNamespace
@@ -395,7 +396,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                             **payload}, out)
         return code
     except BrokenPipeError:
-        # stdout's reader has gone, as with a pipe into head: not bad input
+        # stdout's reader has gone (head, say): not bad input; unsent bytes go to devnull
+        with suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -41,7 +41,7 @@ from .arrangement import (
     IntersectionLattice,
     SelfCheckFailed,
     _trace_names,
-    intersection_lattice,
+    build_lattice,
     self_check,
     set_bits,
 )
@@ -119,8 +119,7 @@ def matroid_from(arr: Arrangement, U: Subspace) -> Matroid:
     """
     if U.ambient_dim != arr.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    # through the module, so a traced run books this lattice as the
-    # arrangement's own and restriction_lattice's calls as restrictions
+    # through the module: a traced run books this module's names as restrictions
     lat = arrangement.intersection_lattice(arr)
     steps, B = lat.lower_steps, U.basis
     traces = [[sum(map(mul, row, a)) for row in B] for a in arr.normals]
@@ -207,7 +206,7 @@ def restriction_lattice(arr: Arrangement, U: Subspace) -> RankedLattice:
     and flats, get equal values."""
     first = _trace_names(arr, U)
     names = tuple(first.values())
-    lat = intersection_lattice(Arrangement(U.dim, tuple(first)))
+    lat = build_lattice(Arrangement(U.dim, tuple(first)))
     elements = sorted((f.rank, sum(1 << names[i] for i in set_bits(g)))
                       for f, g in zip(lat.flats, lat.gens))
     return RankedLattice(*map(tuple, zip(*elements)))

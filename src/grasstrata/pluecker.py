@@ -23,7 +23,6 @@ from operator import mul
 from .arrangement import (
     Arrangement,
     Flat,
-    center,
     intersection_lattice,
     self_check,
 )
@@ -111,27 +110,21 @@ def k_adjoint(arr: Arrangement, k: int) -> tuple[AdjointHyperplane, ...]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _center_perp(arr: Arrangement) -> Subspace:
-    return orth_complement(center(arr))
-
-
 @functools.lru_cache(maxsize=0)  # keeps nothing; stays until ROADMAP item 2
 def defect_subspace(arr: Arrangement, U: Subspace) -> Subspace:
     """The part of U the arrangement can see: U meet S for S = U-perp +
-    T-perp and center T.  With i = dim(U meet T) taken first, that is U
-    itself when i = 0 (always, on an essential arrangement); otherwise the
-    kernel of U-perp stacked on S-perp = U meet T, itself the kernel of
-    U-perp stacked on T-perp.  Cross-checked against the span of the
-    projections of the normals onto U; the two routes must agree, and the
-    dimension must be dim U - i."""
+    T-perp, T the center (the lattice's top).  With i = dim(U meet T), it
+    is U when i = 0 (always, on an essential arrangement), else the kernel
+    of U-perp stacked on S-perp = U meet T, the kernel of U-perp stacked on
+    the normals, which span T-perp.  Cross-checked against the span of the
+    normals' projections onto U, which must agree, of dimension dim U - i."""
     n = arr.ambient_dim
     if U.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
-    i = intersection_dim(U, center(arr))
+    i = intersection_dim(U, intersection_lattice(arr).top().subspace)
     if i:
         U_perp = orth_complement(U)
-        S_perp = kernel(U_perp.basis + _center_perp(arr).basis, n)
+        S_perp = kernel(U_perp.basis + arr.normals, n)
     direct = kernel(U_perp.basis + S_perp.basis, n) if i else U
     # P is symmetric and integral, so a . (row j of P) is entry j of d times
     # the projection of normal a

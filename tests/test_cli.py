@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference_parser import _build_parser, parse as reference_parse
 
+import grasstrata.arrangement
 import grasstrata.cli
 import grasstrata.matroid
 import grasstrata.pluecker
@@ -609,6 +610,19 @@ def test_verify_braid6_k3_passes(tmp_path):
     assert json.loads(out.read_text())["verdicts"]["passed"] is True
 
 
+def test_verify_keeps_one_lattice_in_the_module_cache(tmp_path):
+    # 120 planes of braid5 fall into one class, so verify builds 120
+    # restriction lattices; none of them outlives its comparison in a cache,
+    # and the center is read off the one cached lattice's top
+    grasstrata.arrangement.intersection_lattice.cache_clear()
+    out = tmp_path / "report.json"
+    assert main(["verify", data("braid5.txt"), "--k", "3", "--samples", "120",
+                 "--bound", "1000", "--seed", "1", "-o", str(out)]) == 0
+    assert len(json.loads(out.read_text())["partitions"]["matroid"]) == 1
+    assert grasstrata.arrangement.intersection_lattice.cache_info().currsize == 1
+    assert not hasattr(grasstrata.arrangement.center, "cache_info")
+
+
 def test_self_check_survives_python_O():
     """A wrong rank must raise SelfCheckFailed even with asserts stripped,
     and the CLI maps it to exit code 3."""
@@ -1135,8 +1149,8 @@ def test_launcher_writes_a_long_stdout_whole_to_a_pipe(tmp_path, capsys):
 
 
 def test_launcher_runs_atexit_handlers(capsys):
-    # os._exit in place of the freeze would skip the handler and the flush
-    # of what it writes
+    # the launcher's os._exit skips interpreter shutdown, so the launcher
+    # runs the handler and flushes what it writes before calling it
     args = ["lattice", data("braid3.txt")]
     code, out, err = launch(args, "import atexit\n"
                             "atexit.register(lambda: print('atexit ran'))")
@@ -1145,8 +1159,8 @@ def test_launcher_runs_atexit_handlers(capsys):
 
 
 def test_main_in_process_leaves_the_collector_unfrozen(capsys):
-    # only the launcher freezes: callers that run main many times in one
-    # process would otherwise keep all of their garbage
+    # main ends no process and changes no collector state: callers that run
+    # it many times in one process get their garbage collected as usual
     assert main(["verify", data("braid3.txt"), "--k", "1", "--samples", "3"]) == 0
     assert gc.get_freeze_count() == 0
 
@@ -1210,6 +1224,22 @@ def test_a_stdout_closed_before_the_write_exits_141_in_silence(unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_main_in_process_exits_141_in_silence_on_a_closed_stdout(tmp_path):
+    # a caller of main that exits with its code, not through the launcher:
+    # the report's unsent bytes are sent to os.devnull, so the flush at
+    # interpreter exit does not meet the closed pipe again (exit 120)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from grasstrata.cli import main; "
+         "raise SystemExit(main())", "lattice", lines_path(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=buffering_env(False))
+    assert proc.stdout.read(5) == b'{\n  "'
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 def test_main_returns_141_on_a_broken_pipe(monkeypatch, capsys):

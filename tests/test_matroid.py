@@ -316,7 +316,8 @@ def test_restriction_lattice_traces_each_hyperplane_once(monkeypatch):
     # the restricted arrangement and its atom names come from one trace per
     # normal on U's basis; the traces that build the restricted lattice
     # itself, on its own flats, are not counted
-    trace, build = grasstrata.arrangement._primitive_trace, intersection_lattice
+    trace = grasstrata.arrangement._primitive_trace
+    build = grasstrata.arrangement.build_lattice
     traced, building = [], []
 
     def counted_trace(rows, a):

@@ -33,7 +33,6 @@ from grasstrata.exactlin import (
 )
 from grasstrata.matroid import matroid_from
 from grasstrata.pluecker import (
-    _center_perp,
     adjoint_hyperplane,
     defect_subspace,
     eval_adjoint,
@@ -257,9 +256,10 @@ def test_defect_dimension_drop():
 
 def test_defect_subspace_takes_five_eliminations(monkeypatch):
     # a sample that meets the center takes five: U-perp, S-perp = U meet T
-    # as one kernel, the direct kernel, the projector and the span of the
-    # projected normals; one that misses it, as every sample of an essential
-    # arrangement does, is its own defect and takes only the last two
+    # as one kernel of U-perp and the normals, the direct kernel, the
+    # projector and the span of the projected normals; one that misses it,
+    # as every sample of an essential arrangement does, is its own defect
+    # and takes only the last two.  The center is the cached lattice's top
     calls = []
     real = grasstrata.exactlin._eliminate
     monkeypatch.setattr(grasstrata.exactlin, "_eliminate",
@@ -268,13 +268,14 @@ def test_defect_subspace_takes_five_eliminations(monkeypatch):
                                    for a, b in itertools.combinations(range(5), 2)])
     rng = random.Random(83)
     for arr in (braid5, boolean(5)):
-        _center_perp(arr)  # cached once per arrangement
+        intersection_lattice(arr)  # cached once per arrangement
         cases = [random_subspace(rng, 5, 2) for _ in range(10)]
         cases.append(span([[1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], 5))
         for U in cases:
+            # center eliminates on every call, so it goes before the count
+            meets = intersection_dim(U, center(arr)) > 0
             calls.clear()
             V = defect_subspace.__wrapped__(arr, U)
-            meets = intersection_dim(U, center(arr)) > 0
             assert len(calls) == (5 if meets else 2), (U, calls)
             assert V == defect_subspace(arr, U)
 
